@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: ``validate``, ``compile``, ``product``, ``infer``, ``oracle``,
-``lawcheck``.  Exit codes: 0 success, 1 a check failed, 2 usage or
-validation error.  Numeric output is exact ("num/den") unless ``--decimal``
+``lawcheck``.  Exit codes: 0 success, 1 a check failed (a lawcheck check,
+or the solver's own check of its fixed point, a ``SolverError``), 2 usage
+or validation error.  Numeric output is exact ("num/den") unless ``--decimal``
 asks for a rendering.  The environment variable ``QTRACE_SEED`` supplies
 the default seed for ``lawcheck``.
 """
@@ -22,33 +23,14 @@ from .models import (
     LabeledMc,
     MarkovRewardModel,
     ModelError,
-    Nfa,
     NonTerminatingMc,
-    WeightedMealy,
-    WeightedTs,
     complete_dfa,
     validate,
 )
 from .modeljson import SchemaError, model_to_dict, parse_model
-from .products import (
-    ProductWts,
-    product_mc_dfa,
-    product_mrm_dfa,
-    product_ntmc_dfa,
-    product_wts_nfa,
-    product_wts_wmm,
-)
+from .products import PAIRING_TABLE, ProductWts
 from .programs import CompileError, ParseError, compile_probabilistic, compile_weighted, parse_program
-from .solvers import solve_product
-
-PAIRING_BUILDERS = {
-    "mc-dfa": (LabeledMc, Dfa, product_mc_dfa),
-    "mc-costdfa": (LabeledMc, Dfa, product_mc_dfa),
-    "mrm-dfa": (MarkovRewardModel, Dfa, product_mrm_dfa),
-    "ntmc-dfa": (NonTerminatingMc, Dfa, product_ntmc_dfa),
-    "wts-nfa": (WeightedTs, Nfa, product_wts_nfa),
-    "wts-wmm": (WeightedTs, WeightedMealy, product_wts_wmm),
-}
+from .solvers import SolverError, solve_product
 
 
 class UsageError(Exception):
@@ -145,7 +127,7 @@ def cmd_compile(args) -> int:
 
 
 def _build_product(args):
-    sys_type, req_type, build = PAIRING_BUILDERS[args.pairing]
+    sys_type, req_type, build = PAIRING_TABLE[args.pairing]
     system = _load_checked(args.system, sys_type)
     requirement = _load_checked(args.requirement, req_type, complete=args.complete_dfa)
     try:
@@ -168,8 +150,11 @@ def cmd_infer(args) -> int:
     if args.mode == "epsilon":
         kw["epsilon"] = rational(args.epsilon or "1/1000000")
     mode = args.mode
-    if mode == "exact" and isinstance(product, ProductWts):
-        mode = "bellman"  # weighted products have no linear-system mode
+    if isinstance(product, ProductWts):
+        if mode == "epsilon":
+            raise UsageError("--mode epsilon needs a probabilistic pairing; use bellman or iterate")
+        if mode == "exact":
+            mode = "bellman"  # weighted products have no linear-system mode
     report = solve_product(product, mode, **kw)
     if args.format == "json":
         doc = report.to_json()
@@ -189,7 +174,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    sys_type, req_type, _ = PAIRING_BUILDERS[args.pairing]
+    sys_type, req_type, _ = PAIRING_TABLE[args.pairing]
     system = _load_checked(args.system, sys_type)
     depth = args.depth
 
@@ -323,6 +308,13 @@ def cmd_lawcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qtrace",
@@ -346,7 +338,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("system")
         if with_requirement:
             p.add_argument("requirement")
-        p.add_argument("--pairing", choices=sorted(PAIRING_BUILDERS), required=True)
+        p.add_argument("--pairing", choices=sorted(PAIRING_TABLE), required=True)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument(
             "--complete-dfa",
@@ -363,7 +355,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="build the product and solve it")
     pairing_args(p)
     p.add_argument("--mode", choices=("exact", "iterate", "epsilon", "bellman"), default="exact")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=_count)
     p.add_argument("--epsilon")
     p.add_argument("--full", action="store_true", help="print the whole value vector")
     p.add_argument("--decimal", type=int, help="render values with this many decimals")
@@ -373,8 +365,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="depth-bounded direct semantics and queries")
     p.add_argument("system")
     p.add_argument("requirement", nargs="?")
-    p.add_argument("--pairing", choices=sorted(PAIRING_BUILDERS), required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--pairing", choices=sorted(PAIRING_TABLE), required=True)
+    p.add_argument("--depth", type=_count, required=True)
     p.add_argument(
         "--complete-dfa",
         action="store_true",
@@ -388,9 +380,9 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lawcheck", help="run the correctness checks")
     p.add_argument("pairing", choices=lawcheck.PAIRINGS + ("all",))
     p.add_argument("--seed", type=int)
-    p.add_argument("--instances", type=int, default=25)
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--instances", type=_count, default=25)
+    p.add_argument("--kmax", type=_count, default=8)
+    p.add_argument("--samples", type=_count, default=100)
     p.add_argument("--mutate", choices=sorted(lawcheck.MUTATIONS))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_lawcheck)
@@ -405,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ParseError, CompileError, ModelError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

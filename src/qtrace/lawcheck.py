@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -40,7 +41,6 @@ from .models import (
     MarkovRewardModel,
     Nfa,
     NonTerminatingMc,
-    REJECT,
     RewardMachine,
     TARGET,
     WeightedMealy,
@@ -51,14 +51,13 @@ from .models import (
     translate_to_nonterminating,
 )
 from .products import (
+    PAIRING_TABLE,
     ProductWts,
+    _product_mc_dfa,
     mc_dfa_row,
     mrm_dfa_row,
     product_mc_dfa,
-    product_mrm_dfa,
     product_ntmc_dfa,
-    product_wts_nfa,
-    product_wts_wmm,
     wts_nfa_row,
     wts_wmm_row,
 )
@@ -71,7 +70,7 @@ from .solvers import (
     solve_reach_prob,
 )
 
-PAIRINGS = ("mc-dfa", "mrm-dfa", "mc-costdfa", "ntmc-dfa", "wts-nfa", "wts-wmm")
+PAIRINGS = tuple(PAIRING_TABLE)
 
 #: Pairings with a full one-step commutation property; the never-terminating
 #: pairing satisfies only the iterate-level property.
@@ -141,10 +140,10 @@ def check_step_equality(
         raise ValueError(f"unknown pairing {pairing!r}")
     name = name or f"step-equality[{pairing}]"
     details = {"pairing": pairing, "kmax": kmax}
+    build = product_fn or PAIRING_TABLE[pairing].build
+    product = build(system, requirement, restrict=False)
 
     if pairing in ("mc-dfa", "mc-costdfa"):
-        build = product_fn or product_mc_dfa
-        product = build(system, requirement, restrict=False)
         sys_levels = oracle.mc_semantics_levels(system, kmax)
         views = {
             (y, k): oracle.DfaLanguage(requirement, y, k)
@@ -153,8 +152,6 @@ def check_step_equality(
         }
         direct = lambda x, y, k: oracle.query_prob(sys_levels[k][x], views[(y, k)])
     elif pairing == "mrm-dfa":
-        build = product_fn or product_mrm_dfa
-        product = build(system, requirement, restrict=False)
         sys_levels = oracle.mrm_semantics_levels(system, kmax)
         views = {
             (y, k): oracle.DfaLanguage(requirement, y, k)
@@ -163,8 +160,6 @@ def check_step_equality(
         }
         direct = lambda x, y, k: oracle.query_reward(sys_levels[k][x], views[(y, k)])
     elif pairing == "ntmc-dfa":
-        build = product_fn or product_ntmc_dfa
-        product = build(system, requirement, restrict=False)
         marginals = oracle.ntmc_marginal_levels(system, kmax)
         minimal: dict[tuple, dict[str, bool]] = {}
 
@@ -195,8 +190,6 @@ def check_step_equality(
             per_depth.append(dict(acc))
         direct = lambda x, y, k: per_depth[k][(x, y)]
     elif pairing == "wts-nfa":
-        build = product_fn or product_wts_nfa
-        product = build(system, requirement, restrict=False)
         sys_levels = oracle.wts_semantics_levels(system, kmax)
         views = {
             (y, k): oracle.NfaLanguage(requirement, y, k)
@@ -205,8 +198,6 @@ def check_step_equality(
         }
         direct = lambda x, y, k: oracle.query_tropical(sys_levels[k][x], views[(y, k)])
     elif pairing == "wts-wmm":
-        build = product_fn or product_wts_wmm
-        product = build(system, requirement, restrict=False)
         sys_levels = oracle.wts_semantics_levels(system, kmax)
         # the query only needs the cheapest accepting run per trace, so the
         # requirement side is evaluated lazily instead of materialized
@@ -551,47 +542,8 @@ def dijkstra_to_accept(m: ProductWts) -> dict[str, int | float]:
 
 
 # ---------------------------------------------------------------------------
-# mutation catalogue: single-edit variants of the mc-dfa pairing rule
-
-def _product_mc_dfa_with(row_fn):
-    def build(c: LabeledMc, d: Dfa, restrict: bool = True):
-        from .products import ProductMc, _explore
-
-        back = {joined(x, y): (x, y) for x in c.states for y in d.states}
-        rows: dict[str, dict[str, Fraction]] = {}
-
-        def build_row(s: str) -> dict[str, Fraction]:
-            x, y = back[s]
-            row = c.trans[x]
-            succ = [(x2, p) for x2, p in row.items() if x2 != TARGET]
-            pairs, acc, rej = row_fn(c, d, y, succ, row.get(TARGET, ZERO), c.label[x])
-            out: dict[str, Fraction] = {}
-            for (x2, y2), p in pairs:
-                key = joined(x2, y2)
-                out[key] = out.get(key, ZERO) + p
-            if acc:
-                out[ACCEPT] = out.get(ACCEPT, ZERO) + acc
-            if rej:
-                out[REJECT] = out.get(REJECT, ZERO) + rej
-            return out
-
-        def row_of(s: str):
-            if s not in rows:
-                rows[s] = build_row(s)
-            return rows[s]
-
-        init = joined(c.initial, d.initial)
-        order = _explore(init, row_of, restrict, list(back))
-        for s in order:
-            row_of(s)
-        return ProductMc(
-            states=tuple(order) + (ACCEPT, REJECT),
-            trans={s: rows[s] for s in order},
-            initial=init,
-        )
-
-    return build
-
+# mutation catalogue: single-edit variants of the mc-dfa pairing rule, each
+# run through the shipped product builder
 
 def _rule_flag_swapped(c, d, y, succ, halt, symbol):
     pairs, acc, rej = mc_dfa_row(succ, halt, symbol, d.delta[y])
@@ -622,11 +574,11 @@ def _rule_pair_broadcast(c, d, y, succ, halt, symbol):
 #: Single-edit broken variants of the mc-dfa pairing rule, each of which
 #: must be caught by check_step_equality on the shipped robot fixture.
 MUTATIONS: dict[str, Callable] = {
-    "flag-swapped": _product_mc_dfa_with(_rule_flag_swapped),
-    "requirement-frozen": _product_mc_dfa_with(_rule_requirement_frozen),
-    "halt-mass-dropped": _product_mc_dfa_with(_rule_halt_mass_dropped),
-    "symbol-ignored": _product_mc_dfa_with(_rule_symbol_ignored),
-    "pair-broadcast": _product_mc_dfa_with(_rule_pair_broadcast),
+    "flag-swapped": partial(_product_mc_dfa, rule=_rule_flag_swapped),
+    "requirement-frozen": partial(_product_mc_dfa, rule=_rule_requirement_frozen),
+    "halt-mass-dropped": partial(_product_mc_dfa, rule=_rule_halt_mass_dropped),
+    "symbol-ignored": partial(_product_mc_dfa, rule=_rule_symbol_ignored),
+    "pair-broadcast": partial(_product_mc_dfa, rule=_rule_pair_broadcast),
 }
 
 

@@ -212,13 +212,7 @@ def validate(model) -> list[str]:
     from . import products as _products
 
     if isinstance(
-        model,
-        (
-            _products.ProductMc,
-            _products.ProductRewardMc,
-            _products.AbsorbingProductMc,
-            _products.ProductWts,
-        ),
+        model, (_products.ProductMc, _products.ProductRewardMc, _products.ProductWts)
     ):
         return _products.validate_product(model)
 
@@ -334,16 +328,18 @@ def make_cost_bound_dfa(budget: int, weight_bound: int) -> Dfa:
     return Dfa(states=states, alphabet=alphabet, delta=delta, initial=str(budget))
 
 
-def _check_join_unique(lefts, rights) -> None:
-    ids = {joined(a, b) for a in lefts for b in rights}
+def _joined_pairs(lefts, rights) -> dict[str, tuple[str, str]]:
+    """The pair behind each joined identifier; two pairs may not share one."""
+    ids = {joined(a, b): (a, b) for a in lefts for b in rights}
     if len(ids) != len(lefts) * len(rights):
         raise ModelError("state identifiers collide when joined; rename the inputs")
+    return ids
 
 
 def dfa_intersect(d1: Dfa, d2: Dfa) -> Dfa:
     """Synchronous intersection; a step accepts when both components do."""
     require_same_alphabet(d1, d2)
-    _check_join_unique(d1.states, d2.states)
+    _joined_pairs(d1.states, d2.states)
     states = tuple(joined(a, b) for a in d1.states for b in d2.states)
     delta: dict[str, dict[str, tuple[str, bool]]] = {}
     for a in d1.states:
@@ -404,7 +400,7 @@ def product_rm_costdfa(rm: RewardMachine, cd: Dfa) -> Dfa:
         raise ModelError(
             f"cost automaton alphabet {sorted(cd.alphabet)} does not match weight bound {rm.bound}"
         )
-    _check_join_unique(rm.states, cd.states)
+    _joined_pairs(rm.states, cd.states)
     states = tuple(joined(y, z) for y in rm.states for z in cd.states)
     delta: dict[str, dict[str, tuple[str, bool]]] = {}
     for y in rm.states:

@@ -2,10 +2,12 @@
 
 Each construction pairs the system's transition structure with the
 requirement's step relation, producing a query-agnostic machine over the
-joint state space plus distinguished sinks.  The ``*_row`` functions
-contain the actual pairing rule for a single transition row; they are
-deliberately independent of state identity so the same rule can be
-exercised on raw semantic values by the commutation checks.
+joint state space plus distinguished sinks.  All of them go through one
+breadth-first builder, and ``PAIRING_TABLE`` names the six pairings with
+their input types and builders.  The ``*_row`` functions contain the
+actual pairing rule for a single transition row; they are deliberately
+independent of state identity so the same rule can be exercised on raw
+semantic values by the commutation checks.
 
 By default products are restricted to the states reachable from the pair
 of initial states; ``restrict=False`` builds the full cartesian space,
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .domains import ONE, ZERO
 from .models import (
@@ -25,13 +27,13 @@ from .models import (
     Dfa,
     LabeledMc,
     MarkovRewardModel,
-    ModelError,
     Nfa,
     NonTerminatingMc,
     REJECT,
     TARGET,
     WeightedMealy,
     WeightedTs,
+    _joined_pairs,
     joined,
     nfa_row,
     require_same_alphabet,
@@ -45,6 +47,9 @@ SINKS = (ACCEPT, REJECT, ABSORB)
 class ProductMc:
     """Unlabeled Markov chain over state pairs with accept/reject sinks."""
 
+    GOAL = ACCEPT  # the sink whose reachability the solvers compute
+    SINKS = (ACCEPT, REJECT)
+
     states: tuple[str, ...]
     trans: dict[str, dict[str, Fraction]]
     initial: str
@@ -54,6 +59,9 @@ class ProductMc:
 class ProductRewardMc:
     """Product chain that additionally earns the system's reward per step."""
 
+    GOAL = ACCEPT
+    SINKS = (ACCEPT, REJECT)
+
     states: tuple[str, ...]
     trans: dict[str, dict[str, Fraction]]
     stepreward: dict[str, int]
@@ -61,17 +69,19 @@ class ProductRewardMc:
 
 
 @dataclass(frozen=True)
-class AbsorbingProductMc:
+class AbsorbingProductMc(ProductMc):
     """Product of a never-terminating chain with a monitor; acceptance absorbs."""
 
-    states: tuple[str, ...]
-    trans: dict[str, dict[str, Fraction]]
-    initial: str
+    GOAL = ABSORB
+    SINKS = (ABSORB,)
 
 
 @dataclass(frozen=True)
 class ProductWts:
     """Weighted product; rows are finite sets of (successor-or-sink, weight)."""
+
+    GOAL = ACCEPT
+    SINKS = (ACCEPT, REJECT)
 
     states: tuple[str, ...]
     trans: dict[str, tuple[tuple[str, int], ...]]
@@ -86,15 +96,18 @@ def pair_states(product) -> tuple[str, ...]:
 def validate_product(m) -> list[str]:
     out: list[str] = []
     pairs = set(pair_states(m))
-    if isinstance(m, (ProductMc, ProductRewardMc, AbsorbingProductMc)):
-        allowed = pairs | (
-            {ABSORB} if isinstance(m, AbsorbingProductMc) else {ACCEPT, REJECT}
-        )
-        for s in pairs:
-            row = m.trans.get(s)
-            if row is None:
-                out.append(f"no transition row at product state {s!r}")
-                continue
+    allowed = pairs | set(m.SINKS)
+    for s in pairs:
+        row = m.trans.get(s)
+        if row is None:
+            out.append(f"no transition row at product state {s!r}")
+        elif isinstance(m, ProductWts):
+            for succ, w in row:
+                if succ not in allowed:
+                    out.append(f"unknown successor {succ!r} at product state {s!r}")
+                if not isinstance(w, int) or w < 0:
+                    out.append(f"weight {w!r} at product state {s!r} is not natural")
+        else:
             total = ZERO
             for succ, p in row.items():
                 if succ not in allowed:
@@ -105,19 +118,11 @@ def validate_product(m) -> list[str]:
                 total += p
             if total != ONE:
                 out.append(f"row sum != 1 at product state {s!r} (got {total})")
-        if isinstance(m, ProductRewardMc):
-            for s in pairs:
-                r = m.stepreward.get(s)
-                if not isinstance(r, int) or r < 0:
-                    out.append(f"step reward at {s!r} is not a natural number")
-    elif isinstance(m, ProductWts):
-        allowed = pairs | {ACCEPT, REJECT}
+    if isinstance(m, ProductRewardMc):
         for s in pairs:
-            for succ, w in m.trans.get(s, ()):
-                if succ not in allowed:
-                    out.append(f"unknown successor {succ!r} at product state {s!r}")
-                if not isinstance(w, int) or w < 0:
-                    out.append(f"weight {w!r} at product state {s!r} is not natural")
+            r = m.stepreward.get(s)
+            if not isinstance(r, int) or r < 0:
+                out.append(f"step reward at {s!r} is not a natural number")
     if m.initial not in pairs:
         out.append(f"initial state {m.initial!r} not in product state set")
     return out
@@ -195,149 +200,137 @@ def wts_wmm_row(transitions, wmm_row_fn):
 # ---------------------------------------------------------------------------
 # product constructions
 
-def _explore(initial: str, expand, restrict: bool, all_pairs: list[str]) -> list[str]:
-    if not restrict:
-        return all_pairs
-    seen = [initial]
-    index = {initial}
-    queue = [initial]
-    while queue:
-        s = queue.pop(0)
-        for t in expand(s):
-            if t not in index and t not in SINKS:
-                index.add(t)
-                seen.append(t)
-                queue.append(t)
-    return seen
+def _summed(entries) -> dict[str, Fraction]:
+    """Probabilistic row: the total mass per target; zero masses are left out."""
+    row: dict[str, Fraction] = {}
+    for t, p in entries:
+        if t in row:
+            row[t] += p
+        elif p:
+            row[t] = p
+    return row
 
 
-def _check_join_unique(c, d) -> None:
-    ids = {joined(x, y) for x in c.states for y in d.states}
-    if len(ids) != len(c.states) * len(d.states):
-        raise ModelError("state identifiers collide when joined; rename the inputs")
+def _weight_set(entries) -> tuple[tuple[str, int], ...]:
+    """Weighted row: the distinct (target, weight) entries in sorted order."""
+    return tuple(sorted(set(entries)))
+
+
+def _build(kind, c, d, step, restrict: bool, collect=_summed):
+    """Explore the pairs of ``c`` and ``d`` breadth first and build ``kind``.
+
+    ``step(x, y)`` gives the entries of the row at pair (x, y) as
+    (target, value), where a target is a successor pair (x', y') or a sink
+    name; ``collect`` folds the entries into the row.  A restricted product
+    holds the pairs reachable from the initial pair in discovery order, an
+    unrestricted one every pair, system state major.
+    """
+    require_same_alphabet(c, d)
+    back = _joined_pairs(c.states, d.states)
+    init = joined(c.initial, d.initial)
+    order = [init] if restrict else list(back)
+    seen = set(order)
+    rows = {}
+    for s in order:  # appended to while it is read: the breadth-first queue
+        row = rows[s] = collect(
+            [(joined(*t) if isinstance(t, tuple) else t, v) for t, v in step(*back[s])]
+        )
+        if restrict:
+            for t in dict(row):  # successor ids, first occurrence first
+                if t not in seen and t not in SINKS:
+                    seen.add(t)
+                    order.append(t)
+    return kind(states=tuple(order) + kind.SINKS, trans=rows, initial=init)
+
+
+def _mc_dfa_rule(c, d, y, succ, halt, symbol):
+    return mc_dfa_row(succ, halt, symbol, d.delta[y])
+
+
+def _product_mc_dfa(c, d, restrict: bool = True, rule=_mc_dfa_rule) -> ProductMc:
+    """:func:`product_mc_dfa` with a replaceable row rule.
+
+    ``rule(c, d, y, successors, halt mass, symbol)`` returns (pairs, accept
+    mass, reject mass); the mutation catalogue of ``lawcheck`` passes
+    broken rules here, so it exercises the builder that ships.
+    """
+
+    def step(x, y):
+        row = c.trans[x]
+        succ = [(x2, p) for x2, p in row.items() if x2 != TARGET]
+        pairs, acc, rej = rule(c, d, y, succ, row.get(TARGET, ZERO), c.label[x])
+        return [*pairs, (ACCEPT, acc), (REJECT, rej)]
+
+    return _build(ProductMc, c, d, step, restrict)
 
 
 def product_mc_dfa(c: LabeledMc, d: Dfa, restrict: bool = True) -> ProductMc:
     """Product of a terminating chain with a deterministic requirement."""
-    require_same_alphabet(c, d)
-    _check_join_unique(c, d)
-    rows: dict[str, dict[str, Fraction]] = {}
-    back: dict[str, tuple[str, str]] = {
-        joined(x, y): (x, y) for x in c.states for y in d.states
-    }
-
-    def build(s: str) -> dict[str, Fraction]:
-        x, y = back[s]
-        row = c.trans[x]
-        succ = [(x2, p) for x2, p in row.items() if x2 != TARGET]
-        pairs, acc, rej = mc_dfa_row(succ, row.get(TARGET, ZERO), c.label[x], d.delta[y])
-        out: dict[str, Fraction] = {}
-        for (x2, y2), p in pairs:
-            out[joined(x2, y2)] = out.get(joined(x2, y2), ZERO) + p
-        if acc:
-            out[ACCEPT] = acc
-        if rej:
-            out[REJECT] = rej
-        return out
-
-    def row_of(s: str) -> dict[str, Fraction]:
-        if s not in rows:
-            rows[s] = build(s)
-        return rows[s]
-
-    init = joined(c.initial, d.initial)
-    order = _explore(init, row_of, restrict, list(back))
-    for s in order:
-        row_of(s)
-    states = tuple(order) + (ACCEPT, REJECT)
-    return ProductMc(states=states, trans={s: rows[s] for s in order}, initial=init)
+    return _product_mc_dfa(c, d, restrict)
 
 
 def product_mrm_dfa(c: MarkovRewardModel, d: Dfa, restrict: bool = True) -> ProductRewardMc:
     """Reward-carrying variant of :func:`product_mc_dfa`."""
-    base = product_mc_dfa(
-        LabeledMc(c.states, c.alphabet, c.label, c.trans, c.initial), d, restrict
-    )
-    back = {joined(x, y): x for x in c.states for y in d.states}
-    stepreward = {s: c.reward[back[s]] for s in pair_states(base)}
+    base = product_mc_dfa(c, d, restrict)
+    reward = {joined(x, y): c.reward[x] for x in c.states for y in d.states}
     return ProductRewardMc(
-        states=base.states, trans=base.trans, stepreward=stepreward, initial=base.initial
+        states=base.states,
+        trans=base.trans,
+        stepreward={s: reward[s] for s in base.trans},
+        initial=base.initial,
     )
 
 
 def product_ntmc_dfa(c: NonTerminatingMc, d: Dfa, restrict: bool = True) -> AbsorbingProductMc:
     """Product of a never-terminating chain with a monitor; acceptance absorbs."""
-    require_same_alphabet(c, d)
-    _check_join_unique(c, d)
-    back = {joined(x, y): (x, y) for x in c.states for y in d.states}
-    rows: dict[str, dict[str, Fraction]] = {}
 
-    def build(s: str) -> dict[str, Fraction]:
-        x, y = back[s]
-        succ = list(c.trans[x].items())
-        pairs, absorb = ntmc_dfa_row(succ, c.label[x], d.delta[y])
-        out: dict[str, Fraction] = {}
-        for (x2, y2), p in pairs:
-            out[joined(x2, y2)] = out.get(joined(x2, y2), ZERO) + p
-        if absorb:
-            out[ABSORB] = absorb
-        return out
+    def step(x, y):
+        pairs, absorb = ntmc_dfa_row(c.trans[x].items(), c.label[x], d.delta[y])
+        return [*pairs, (ABSORB, absorb)]
 
-    def row_of(s: str) -> dict[str, Fraction]:
-        if s not in rows:
-            rows[s] = build(s)
-        return rows[s]
-
-    init = joined(c.initial, d.initial)
-    order = _explore(init, row_of, restrict, list(back))
-    for s in order:
-        row_of(s)
-    states = tuple(order) + (ABSORB,)
-    return AbsorbingProductMc(states=states, trans={s: rows[s] for s in order}, initial=init)
+    return _build(AbsorbingProductMc, c, d, step, restrict)
 
 
-def _product_weighted(c: WeightedTs, other, row_fn, restrict: bool) -> ProductWts:
-    require_same_alphabet(c, other)
-    _check_join_unique(c, other)
-    back = {joined(x, y): (x, y) for x in c.states for y in other.states}
-    rows: dict[str, tuple[tuple[str, int], ...]] = {}
-
-    def build(s: str) -> tuple[tuple[str, int], ...]:
-        x, y = back[s]
-        transitions = [
-            (None if succ == TARGET else succ, a, m) for succ, a, m in c.trans[x]
-        ]
-        entries = row_fn(x, y, transitions)
-        out = set()
-        for tgt, m in entries:
-            if isinstance(tgt, tuple):
-                out.add((joined(*tgt), m))
-            else:
-                out.add((tgt, m))
-        return tuple(sorted(out))
-
-    def successors_of(s: str) -> list[str]:
-        if s not in rows:
-            rows[s] = build(s)
-        return [t for t, _ in rows[s]]
-
-    init = joined(c.initial, other.initial)
-    order = _explore(init, successors_of, restrict, list(back))
-    for s in order:
-        successors_of(s)
-    states = tuple(order) + (ACCEPT, REJECT)
-    return ProductWts(states=states, trans={s: rows[s] for s in order}, initial=init)
+def _moves(c: WeightedTs, x: str) -> list[tuple[str | None, str, int]]:
+    """The transitions of ``x`` with termination written as ``None``."""
+    return [(None if succ == TARGET else succ, a, m) for succ, a, m in c.trans[x]]
 
 
 def product_wts_nfa(c: WeightedTs, d: Nfa, restrict: bool = True) -> ProductWts:
     """Product of a weighted system with a nondeterministic requirement."""
-    return _product_weighted(
-        c, d, lambda x, y, tr: wts_nfa_row(tr, lambda a: nfa_row(d, y, a)), restrict
-    )
+
+    def step(x, y):
+        return wts_nfa_row(_moves(c, x), lambda a: nfa_row(d, y, a))
+
+    return _build(ProductWts, c, d, step, restrict, _weight_set)
 
 
 def product_wts_wmm(c: WeightedTs, d: WeightedMealy, restrict: bool = True) -> ProductWts:
     """Product of a weighted system with a weighted Mealy requirement."""
-    return _product_weighted(
-        c, d, lambda x, y, tr: wts_wmm_row(tr, lambda a: wmm_row(d, y, a)), restrict
-    )
+
+    def step(x, y):
+        return wts_wmm_row(_moves(c, x), lambda a: wmm_row(d, y, a))
+
+    return _build(ProductWts, c, d, step, restrict, _weight_set)
+
+
+# ---------------------------------------------------------------------------
+# the pairings
+
+class Pairing(NamedTuple):
+    """What a pairing takes as system and requirement, and its builder."""
+
+    system: type
+    requirement: type
+    build: Callable
+
+
+#: Every pairing by name; ``lawcheck.PAIRINGS`` lists them in this order.
+PAIRING_TABLE: dict[str, Pairing] = {
+    "mc-dfa": Pairing(LabeledMc, Dfa, product_mc_dfa),
+    "mrm-dfa": Pairing(MarkovRewardModel, Dfa, product_mrm_dfa),
+    "mc-costdfa": Pairing(LabeledMc, Dfa, product_mc_dfa),
+    "ntmc-dfa": Pairing(NonTerminatingMc, Dfa, product_ntmc_dfa),
+    "wts-nfa": Pairing(WeightedTs, Nfa, product_wts_nfa),
+    "wts-wmm": Pairing(WeightedTs, WeightedMealy, product_wts_wmm),
+}

@@ -7,7 +7,9 @@ what selects the *least* solution), the remainder is a nonsingular linear
 system solved by fraction-free elimination over the integers.  Weighted
 products are solved by iterating the min-cost update until it stabilizes,
 which nonnegative weights guarantee within as many rounds as there are
-product states.
+product states.  Each exact answer is checked against its update equation
+before it is returned; a failed check raises ``SolverError`` (never an
+``assert``, so the check also runs under ``python -O``).
 """
 
 from __future__ import annotations
@@ -29,16 +31,11 @@ from .domains import (
     kleene_lfp,
     rational_str,
 )
-from .products import (
-    ABSORB,
-    ACCEPT,
-    AbsorbingProductMc,
-    ProductMc,
-    ProductRewardMc,
-    ProductWts,
-    REJECT,
-    pair_states,
-)
+from .products import ProductMc, ProductRewardMc, ProductWts, pair_states
+
+
+class SolverError(RuntimeError):
+    """A solution failed the solver's own check of the fixed point."""
 
 
 @dataclass(frozen=True)
@@ -115,13 +112,12 @@ def min_cost_step(successors, accept_weights):
 # ---------------------------------------------------------------------------
 # transformers
 
-def reach_transformer(m: ProductMc | AbsorbingProductMc) -> Callable[[dict], dict]:
-    accept_key = ABSORB if isinstance(m, AbsorbingProductMc) else ACCEPT
+def reach_transformer(m: ProductMc) -> Callable[[dict], dict]:
     compiled = []
     for s in pair_states(m):
         row = m.trans[s]
-        acc = row.get(accept_key, ZERO)
-        succ = [(t, p) for t, p in row.items() if t not in (ACCEPT, REJECT, ABSORB)]
+        acc = row.get(m.GOAL, ZERO)
+        succ = [(t, p) for t, p in row.items() if t not in m.SINKS]
         compiled.append((s, acc, succ))
 
     def phi(u: dict) -> dict:
@@ -137,8 +133,8 @@ def reward_transformer(m: ProductRewardMc) -> Callable[[dict], dict]:
     compiled = []
     for s in pair_states(m):
         row = m.trans[s]
-        acc = row.get(ACCEPT, ZERO)
-        succ = [(t, p) for t, p in row.items() if t not in (ACCEPT, REJECT)]
+        acc = row.get(m.GOAL, ZERO)
+        succ = [(t, p) for t, p in row.items() if t not in m.SINKS]
         compiled.append((s, acc, succ, m.stepreward[s]))
 
     def phi(u: dict) -> dict:
@@ -153,8 +149,8 @@ def reward_transformer(m: ProductRewardMc) -> Callable[[dict], dict]:
 def tropical_transformer(m: ProductWts) -> Callable[[dict], dict]:
     compiled = []
     for s in pair_states(m):
-        acc = [w for t, w in m.trans[s] if t == ACCEPT]
-        succ = [(t, w) for t, w in m.trans[s] if t not in (ACCEPT, REJECT)]
+        acc = [w for t, w in m.trans[s] if t == m.GOAL]
+        succ = [(t, w) for t, w in m.trans[s] if t not in m.SINKS]
         compiled.append((s, acc, succ))
 
     def phi(u: dict) -> dict:
@@ -170,7 +166,7 @@ def product_transformer(m) -> Callable[[dict], dict]:
     """One-step value update of any product kind."""
     if isinstance(m, ProductRewardMc):
         return reward_transformer(m)
-    if isinstance(m, (ProductMc, AbsorbingProductMc)):
+    if isinstance(m, ProductMc):
         return reach_transformer(m)
     if isinstance(m, ProductWts):
         return tropical_transformer(m)
@@ -180,7 +176,7 @@ def product_transformer(m) -> Callable[[dict], dict]:
 def product_domain(m) -> str:
     if isinstance(m, ProductRewardMc):
         return PROB_REWARD
-    if isinstance(m, (ProductMc, AbsorbingProductMc)):
+    if isinstance(m, ProductMc):
         return PROB
     if isinstance(m, ProductWts):
         return TROPICAL
@@ -231,7 +227,7 @@ def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rh
     for k in range(n):
         pivot_row = next((i for i in range(k, n) if mat[i][k] != 0), None)
         if pivot_row is None:
-            raise AssertionError("reduced system is singular; zero-pinning failed")
+            raise SolverError("reduced system is singular; zero-pinning failed")
         if pivot_row != k:
             mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
         pivot = mat[k][k]
@@ -253,7 +249,7 @@ def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rh
 
 
 def solve_reach_prob(
-    m: ProductMc | AbsorbingProductMc,
+    m: ProductMc,
     mode: str = "exact",
     steps: int | None = None,
     epsilon: Fraction | None = None,
@@ -283,17 +279,17 @@ def solve_reach_prob(
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
 
-    accept_key = ABSORB if isinstance(m, AbsorbingProductMc) else ACCEPT
-    live = _states_reaching(m, accept_key)
+    live = _states_reaching(m, m.GOAL)
     unknowns = [s for s in states if s in live]
     values: dict[str, Fraction] = {s: ZERO for s in states}
     if unknowns:
         coeff = {
             s: {t: p for t, p in m.trans[s].items() if t in live} for s in unknowns
         }
-        rhs = {s: m.trans[s].get(accept_key, ZERO) for s in unknowns}
+        rhs = {s: m.trans[s].get(m.GOAL, ZERO) for s in unknowns}
         values.update(_solve_linear(unknowns, coeff, rhs))
-    assert phi(values) == values, "exact solution does not satisfy the update equation"
+    if phi(values) != values:
+        raise SolverError("exact solution does not satisfy the update equation")
     return SolveReport(values, "exact-linear", 0, True, PROB)
 
 
@@ -329,7 +325,7 @@ def solve_partial_expected_reward(
 
     base = ProductMc(states=m.states, trans=m.trans, initial=m.initial)
     prob = solve_reach_prob(base, "exact").values
-    live = _states_reaching(m, ACCEPT)
+    live = _states_reaching(m, m.GOAL)
     unknowns = [s for s in states if s in live]
     reward: dict[str, Fraction] = {s: ZERO for s in states}
     if unknowns:
@@ -339,7 +335,8 @@ def solve_partial_expected_reward(
         rhs = {s: m.stepreward[s] * prob[s] for s in unknowns}
         reward.update(_solve_linear(unknowns, coeff, rhs))
     values = {s: (prob[s], reward[s]) for s in states}
-    assert phi(values) == values, "exact solution does not satisfy the update equation"
+    if phi(values) != values:
+        raise SolverError("exact solution does not satisfy the update equation")
     return SolveReport(values, "exact-linear", 0, True, PROB_REWARD)
 
 
@@ -365,7 +362,8 @@ def solve_tropical(
         raise ValueError(f"unknown mode {mode!r}")
     bound = len(states) + 1
     res = kleene_lfp(phi, bottom_vector(states, TROPICAL), None, bound + 1, TROPICAL)
-    assert res.converged, "min-cost iteration did not stabilize within the state bound"
+    if not res.converged:
+        raise SolverError("min-cost iteration did not stabilize within the state bound")
     return SolveReport(res.values, "bellman", res.iterations, True, TROPICAL)
 
 
@@ -373,7 +371,7 @@ def solve_product(m, mode: str | None = None, **kw) -> SolveReport:
     """Solve any product kind with its default or requested mode."""
     if isinstance(m, ProductRewardMc):
         return solve_partial_expected_reward(m, mode or "exact", **kw)
-    if isinstance(m, (ProductMc, AbsorbingProductMc)):
+    if isinstance(m, ProductMc):
         return solve_reach_prob(m, mode or "exact", **kw)
     if isinstance(m, ProductWts):
         return solve_tropical(m, mode or "bellman", **kw)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qtrace.bundled import fixture_path, fixture_text
 from qtrace.cli import main
 
@@ -210,3 +212,41 @@ def test_oracle_conditional_query(tmp_path, capsys):
     )
     assert code == 0
     assert "4/5" in out
+
+
+def test_epsilon_mode_on_weighted_pairing_is_usage_error(capsys):
+    code, _, err = run(
+        capsys, "infer", TRAVEL_WTS, TRAVEL_NFA, "--pairing", "wts-nfa", "--mode", "epsilon"
+    )
+    assert code == 2
+    assert err.startswith("error: --mode epsilon")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["infer", ROBOT, MONITOR, "--pairing", "mc-dfa", "--mode", "iterate", "--steps", "-3"],
+        ["oracle", ROBOT, MONITOR, "--pairing", "mc-dfa", "--depth", "-1"],
+        ["lawcheck", "mc-dfa", "--kmax", "-1"],
+        ["lawcheck", "mc-dfa", "--instances", "-1"],
+        ["lawcheck", "mc-dfa", "--samples", "-1"],
+    ],
+    ids=["steps", "depth", "kmax", "instances", "samples"],
+)
+def test_negative_counts_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
+def test_validate_reports_missing_weighted_product_row(tmp_path, capsys):
+    code, out, _ = run(capsys, "product", TRAVEL_WTS, TRAVEL_NFA, "--pairing", "wts-nfa")
+    assert code == 0
+    doc = json.loads(out)
+    del doc["trans"][doc["initial"]]
+    bad = tmp_path / "product.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert f"no transition row at product state {doc['initial']!r}" in out

@@ -27,6 +27,7 @@ from qtrace.products import (
     product_wts_wmm,
 )
 from qtrace.solvers import (
+    SolverError,
     product_domain,
     product_transformer,
     solve_partial_expected_reward,
@@ -244,3 +245,23 @@ def test_iterates_are_an_ascending_chain():
             nxt = phi(current)
             assert all(leq(domain, current[s], nxt[s]) for s in current)
             current = nxt
+
+
+def test_wrong_linear_solution_raises_solver_error(monkeypatch, capsys):
+    # the fixed-point check is an exception, not an assert, so python -O keeps it
+    from qtrace import solvers
+    from qtrace.bundled import fixture_path
+    from qtrace.cli import main
+
+    def wrong(unknowns, coeff, rhs):
+        return {s: F(1, 3) for s in unknowns}
+
+    monkeypatch.setattr(solvers, "_solve_linear", wrong)
+    robot = load_model("robot-mc.json")
+    monitor = load_model("safe-recharge-dfa.json")
+    with pytest.raises(SolverError, match="update equation"):
+        solve_reach_prob(product_mc_dfa(robot, monitor))
+    argv = ["infer", fixture_path("robot-mc.json"), fixture_path("safe-recharge-dfa.json"),
+            "--pairing", "mc-dfa"]
+    assert main(argv) == 1
+    assert "error: exact solution does not satisfy" in capsys.readouterr().err
