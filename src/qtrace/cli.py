@@ -14,10 +14,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import lawcheck, oracle
-from .domains import INF, rational
+from .domains import rational, value_str
 from .models import (
     Dfa,
     LabeledMc,
@@ -25,10 +24,11 @@ from .models import (
     ModelError,
     NonTerminatingMc,
     complete_dfa,
+    require_same_alphabet,
     validate,
 )
 from .modeljson import SchemaError, model_to_dict, parse_model
-from .products import PAIRING_TABLE, ProductWts
+from .products import PAIRING_TABLE
 from .programs import CompileError, ParseError, compile_probabilistic, compile_weighted, parse_program
 from .solvers import SolverError, solve_product
 
@@ -65,16 +65,6 @@ def _load_checked(path: str, expected_type, complete: bool = False):
         lines = "\n".join(f"  - {v}" for v in violations)
         raise UsageError(f"{path}: invalid model:\n{lines}")
     return model
-
-
-def _render(value, decimal: int | None):
-    if isinstance(value, Fraction):
-        return f"{float(value):.{decimal}f}" if decimal else str(value)
-    if isinstance(value, tuple):
-        return "(" + ", ".join(_render(v, decimal) for v in value) + ")"
-    if value == INF:
-        return "inf"
-    return str(value)
 
 
 def _trace_str(word) -> str:
@@ -127,11 +117,11 @@ def cmd_compile(args) -> int:
 
 
 def _build_product(args):
-    sys_type, req_type, build = PAIRING_TABLE[args.pairing]
-    system = _load_checked(args.system, sys_type)
-    requirement = _load_checked(args.requirement, req_type, complete=args.complete_dfa)
+    pairing = PAIRING_TABLE[args.pairing]
+    system = _load_checked(args.system, pairing.system)
+    requirement = _load_checked(args.requirement, pairing.requirement, complete=args.complete_dfa)
     try:
-        return build(system, requirement, restrict=not args.no_restrict)
+        return pairing.build(system, requirement, restrict=not args.no_restrict)
     except ModelError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -149,23 +139,17 @@ def cmd_infer(args) -> int:
         kw["steps"] = args.steps if args.steps is not None else 10
     if args.mode == "epsilon":
         kw["epsilon"] = rational(args.epsilon or "1/1000000")
-    mode = args.mode
-    if isinstance(product, ProductWts):
-        if mode == "epsilon":
-            raise UsageError("--mode epsilon needs a probabilistic pairing; use bellman or iterate")
-        if mode == "exact":
-            mode = "bellman"  # weighted products have no linear-system mode
-    report = solve_product(product, mode, **kw)
+    report = solve_product(product, args.mode, **kw)
     if args.format == "json":
         doc = report.to_json()
         doc["initial"] = product.initial
         _emit(doc, None)
         return 0
     value = report.value_at(product.initial)
-    print(f"value({product.initial}) = {_render(value, args.decimal)}")
+    print(f"value({product.initial}) = {value_str(value, args.decimal)}")
     if args.full:
         for state in sorted(report.values):
-            print(f"  {state} = {_render(report.values[state], args.decimal)}")
+            print(f"  {state} = {value_str(report.values[state], args.decimal)}")
     print(
         f"method={report.method} iterations={report.iterations} converged={report.converged}",
         file=sys.stderr,
@@ -174,9 +158,11 @@ def cmd_infer(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    sys_type, req_type, _ = PAIRING_TABLE[args.pairing]
-    system = _load_checked(args.system, sys_type)
+    pairing = PAIRING_TABLE[args.pairing]
+    system = _load_checked(args.system, pairing.system)
     depth = args.depth
+    if args.condition and (args.requirement is None or pairing.system is not LabeledMc):
+        raise UsageError("--condition needs a requirement and the mc-dfa or mc-costdfa pairing")
 
     if args.requirement is None:
         # no requirement: print the system's direct semantics
@@ -199,42 +185,24 @@ def cmd_oracle(args) -> int:
                 print(f"{key} -> {val}")
         return 0
 
-    requirement = _load_checked(args.requirement, req_type, complete=args.complete_dfa)
-    if args.pairing in ("mc-dfa", "mc-costdfa"):
-        dist = oracle.mc_semantics(system, system.initial, depth)
-        lang = oracle.DfaLanguage(requirement, requirement.initial, depth)
-        if args.condition:
-            cond_dfa = _load_checked(args.condition, Dfa)
-            cond = oracle.DfaLanguage(cond_dfa, cond_dfa.initial, depth)
-            value = oracle.query_cond(dist, lang, cond)
-            if value is None:
-                print("undefined (condition has probability 0)")
-                return 0
-        else:
-            value = oracle.query_prob(dist, lang)
-    elif args.pairing == "mrm-dfa":
-        value = oracle.query_reward(
-            oracle.mrm_semantics(system, system.initial, depth),
+    requirement = _load_checked(args.requirement, pairing.requirement, complete=args.complete_dfa)
+    if args.condition:
+        cond_dfa = _load_checked(args.condition, Dfa)
+        require_same_alphabet(system, cond_dfa)
+        value = oracle.query_cond(
+            oracle.mc_semantics(system, system.initial, depth),
             oracle.DfaLanguage(requirement, requirement.initial, depth),
+            oracle.DfaLanguage(cond_dfa, cond_dfa.initial, depth),
         )
-    elif args.pairing == "ntmc-dfa":
-        value = oracle.query_safety(
-            system, system.initial, requirement, requirement.initial, depth
-        )
-    elif args.pairing == "wts-nfa":
-        value = oracle.query_tropical(
-            oracle.wts_semantics(system, system.initial, depth),
-            oracle.NfaLanguage(requirement, requirement.initial, depth),
-        )
+        if value is None:
+            print("undefined (condition has probability 0)")
+            return 0
     else:
-        value = oracle.query_wmm(
-            oracle.wts_semantics(system, system.initial, depth),
-            oracle.wmm_semantics(requirement, requirement.initial, depth),
-        )
+        value = pairing.direct(system, requirement, depth)(system.initial, requirement.initial, depth)
     if args.format == "json":
-        _emit({"depth": depth, "value": _render(value, None)}, None)
+        _emit({"depth": depth, "value": value_str(value)}, None)
     else:
-        print(f"oracle value at depth {depth}: {_render(value, args.decimal)}")
+        print(f"oracle value at depth {depth}: {value_str(value, args.decimal)}")
     return 0
 
 
@@ -358,7 +326,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count)
     p.add_argument("--epsilon")
     p.add_argument("--full", action="store_true", help="print the whole value vector")
-    p.add_argument("--decimal", type=int, help="render values with this many decimals")
+    p.add_argument("--decimal", type=_count, help="render values with this many decimals")
     p.add_argument("--no-restrict", action="store_true")
     p.set_defaults(fn=cmd_infer)
 
@@ -372,8 +340,8 @@ def _parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fill missing requirement transitions with a rejecting sink",
     )
-    p.add_argument("--condition", help="extra DFA for the conditional query")
-    p.add_argument("--decimal", type=int)
+    p.add_argument("--condition", help="extra DFA for the conditional query (mc pairings)")
+    p.add_argument("--decimal", type=_count)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_oracle)
 

@@ -54,6 +54,18 @@ def rational_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def value_str(value, decimal: int | None = None) -> str:
+    """Text of a domain value: a rational as written by ``str`` (or rounded
+    to ``decimal`` places), a pair in parentheses, infinity as ``inf``."""
+    if isinstance(value, Fraction):
+        return str(value) if decimal is None else f"{float(value):.{decimal}f}"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(value_str(v, decimal) for v in value) + ")"
+    if value == INF:
+        return "inf"
+    return str(value)
+
+
 def bottom(domain: str):
     """Least element of the chosen domain."""
     if domain == PROB:

@@ -33,7 +33,7 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from . import oracle
-from .domains import INF, ONE, ZERO, bottom_vector
+from .domains import INF, ONE, ZERO, bottom_vector, value_str
 from .models import (
     ACCEPT,
     Dfa,
@@ -63,7 +63,6 @@ from .products import (
 )
 from .solvers import (
     min_cost_step,
-    product_domain,
     product_transformer,
     reach_value_step,
     reward_value_step,
@@ -93,16 +92,6 @@ class CheckResult:
         return doc
 
 
-def _show(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, tuple):
-        return "(" + ", ".join(_show(v) for v in value) + ")"
-    if value == INF:
-        return "inf"
-    return str(value)
-
-
 def _fail(name: str, *, x, y, k, lhs, rhs, details) -> CheckResult:
     return CheckResult(
         name,
@@ -111,8 +100,8 @@ def _fail(name: str, *, x, y, k, lhs, rhs, details) -> CheckResult:
             "system_state": x,
             "requirement_state": y,
             "depth": k,
-            "product_value": _show(lhs),
-            "direct_value": _show(rhs),
+            "product_value": value_str(lhs),
+            "direct_value": value_str(rhs),
         },
         details,
     )
@@ -140,86 +129,11 @@ def check_step_equality(
         raise ValueError(f"unknown pairing {pairing!r}")
     name = name or f"step-equality[{pairing}]"
     details = {"pairing": pairing, "kmax": kmax}
-    build = product_fn or PAIRING_TABLE[pairing].build
-    product = build(system, requirement, restrict=False)
-
-    if pairing in ("mc-dfa", "mc-costdfa"):
-        sys_levels = oracle.mc_semantics_levels(system, kmax)
-        views = {
-            (y, k): oracle.DfaLanguage(requirement, y, k)
-            for y in requirement.states
-            for k in range(kmax + 1)
-        }
-        direct = lambda x, y, k: oracle.query_prob(sys_levels[k][x], views[(y, k)])
-    elif pairing == "mrm-dfa":
-        sys_levels = oracle.mrm_semantics_levels(system, kmax)
-        views = {
-            (y, k): oracle.DfaLanguage(requirement, y, k)
-            for y in requirement.states
-            for k in range(kmax + 1)
-        }
-        direct = lambda x, y, k: oracle.query_reward(sys_levels[k][x], views[(y, k)])
-    elif pairing == "ntmc-dfa":
-        marginals = oracle.ntmc_marginal_levels(system, kmax)
-        minimal: dict[tuple, dict[str, bool]] = {}
-
-        def minimal_flags(w) -> dict[str, bool]:
-            got = minimal.get(w)
-            if got is None:
-                got = {
-                    y: oracle.prefix_minimal_accept(requirement, y, w)
-                    for y in requirement.states
-                }
-                minimal[w] = got
-            return got
-
-        # query value at depth k = value at k-1 plus the mass of the
-        # prefix-minimal accepted words of length exactly k
-        acc: dict[tuple[str, str], Fraction] = {
-            (x, y): ZERO for x in system.states for y in requirement.states
-        }
-        per_depth: list[dict[tuple[str, str], Fraction]] = [dict(acc)]
-        for k in range(1, kmax + 1):
-            for x in system.states:
-                level = marginals[k][x]
-                for w, p in level.items():
-                    flags = minimal_flags(w)
-                    for y in requirement.states:
-                        if flags[y]:
-                            acc[(x, y)] += p
-            per_depth.append(dict(acc))
-        direct = lambda x, y, k: per_depth[k][(x, y)]
-    elif pairing == "wts-nfa":
-        sys_levels = oracle.wts_semantics_levels(system, kmax)
-        views = {
-            (y, k): oracle.NfaLanguage(requirement, y, k)
-            for y in requirement.states
-            for k in range(kmax + 1)
-        }
-        direct = lambda x, y, k: oracle.query_tropical(sys_levels[k][x], views[(y, k)])
-    elif pairing == "wts-wmm":
-        sys_levels = oracle.wts_semantics_levels(system, kmax)
-        # the query only needs the cheapest accepting run per trace, so the
-        # requirement side is evaluated lazily instead of materialized
-        weight_memo: dict[tuple[str, tuple], object] = {}
-
-        def cheapest(y: str, w) -> object:
-            got = weight_memo.get((y, w))
-            if got is None:
-                got = oracle.wmm_min_weight(requirement, y, w)
-                weight_memo[(y, w)] = got
-            return got
-
-        def direct(x, y, k):
-            best = INF
-            for w, m in sys_levels[k][x]:
-                n = cheapest(y, w)
-                if m + n < best:
-                    best = m + n
-            return best
-
+    pair = PAIRING_TABLE[pairing]
+    product = (product_fn or pair.build)(system, requirement, restrict=False)
+    direct = pair.direct(system, requirement, kmax)
     phi = product_transformer(product)
-    values = bottom_vector(list(product.trans), product_domain(product))
+    values = bottom_vector(list(product.trans), product.DOMAIN)
     for k in range(kmax + 1):
         if k > 0:
             values = phi(values)
@@ -405,7 +319,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
             return CheckResult(
                 name,
                 False,
-                {"sample": i, "lhs": _show(lhs), "rhs": _show(rhs)},
+                {"sample": i, "lhs": value_str(lhs), "rhs": value_str(rhs)},
                 details,
             )
     return CheckResult(name, True, None, details)

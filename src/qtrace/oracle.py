@@ -4,7 +4,8 @@ This module is the ground-truth side of every correctness check: it
 unfolds each machine for a bounded number of steps, materializing the
 trace distribution / language / weighted trace set it denotes, and then
 evaluates the requested query on those values directly.  Nothing here
-ever looks at a synchronized product.
+ever looks at a synchronized product.  The ``direct_*`` functions are the
+query of each pairing, as ``products.PAIRING_TABLE`` lists them.
 
 The ``*_step`` functions fold the semantic values of the successor states
 one transition backwards; iterating them from the empty value yields the
@@ -523,10 +524,86 @@ def query_safety(
     accepted words of length i; this is a lower bound of the unbounded
     acceptance probability and is nondecreasing in ``depth``.
     """
-    levels = ntmc_marginal_levels(c, depth)
-    total = ZERO
-    for i in range(1, depth + 1):
-        for w, p in levels[i][state].items():
-            if prefix_minimal_accept(d, monitor_state, w):
-                total += p
-    return total
+    return direct_ntmc_dfa(c, d, depth)(state, monitor_state, depth)
+
+
+# ---------------------------------------------------------------------------
+# the direct query of each pairing: the lookup value(x, y, k), k <= depth,
+# over semantics unfolded once and shared by all lookups
+
+def _views(view, d, depth: int) -> dict:
+    """Lazy accepted-word views of ``d`` per (state, depth)."""
+    return {(y, k): view(d, y, k) for y in d.states for k in range(depth + 1)}
+
+
+def direct_mc_dfa(c: LabeledMc, d: Dfa, depth: int) -> Callable:
+    """Acceptance probability of the depth-k traces (also ``mc-costdfa``)."""
+    sys_levels = mc_semantics_levels(c, depth)
+    views = _views(DfaLanguage, d, depth)
+    return lambda x, y, k: query_prob(sys_levels[k][x], views[(y, k)])
+
+
+def direct_mrm_dfa(c: MarkovRewardModel, d: Dfa, depth: int) -> Callable:
+    """(acceptance probability, partial expected reward) of the depth-k traces."""
+    sys_levels = mrm_semantics_levels(c, depth)
+    views = _views(DfaLanguage, d, depth)
+    return lambda x, y, k: query_reward(sys_levels[k][x], views[(y, k)])
+
+
+def direct_ntmc_dfa(c: NonTerminatingMc, d: Dfa, depth: int) -> Callable:
+    """Mass of the prefix-minimal accepted words of length 1..k."""
+    marginals = ntmc_marginal_levels(c, depth)
+    minimal: dict[Trace, dict[str, bool]] = {}
+
+    def minimal_flags(w) -> dict[str, bool]:
+        got = minimal.get(w)
+        if got is None:
+            got = {y: prefix_minimal_accept(d, y, w) for y in d.states}
+            minimal[w] = got
+        return got
+
+    # query value at depth k = value at k-1 plus the mass of the
+    # prefix-minimal accepted words of length exactly k
+    acc: dict[tuple[str, str], Fraction] = {(x, y): ZERO for x in c.states for y in d.states}
+    per_depth: list[dict[tuple[str, str], Fraction]] = [dict(acc)]
+    for k in range(1, depth + 1):
+        for x in c.states:
+            for w, p in marginals[k][x].items():
+                flags = minimal_flags(w)
+                for y in d.states:
+                    if flags[y]:
+                        acc[(x, y)] += p
+        per_depth.append(dict(acc))
+    return lambda x, y, k: per_depth[k][(x, y)]
+
+
+def direct_wts_nfa(c: WeightedTs, d: Nfa, depth: int) -> Callable:
+    """Least cost of an accepted depth-k trace."""
+    sys_levels = wts_semantics_levels(c, depth)
+    views = _views(NfaLanguage, d, depth)
+    return lambda x, y, k: query_tropical(sys_levels[k][x], views[(y, k)])
+
+
+def direct_wts_wmm(c: WeightedTs, d: WeightedMealy, depth: int) -> Callable:
+    """Least system plus requirement weight of a depth-k trace."""
+    sys_levels = wts_semantics_levels(c, depth)
+    # the query only needs the cheapest accepting run per trace, so the
+    # requirement side is evaluated lazily instead of materialized
+    weight_memo: dict[tuple[str, Trace], object] = {}
+
+    def cheapest(y: str, w) -> object:
+        got = weight_memo.get((y, w))
+        if got is None:
+            got = wmm_min_weight(d, y, w)
+            weight_memo[(y, w)] = got
+        return got
+
+    def value(x, y, k):
+        best = INF
+        for w, m in sys_levels[k][x]:
+            n = cheapest(y, w)
+            if m + n < best:
+                best = m + n
+        return best
+
+    return value

@@ -3,8 +3,10 @@
 Each construction pairs the system's transition structure with the
 requirement's step relation, producing a query-agnostic machine over the
 joint state space plus distinguished sinks.  All of them go through one
-breadth-first builder, and ``PAIRING_TABLE`` names the six pairings with
-their input types and builders.  The ``*_row`` functions contain the
+breadth-first builder.  Each product class names the value domain it is
+solved in (``DOMAIN``), and ``PAIRING_TABLE`` names the six pairings with
+their input types, builders and the direct queries of :mod:`qtrace.oracle`
+that the products are checked against.  The ``*_row`` functions contain the
 actual pairing rule for a single transition row; they are deliberately
 independent of state identity so the same rule can be exercised on raw
 semantic values by the commutation checks.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .domains import ONE, ZERO
+from .domains import ONE, PROB, PROB_REWARD, TROPICAL, ZERO
 from .models import (
     ABSORB,
     ACCEPT,
@@ -49,6 +51,7 @@ class ProductMc:
 
     GOAL = ACCEPT  # the sink whose reachability the solvers compute
     SINKS = (ACCEPT, REJECT)
+    DOMAIN = PROB  # the value domain the solvers work in
 
     states: tuple[str, ...]
     trans: dict[str, dict[str, Fraction]]
@@ -61,6 +64,7 @@ class ProductRewardMc:
 
     GOAL = ACCEPT
     SINKS = (ACCEPT, REJECT)
+    DOMAIN = PROB_REWARD
 
     states: tuple[str, ...]
     trans: dict[str, dict[str, Fraction]]
@@ -82,6 +86,7 @@ class ProductWts:
 
     GOAL = ACCEPT
     SINKS = (ACCEPT, REJECT)
+    DOMAIN = TROPICAL
 
     states: tuple[str, ...]
     trans: dict[str, tuple[tuple[str, int], ...]]
@@ -318,19 +323,36 @@ def product_wts_wmm(c: WeightedTs, d: WeightedMealy, restrict: bool = True) -> P
 # the pairings
 
 class Pairing(NamedTuple):
-    """What a pairing takes as system and requirement, and its builder."""
+    """What a pairing takes as system and requirement, its builder, and its
+    direct query: ``direct(system, requirement, depth)`` returns the lookup
+    ``value(x, y, k)`` of the query on the depth-``k`` direct semantics,
+    for any ``k <= depth``."""
 
     system: type
     requirement: type
     build: Callable
+    direct: Callable
+
+
+def _direct(name: str) -> Callable:
+    """The direct query ``oracle.<name>``, imported when first called:
+    building and solving products never needs the oracle, so ``import
+    qtrace`` does not load it."""
+
+    def direct(system, requirement, depth: int):
+        from . import oracle
+
+        return getattr(oracle, name)(system, requirement, depth)
+
+    return direct
 
 
 #: Every pairing by name; ``lawcheck.PAIRINGS`` lists them in this order.
 PAIRING_TABLE: dict[str, Pairing] = {
-    "mc-dfa": Pairing(LabeledMc, Dfa, product_mc_dfa),
-    "mrm-dfa": Pairing(MarkovRewardModel, Dfa, product_mrm_dfa),
-    "mc-costdfa": Pairing(LabeledMc, Dfa, product_mc_dfa),
-    "ntmc-dfa": Pairing(NonTerminatingMc, Dfa, product_ntmc_dfa),
-    "wts-nfa": Pairing(WeightedTs, Nfa, product_wts_nfa),
-    "wts-wmm": Pairing(WeightedTs, WeightedMealy, product_wts_wmm),
+    "mc-dfa": Pairing(LabeledMc, Dfa, product_mc_dfa, _direct("direct_mc_dfa")),
+    "mrm-dfa": Pairing(MarkovRewardModel, Dfa, product_mrm_dfa, _direct("direct_mrm_dfa")),
+    "mc-costdfa": Pairing(LabeledMc, Dfa, product_mc_dfa, _direct("direct_mc_dfa")),
+    "ntmc-dfa": Pairing(NonTerminatingMc, Dfa, product_ntmc_dfa, _direct("direct_ntmc_dfa")),
+    "wts-nfa": Pairing(WeightedTs, Nfa, product_wts_nfa, _direct("direct_wts_nfa")),
+    "wts-wmm": Pairing(WeightedTs, WeightedMealy, product_wts_wmm, _direct("direct_wts_wmm")),
 }

@@ -9,7 +9,9 @@ products are solved by iterating the min-cost update until it stabilizes,
 which nonnegative weights guarantee within as many rounds as there are
 product states.  Each exact answer is checked against its update equation
 before it is returned; a failed check raises ``SolverError`` (never an
-``assert``, so the check also runs under ``python -O``).
+``assert``, so the check also runs under ``python -O``).  Every product
+class names its value domain (``DOMAIN``), and one solve path serves all
+of them: the iterating modes are shared, the exact answer is per domain.
 """
 
 from __future__ import annotations
@@ -164,23 +166,8 @@ def tropical_transformer(m: ProductWts) -> Callable[[dict], dict]:
 
 def product_transformer(m) -> Callable[[dict], dict]:
     """One-step value update of any product kind."""
-    if isinstance(m, ProductRewardMc):
-        return reward_transformer(m)
-    if isinstance(m, ProductMc):
-        return reach_transformer(m)
-    if isinstance(m, ProductWts):
-        return tropical_transformer(m)
-    raise TypeError(f"not a product: {type(m).__name__}")
-
-
-def product_domain(m) -> str:
-    if isinstance(m, ProductRewardMc):
-        return PROB_REWARD
-    if isinstance(m, ProductMc):
-        return PROB
-    if isinstance(m, ProductWts):
-        return TROPICAL
-    raise TypeError(f"not a product: {type(m).__name__}")
+    transformer, _, _ = _SOLVERS[_domain(m)]
+    return transformer(m)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +235,97 @@ def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rh
     return {s: solution[index[s]] for s in unknowns}
 
 
+def _linear_solver(m, states: list[str]) -> Callable:
+    """``solve(rhs)``: the exact solution of v = coeff v + rhs over ``states``.
+
+    States that cannot reach the goal are pinned to 0, which selects the
+    least solution; the rest form a nonsingular system, set up once and
+    solved for every right-hand side ``rhs(state)`` it is given.
+    """
+    live = _states_reaching(m, m.GOAL)
+    unknowns = [s for s in states if s in live]
+    coeff = {s: {t: p for t, p in m.trans[s].items() if t in live} for s in unknowns}
+
+    def solve(rhs: Callable[[str], Fraction]) -> dict[str, Fraction]:
+        values = {s: ZERO for s in states}
+        values.update(_solve_linear(unknowns, coeff, {s: rhs(s) for s in unknowns}))
+        return values
+
+    return solve
+
+
+def _checked(phi, values: dict, domain: str) -> SolveReport:
+    """An exact solution, once it satisfies its update equation."""
+    if phi(values) != values:
+        raise SolverError("exact solution does not satisfy the update equation")
+    return SolveReport(values, "exact-linear", 0, True, domain)
+
+
+def _exact_reach(m: ProductMc, states: list[str], phi) -> SolveReport:
+    solve = _linear_solver(m, states)
+    return _checked(phi, solve(lambda s: m.trans[s].get(m.GOAL, ZERO)), PROB)
+
+
+def _exact_reward(m: ProductRewardMc, states: list[str], phi) -> SolveReport:
+    """The probability system first, then the reward system against it;
+    both share one pinned state set, so rewards stay finite."""
+    solve = _linear_solver(m, states)
+    prob = solve(lambda s: m.trans[s].get(m.GOAL, ZERO))
+    reward = solve(lambda s: m.stepreward[s] * prob[s])
+    return _checked(phi, {s: (prob[s], reward[s]) for s in states}, PROB_REWARD)
+
+
+def _bellman(m: ProductWts, states: list[str], phi) -> SolveReport:
+    """Min-cost iteration from all-infinity until it stabilizes; with
+    nonnegative weights it does within (number of states + 1) rounds."""
+    bound = len(states) + 1
+    res = kleene_lfp(phi, bottom_vector(states, TROPICAL), None, bound + 1, TROPICAL)
+    if not res.converged:
+        raise SolverError("min-cost iteration did not stabilize within the state bound")
+    return SolveReport(res.values, "bellman", res.iterations, True, TROPICAL)
+
+
+#: Per value domain: the one-step update, the exact solve
+#: (product, states, update) -> SolveReport, and the modes that ask for it.
+_SOLVERS = {
+    PROB: (reach_transformer, _exact_reach, ("exact",)),
+    PROB_REWARD: (reward_transformer, _exact_reward, ("exact",)),
+    TROPICAL: (tropical_transformer, _bellman, ("bellman", "exact")),
+}
+
+
+def _domain(m) -> str:
+    domain = getattr(m, "DOMAIN", None)
+    if domain not in _SOLVERS:
+        raise TypeError(f"not a product: {type(m).__name__}")
+    return domain
+
+
+def _solve(m, domain: str, mode: str, steps=None, epsilon=None, max_iter=100_000) -> SolveReport:
+    """The one solve path: ``iterate`` and ``epsilon`` work alike in every
+    domain, the exact answer is the domain's own."""
+    transformer, exact, exact_modes = _SOLVERS[domain]
+    phi = transformer(m)
+    states = list(pair_states(m))
+    if mode == "iterate":
+        if steps is None:
+            raise ValueError("iterate mode needs steps")
+        values = kleene_iterate(phi, bottom_vector(states, domain), steps)
+        return SolveReport(values, "kleene", steps, False, domain)
+    if mode == "epsilon":
+        if domain == TROPICAL:  # min-cost iteration is exact within the state bound
+            raise ValueError("--mode epsilon needs a probabilistic pairing; use bellman or iterate")
+        if epsilon is None:
+            raise ValueError("epsilon mode needs epsilon")
+        if epsilon <= 0:  # the change between iterates would never drop below it
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        res = kleene_lfp(phi, bottom_vector(states, domain), epsilon, max_iter, domain)
+        return SolveReport(res.values, "kleene", res.iterations, res.converged, domain)
+    if mode not in exact_modes:
+        raise ValueError(f"unknown mode {mode!r}")
+    return exact(m, states, phi)
+
+
 def solve_reach_prob(
     m: ProductMc,
     mode: str = "exact",
@@ -262,35 +340,10 @@ def solve_reach_prob(
                       point and satisfies the update equation bit for bit.
     ``iterate``    -- the ``steps``-th iterate from the all-zero vector.
     ``epsilon``    -- iterate until the largest pointwise change is below
-                      ``epsilon`` (still exact arithmetic).
+                      ``epsilon`` (still exact arithmetic); ``epsilon``
+                      must be positive.
     """
-    phi = reach_transformer(m)
-    states = list(pair_states(m))
-    if mode == "iterate":
-        if steps is None:
-            raise ValueError("iterate mode needs steps")
-        values = kleene_iterate(phi, bottom_vector(states, PROB), steps)
-        return SolveReport(values, "kleene", steps, False, PROB)
-    if mode == "epsilon":
-        if epsilon is None:
-            raise ValueError("epsilon mode needs epsilon")
-        res = kleene_lfp(phi, bottom_vector(states, PROB), epsilon, max_iter, PROB)
-        return SolveReport(res.values, "kleene", res.iterations, res.converged, PROB)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    live = _states_reaching(m, m.GOAL)
-    unknowns = [s for s in states if s in live]
-    values: dict[str, Fraction] = {s: ZERO for s in states}
-    if unknowns:
-        coeff = {
-            s: {t: p for t, p in m.trans[s].items() if t in live} for s in unknowns
-        }
-        rhs = {s: m.trans[s].get(m.GOAL, ZERO) for s in unknowns}
-        values.update(_solve_linear(unknowns, coeff, rhs))
-    if phi(values) != values:
-        raise SolverError("exact solution does not satisfy the update equation")
-    return SolveReport(values, "exact-linear", 0, True, PROB)
+    return _solve(m, PROB, mode, steps, epsilon, max_iter)
 
 
 def solve_partial_expected_reward(
@@ -302,42 +355,11 @@ def solve_partial_expected_reward(
 ) -> SolveReport:
     """(acceptance probability, partial expected reward) per product state.
 
-    Exact mode solves the probability system first and then the reward
-    system against it; both share the same pinned state set, so rewards
-    stay finite.
+    Modes as in :func:`solve_reach_prob`.  Exact mode solves the
+    probability system and then the reward system against it, over the
+    same pinned state set.
     """
-    phi = reward_transformer(m)
-    states = list(pair_states(m))
-    if mode == "iterate":
-        if steps is None:
-            raise ValueError("iterate mode needs steps")
-        values = kleene_iterate(phi, bottom_vector(states, PROB_REWARD), steps)
-        return SolveReport(values, "kleene", steps, False, PROB_REWARD)
-    if mode == "epsilon":
-        if epsilon is None:
-            raise ValueError("epsilon mode needs epsilon")
-        res = kleene_lfp(
-            phi, bottom_vector(states, PROB_REWARD), epsilon, max_iter, PROB_REWARD
-        )
-        return SolveReport(res.values, "kleene", res.iterations, res.converged, PROB_REWARD)
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    base = ProductMc(states=m.states, trans=m.trans, initial=m.initial)
-    prob = solve_reach_prob(base, "exact").values
-    live = _states_reaching(m, m.GOAL)
-    unknowns = [s for s in states if s in live]
-    reward: dict[str, Fraction] = {s: ZERO for s in states}
-    if unknowns:
-        coeff = {
-            s: {t: p for t, p in m.trans[s].items() if t in live} for s in unknowns
-        }
-        rhs = {s: m.stepreward[s] * prob[s] for s in unknowns}
-        reward.update(_solve_linear(unknowns, coeff, rhs))
-    values = {s: (prob[s], reward[s]) for s in states}
-    if phi(values) != values:
-        raise SolverError("exact solution does not satisfy the update equation")
-    return SolveReport(values, "exact-linear", 0, True, PROB_REWARD)
+    return _solve(m, PROB_REWARD, mode, steps, epsilon, max_iter)
 
 
 def solve_tropical(
@@ -347,32 +369,14 @@ def solve_tropical(
 ) -> SolveReport:
     """Least cost of reaching the accepting sink, per product state.
 
-    Bellman mode iterates the min-cost update from the all-infinity
-    vector until it stabilizes; with nonnegative weights this happens
-    within (number of product states + 1) rounds.
+    Bellman mode (also ``exact``) iterates the min-cost update from the
+    all-infinity vector until it stabilizes; ``iterate`` stops after
+    ``steps`` rounds.
     """
-    phi = tropical_transformer(m)
-    states = list(pair_states(m))
-    if mode == "iterate":
-        if steps is None:
-            raise ValueError("iterate mode needs steps")
-        values = kleene_iterate(phi, bottom_vector(states, TROPICAL), steps)
-        return SolveReport(values, "kleene", steps, False, TROPICAL)
-    if mode != "bellman":
-        raise ValueError(f"unknown mode {mode!r}")
-    bound = len(states) + 1
-    res = kleene_lfp(phi, bottom_vector(states, TROPICAL), None, bound + 1, TROPICAL)
-    if not res.converged:
-        raise SolverError("min-cost iteration did not stabilize within the state bound")
-    return SolveReport(res.values, "bellman", res.iterations, True, TROPICAL)
+    return _solve(m, TROPICAL, mode, steps)
 
 
 def solve_product(m, mode: str | None = None, **kw) -> SolveReport:
-    """Solve any product kind with its default or requested mode."""
-    if isinstance(m, ProductRewardMc):
-        return solve_partial_expected_reward(m, mode or "exact", **kw)
-    if isinstance(m, ProductMc):
-        return solve_reach_prob(m, mode or "exact", **kw)
-    if isinstance(m, ProductWts):
-        return solve_tropical(m, mode or "bellman", **kw)
-    raise TypeError(f"not a product: {type(m).__name__}")
+    """Solve any product kind in its value domain, exactly unless ``mode``
+    asks otherwise."""
+    return _solve(m, _domain(m), mode or "exact", **kw)

@@ -1,9 +1,16 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import qtrace
 from qtrace.bundled import fixture_path, fixture_text
 from qtrace.cli import main
+from qtrace.lawcheck import random_instance
+from qtrace.modeljson import emit_model
 
 ROBOT = fixture_path("robot-mc.json")
 MONITOR = fixture_path("safe-recharge-dfa.json")
@@ -37,6 +44,15 @@ def test_infer_decimal_rendering(capsys):
     )
     assert code == 0
     assert "0.1600" in out
+
+
+def test_decimal_zero_rounds_to_an_integer(capsys):
+    code, out, _ = run(capsys, "infer", ROBOT, MONITOR, "--pairing", "mc-dfa", "--decimal", "0")
+    assert (code, out) == (0, "value(x0|y0) = 0\n")
+    code, out, _ = run(
+        capsys, "oracle", ROBOT, MONITOR, "--pairing", "mc-dfa", "--depth", "4", "--decimal", "0"
+    )
+    assert (code, out) == (0, "oracle value at depth 4: 0\n")
 
 
 def test_infer_weighted(capsys):
@@ -214,6 +230,45 @@ def test_oracle_conditional_query(tmp_path, capsys):
     assert "4/5" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [TRAVEL_WTS, TRAVEL_NFA, "--pairing", "wts-nfa"],
+        [ROBOT, "--pairing", "mc-dfa"],
+    ],
+    ids=["non-mc-pairing", "no-requirement"],
+)
+def test_oracle_condition_needs_an_mc_query(argv, capsys):
+    code, out, err = run(capsys, "oracle", *argv, "--depth", "4", "--condition", MONITOR)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --condition needs a requirement")
+
+
+def test_oracle_condition_alphabet_mismatch_is_usage_error(tmp_path, capsys):
+    doc = {
+        "kind": "dfa", "alphabet": ["a"], "states": ["c0"], "initial": "c0",
+        "delta": {"c0": {"a": ["c0", True]}},
+    }
+    path = tmp_path / "cond.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "oracle", ROBOT, MONITOR, "--pairing", "mc-dfa", "--depth", "4",
+        "--condition", str(path),
+    )
+    assert code == 2
+    assert err.startswith("error: alphabet mismatch")
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1"])
+def test_nonpositive_epsilon_is_usage_error(epsilon, capsys):
+    code, out, err = run(
+        capsys, "infer", ROBOT, MONITOR, "--pairing", "mc-dfa", "--mode", "epsilon",
+        f"--epsilon={epsilon}",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: epsilon must be positive")
+
+
 def test_epsilon_mode_on_weighted_pairing_is_usage_error(capsys):
     code, _, err = run(
         capsys, "infer", TRAVEL_WTS, TRAVEL_NFA, "--pairing", "wts-nfa", "--mode", "epsilon"
@@ -230,8 +285,9 @@ def test_epsilon_mode_on_weighted_pairing_is_usage_error(capsys):
         ["lawcheck", "mc-dfa", "--kmax", "-1"],
         ["lawcheck", "mc-dfa", "--instances", "-1"],
         ["lawcheck", "mc-dfa", "--samples", "-1"],
+        ["infer", ROBOT, MONITOR, "--pairing", "mc-dfa", "--decimal", "-1"],
     ],
-    ids=["steps", "depth", "kmax", "instances", "samples"],
+    ids=["steps", "depth", "kmax", "instances", "samples", "decimal"],
 )
 def test_negative_counts_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -250,3 +306,82 @@ def test_validate_reports_missing_weighted_product_row(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 2
     assert f"no transition row at product state {doc['initial']!r}" in out
+
+
+#: Seeded ``random_instance`` inputs for the pairings without a bundled pair.
+ORACLE_SEEDS = {"mrm-dfa": 0, "mc-costdfa": 3, "ntmc-dfa": 1, "wts-wmm": 1}
+ORACLE_FIXTURES = {"mc-dfa": (ROBOT, MONITOR), "wts-nfa": (TRAVEL_WTS, TRAVEL_NFA)}
+
+#: pairing -> (depth-4 query text, depth-4 query json, depth-3 semantics text)
+ORACLE_OUTPUTS = {
+    "mc-dfa": (
+        "oracle value at depth 4: 4/25\n",
+        '{\n  "depth": 4,\n  "value": "4/25"\n}\n',
+        "sand·lake·recharge -> 4/5\nsand·sand·recharge -> 4/25\nsand·sand·volcano -> 1/25\n",
+    ),
+    "mrm-dfa": (
+        "oracle value at depth 4: (83/144, 131/24)\n",
+        '{\n  "depth": 4,\n  "value": "(83/144, 131/24)"\n}\n',
+        "b#5 -> 1/3\nb·b#10 -> 1/24\nb·b·b#15 -> 1/24\nb·c#10 -> 1/12\n"
+        "b·c·b#15 -> 1/18\nb·c·c#15 -> 1/48\n",
+    ),
+    "mc-costdfa": (
+        "oracle value at depth 4: 11/24\n",
+        '{\n  "depth": 4,\n  "value": "11/24"\n}\n',
+        "1 -> 7/16\n1·1 -> 1/48\n1·1·1 -> 1/144\n",
+    ),
+    "ntmc-dfa": (
+        "oracle value at depth 4: 13/15\n",
+        '{\n  "depth": 4,\n  "value": "13/15"\n}\n',
+        "c·a·a -> 1/3\nc·a·b -> 2/3\n",
+    ),
+    "wts-nfa": (
+        "oracle value at depth 4: 7\n",
+        '{\n  "depth": 4,\n  "value": "7"\n}\n',
+        "B·B·P -> 5\nB·B·T -> 8\nB·T -> 7\nT·P -> 5\nT·T -> 8\n",
+    ),
+    "wts-wmm": (
+        "oracle value at depth 4: 9\n",
+        '{\n  "depth": 4,\n  "value": "9"\n}\n',
+        "b -> 4\n",
+    ),
+}
+
+
+def _oracle_inputs(pairing, tmp_path):
+    if pairing in ORACLE_FIXTURES:
+        return ORACLE_FIXTURES[pairing]
+    system, requirement = random_instance(pairing, random.Random(ORACLE_SEEDS[pairing]))
+    paths = tmp_path / "system.json", tmp_path / "requirement.json"
+    for path, model in zip(paths, (system, requirement)):
+        path.write_text(emit_model(model))
+    return tuple(map(str, paths))
+
+
+@pytest.mark.parametrize("pairing", sorted(ORACLE_OUTPUTS))
+def test_oracle_on_every_pairing(pairing, tmp_path, capsys):
+    system, requirement = _oracle_inputs(pairing, tmp_path)
+    text, doc, semantics = ORACLE_OUTPUTS[pairing]
+    base = ["oracle", system, requirement, "--pairing", pairing, "--depth", "4"]
+    assert run(capsys, *base) == (0, text, "")
+    assert run(capsys, *base, "--format", "json") == (0, doc, "")
+    assert run(capsys, "oracle", system, "--pairing", pairing, "--depth", "3") == (0, semantics, "")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["mc-dfa", "--instances", "3", "--kmax", "6"], 0),
+        (["mc-dfa", "--mutate", "flag-swapped"], 1),
+    ],
+    ids=["passes", "mutant-fails"],
+)
+def test_lawcheck_verdicts_do_not_depend_on_assert(argv, expected):
+    # python -O strips every assert; the checks must give the same verdict
+    src = os.path.dirname(os.path.dirname(qtrace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qtrace", "lawcheck", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr

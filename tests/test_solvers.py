@@ -28,7 +28,6 @@ from qtrace.products import (
 )
 from qtrace.solvers import (
     SolverError,
-    product_domain,
     product_transformer,
     solve_partial_expected_reward,
     solve_product,
@@ -181,6 +180,16 @@ def test_tropical_matches_independent_shortest_path():
         assert all(rep.values[s] == dist[s] for s in rep.values)
 
 
+@pytest.mark.parametrize("epsilon", [F(0), F(-1)])
+def test_nonpositive_epsilon_is_rejected(robot, monitor, epsilon):
+    # the stopping rule "change < epsilon" could never fire
+    prod = product_mc_dfa(robot, monitor)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        solve_reach_prob(prod, "epsilon", epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        solve_product(prod, "epsilon", epsilon=epsilon)
+
+
 def test_solve_product_dispatch(robot, monitor):
     prod = product_mc_dfa(robot, monitor)
     assert solve_product(prod).value_at(prod.initial) == F(4, 25)
@@ -225,7 +234,7 @@ def test_transformers_are_monotone():
     rng = random.Random(77)
     for _ in range(30):
         prod = _random_product(rng)
-        domain = product_domain(prod)
+        domain = prod.DOMAIN
         phi = product_transformer(prod)
         states = pair_states(prod)
         lo, hi = _random_comparable_vectors(rng, states, domain)
@@ -238,7 +247,7 @@ def test_iterates_are_an_ascending_chain():
     rng = random.Random(78)
     for _ in range(20):
         prod = _random_product(rng)
-        domain = product_domain(prod)
+        domain = prod.DOMAIN
         phi = product_transformer(prod)
         current = bottom_vector(list(prod.trans), domain)
         for _ in range(8):
