@@ -110,6 +110,37 @@ def _fail(name: str, *, x, y, k, lhs, rhs, details) -> CheckResult:
 # ---------------------------------------------------------------------------
 # step-indexed equality
 
+def _compare_iterates(
+    name: str, product, points, direct: Callable, depth: int, details: dict, exact: bool = False
+) -> CheckResult:
+    """Compare the iterates of ``product``'s value update with ``direct``.
+
+    ``points`` lists (x, y, product state).  For every k <= depth the k-th
+    iterate at the product state must equal ``direct(x, y, k)``; with
+    ``exact`` the exact solve must also equal ``direct(x, y, depth)``
+    (reported at depth ``"exact"``).  The first mismatch is the
+    counterexample.
+    """
+    phi = product_transformer(product)
+    values = bottom_vector(list(product.trans), product.DOMAIN)
+    for k in range(depth + 1):
+        if k > 0:
+            values = phi(values)
+        for x, y, s in points:
+            lhs = values[s]
+            rhs = direct(x, y, k)
+            if lhs != rhs:
+                return _fail(name, x=x, y=y, k=k, lhs=lhs, rhs=rhs, details=details)
+    if exact:
+        values = solve_reach_prob(product).values
+        for x, y, s in points:
+            lhs = values[s]
+            rhs = direct(x, y, depth)
+            if lhs != rhs:
+                return _fail(name, x=x, y=y, k="exact", lhs=lhs, rhs=rhs, details=details)
+    return CheckResult(name, True, None, details)
+
+
 def check_step_equality(
     pairing: str,
     system,
@@ -127,23 +158,17 @@ def check_step_equality(
     """
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}")
-    name = name or f"step-equality[{pairing}]"
-    details = {"pairing": pairing, "kmax": kmax}
     pair = PAIRING_TABLE[pairing]
     product = (product_fn or pair.build)(system, requirement, restrict=False)
-    direct = pair.direct(system, requirement, kmax)
-    phi = product_transformer(product)
-    values = bottom_vector(list(product.trans), product.DOMAIN)
-    for k in range(kmax + 1):
-        if k > 0:
-            values = phi(values)
-        for x in system.states:
-            for y in requirement.states:
-                lhs = values[joined(x, y)]
-                rhs = direct(x, y, k)
-                if lhs != rhs:
-                    return _fail(name, x=x, y=y, k=k, lhs=lhs, rhs=rhs, details=details)
-    return CheckResult(name, True, None, details)
+    points = [(x, y, joined(x, y)) for x in system.states for y in requirement.states]
+    return _compare_iterates(
+        name or f"step-equality[{pairing}]",
+        product,
+        points,
+        pair.direct(system, requirement, kmax),
+        kmax,
+        {"pairing": pairing, "kmax": kmax},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +223,37 @@ def _rand_value_dist(rng: random.Random, values: list) -> tuple[list, Fraction]:
     return entries, masses[-1]
 
 
+def _rand_dfa_row(rng: random.Random, alphabet, degenerate: bool) -> dict:
+    """One DFA row over sampled successor languages (empty when degenerate)."""
+    return {
+        a: ((set() if degenerate else _rand_lang(rng, alphabet)), rng.random() < 0.25)
+        for a in alphabet
+    }
+
+
+def _rand_wts_transitions(rng: random.Random, alphabet, degenerate: bool) -> list:
+    """Weighted transitions into sampled weight sets; ``None`` terminates."""
+    sets = [_rand_weight_set(rng, alphabet) for _ in range(3)]
+    transitions = []
+    if not degenerate:
+        for _ in range(rng.randint(0, 4)):
+            succ = None if rng.random() < 0.4 else rng.choice(sets)
+            transitions.append((succ, rng.choice(alphabet), rng.randint(0, 5)))
+    return transitions
+
+
+def _rand_edge_row(rng: random.Random, alphabet, degenerate: bool, draw: Callable) -> dict:
+    """Up to two edges per symbol, each drawn by ``draw`` (none when degenerate)."""
+    return {a: [] if degenerate else [draw() for _ in range(rng.randint(0, 2))] for a in alphabet}
+
+
+def _min_cost_of_row(entries, query: Callable):
+    """Fold a weighted product row: accepting edges and queried successors."""
+    accepts = [m for tgt, m in entries if tgt == ACCEPT]
+    succ = [(query(tgt[0], tgt[1]), m) for tgt, m in entries if isinstance(tgt, tuple)]
+    return min_cost_step(succ, accepts)
+
+
 def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
     """Sampled one-step commutation check for a pairing's product rule.
 
@@ -223,10 +279,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
             dists = [_rand_trace_dist(rng, alphabet) for _ in range(3)]
             entries, halt = ([], ONE) if degenerate else _rand_value_dist(rng, dists)
             symbol = rng.choice(alphabet)
-            row = {
-                a: ((set() if degenerate else _rand_lang(rng, alphabet)), rng.random() < 0.25)
-                for a in alphabet
-            }
+            row = _rand_dfa_row(rng, alphabet, degenerate)
             lhs = oracle.query_prob(
                 oracle.mc_trace_step(entries, halt, symbol),
                 oracle.dfa_lang_step(row),
@@ -239,10 +292,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
             entries, halt = ([], ONE) if degenerate else _rand_value_dist(rng, dists)
             symbol = rng.choice(alphabet)
             step_reward = rng.randint(0, 5)
-            row = {
-                a: ((set() if degenerate else _rand_lang(rng, alphabet)), rng.random() < 0.25)
-                for a in alphabet
-            }
+            row = _rand_dfa_row(rng, alphabet, degenerate)
             lhs = oracle.query_reward(
                 oracle.mrm_trace_step(entries, halt, step_reward, symbol),
                 oracle.dfa_lang_step(row),
@@ -251,69 +301,27 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
             mapped = [(oracle.query_reward(nu, lang), p) for (nu, lang), p in pairs]
             rhs = reward_value_step(mapped, acc, reward)
         elif pairing == "wts-nfa":
-            sets = [_rand_weight_set(rng, alphabet) for _ in range(3)]
-            transitions = []
-            if not degenerate:
-                for _ in range(rng.randint(0, 4)):
-                    succ = None if rng.random() < 0.4 else rng.choice(sets)
-                    transitions.append((succ, rng.choice(alphabet), rng.randint(0, 5)))
-            row = {
-                a: (
-                    []
-                    if degenerate
-                    else [
-                        (_rand_lang(rng, alphabet), rng.random() < 0.25)
-                        for _ in range(rng.randint(0, 2))
-                    ]
-                )
-                for a in alphabet
-            }
+            transitions = _rand_wts_transitions(rng, alphabet, degenerate)
+            row = _rand_edge_row(
+                rng, alphabet, degenerate,
+                lambda: (_rand_lang(rng, alphabet), rng.random() < 0.25),
+            )
             lhs = oracle.query_tropical(
                 oracle.wts_trace_step(transitions),
                 oracle.nfa_lang_step(row),
             )
-            entries = wts_nfa_row(transitions, lambda a: row[a])
-            accepts = [m for tgt, m in entries if tgt == ACCEPT]
-            succ = [
-                (oracle.query_tropical(tgt[0], tgt[1]), m)
-                for tgt, m in entries
-                if isinstance(tgt, tuple)
-            ]
-            rhs = min_cost_step(succ, accepts)
+            rhs = _min_cost_of_row(wts_nfa_row(transitions, row.__getitem__), oracle.query_tropical)
         else:  # wts-wmm
-            sets = [_rand_weight_set(rng, alphabet) for _ in range(3)]
-            transitions = []
-            if not degenerate:
-                for _ in range(rng.randint(0, 4)):
-                    succ = None if rng.random() < 0.4 else rng.choice(sets)
-                    transitions.append((succ, rng.choice(alphabet), rng.randint(0, 5)))
-            row = {
-                a: (
-                    []
-                    if degenerate
-                    else [
-                        (
-                            _rand_weight_set(rng, alphabet),
-                            rng.random() < 0.25,
-                            rng.randint(0, 5),
-                        )
-                        for _ in range(rng.randint(0, 2))
-                    ]
-                )
-                for a in alphabet
-            }
+            transitions = _rand_wts_transitions(rng, alphabet, degenerate)
+            row = _rand_edge_row(
+                rng, alphabet, degenerate,
+                lambda: (_rand_weight_set(rng, alphabet), rng.random() < 0.25, rng.randint(0, 5)),
+            )
             lhs = oracle.query_wmm(
                 oracle.wts_trace_step(transitions),
                 oracle.wmm_trace_step(row),
             )
-            entries = wts_wmm_row(transitions, lambda a: row[a])
-            accepts = [m for tgt, m in entries if tgt == ACCEPT]
-            succ = [
-                (oracle.query_wmm(tgt[0], tgt[1]), m)
-                for tgt, m in entries
-                if isinstance(tgt, tuple)
-            ]
-            rhs = min_cost_step(succ, accepts)
+            rhs = _min_cost_of_row(wts_wmm_row(transitions, row.__getitem__), oracle.query_wmm)
 
         if lhs != rhs:
             return CheckResult(
@@ -337,30 +345,19 @@ def check_cost_bounded(c: LabeledMc, budget: int, kmax: int) -> CheckResult:
     solve must agree with the direct value at depth max(kmax, budget).
     """
     weight_bound = max(int(a) for a in c.alphabet)
-    cd = make_cost_bound_dfa(budget, weight_bound)
-    product = product_mc_dfa(c, cd, restrict=False)
-    phi = product_transformer(product)
+    product = product_mc_dfa(c, make_cost_bound_dfa(budget, weight_bound), restrict=False)
     depth = max(kmax, budget)
     sys_levels = oracle.mc_semantics_levels(c, depth)
-    details = {"budget": budget, "kmax": kmax}
-    name = f"cost-bounded[N={budget}]"
-
-    values = {s: ZERO for s in product.trans}
-    for k in range(depth + 1):
-        if k > 0:
-            values = phi(values)
-        for x in c.states:
-            lhs = values[joined(x, str(budget))]
-            rhs = oracle.query_cost_bounded(sys_levels[k][x], budget)
-            if lhs != rhs:
-                return _fail(name, x=x, y=str(budget), k=k, lhs=lhs, rhs=rhs, details=details)
-    exact = solve_reach_prob(product).values
-    for x in c.states:
-        lhs = exact[joined(x, str(budget))]
-        rhs = oracle.query_cost_bounded(sys_levels[depth][x], budget)
-        if lhs != rhs:
-            return _fail(name, x=x, y=str(budget), k="exact", lhs=lhs, rhs=rhs, details=details)
-    return CheckResult(name, True, None, details)
+    y = str(budget)
+    return _compare_iterates(
+        f"cost-bounded[N={budget}]",
+        product,
+        [(x, y, joined(x, y)) for x in c.states],
+        lambda x, y, k: oracle.query_cost_bounded(sys_levels[k][x], budget),
+        depth,
+        {"budget": budget, "kmax": kmax},
+        exact=True,
+    )
 
 
 def check_cost_induced(c: LabeledMc, rm: RewardMachine, budget: int, kmax: int) -> CheckResult:
@@ -370,37 +367,25 @@ def check_cost_induced(c: LabeledMc, rm: RewardMachine, budget: int, kmax: int) 
     budget automaton; the direct side runs the transducer over each trace
     and sums its weights.
     """
-    cd = make_cost_bound_dfa(budget, rm.bound)
-    composed = product_rm_costdfa(rm, cd)
+    composed = product_rm_costdfa(rm, make_cost_bound_dfa(budget, rm.bound))
     product = product_mc_dfa(c, composed, restrict=False)
-    phi = product_transformer(product)
     depth = max(kmax, budget)
     sys_levels = oracle.mc_semantics_levels(c, depth)
-    details = {"budget": budget, "kmax": kmax, "bound": rm.bound}
-    name = f"cost-induced[N={budget}]"
 
-    values = {s: ZERO for s in product.trans}
-    for k in range(depth + 1):
-        if k > 0:
-            values = phi(values)
-        for x in c.states:
-            for y in rm.states:
-                lhs = values[joined(x, y, str(budget))]
-                rhs = oracle.query_cost_induced(
-                    sys_levels[k][x], lambda w, _y=y: oracle.rm_weights(rm, _y, w), budget
-                )
-                if lhs != rhs:
-                    return _fail(name, x=x, y=y, k=k, lhs=lhs, rhs=rhs, details=details)
-    exact = solve_reach_prob(product).values
-    for x in c.states:
-        for y in rm.states:
-            lhs = exact[joined(x, y, str(budget))]
-            rhs = oracle.query_cost_induced(
-                sys_levels[depth][x], lambda w, _y=y: oracle.rm_weights(rm, _y, w), budget
-            )
-            if lhs != rhs:
-                return _fail(name, x=x, y=y, k="exact", lhs=lhs, rhs=rhs, details=details)
-    return CheckResult(name, True, None, details)
+    def direct(x, y, k):
+        return oracle.query_cost_induced(
+            sys_levels[k][x], lambda w: oracle.rm_weights(rm, y, w), budget
+        )
+
+    return _compare_iterates(
+        f"cost-induced[N={budget}]",
+        product,
+        [(x, y, joined(x, y, str(budget))) for x in c.states for y in rm.states],
+        direct,
+        depth,
+        {"budget": budget, "kmax": kmax, "bound": rm.bound},
+        exact=True,
+    )
 
 
 def check_translation(c: LabeledMc, d: Dfa) -> CheckResult:

@@ -2,14 +2,16 @@
 
 One document per machine: ``kind``, ``alphabet``, ``states``, ``initial``
 plus the kind-specific tables.  Probabilities are exact "num/den" strings;
-weights and rewards are plain integers.  ``emit_model`` canonicalizes, and
-``parse_model(emit_model(m)) == m`` holds for every kind.
+flags are JSON booleans; weights, rewards and bounds are JSON integers;
+names are strings.  Values are checked, never coerced.  ``emit_model``
+canonicalizes, and ``parse_model(emit_model(m)) == m`` holds for every kind.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Callable
 
 from .domains import rational, rational_str
 from .models import (
@@ -47,14 +49,96 @@ KINDS = {
 KIND_OF = {cls: kind for kind, cls in KINDS.items()}
 
 
-def _prob_row(row: dict) -> dict[str, Fraction]:
-    return {succ: rational(p) for succ, p in row.items()}
-
-
 def _need(doc: dict, *fields: str) -> None:
     for f in fields:
         if f not in doc:
             raise SchemaError(f"missing field {f!r}")
+
+
+# Field checks: each returns the parsed value or raises SchemaError.
+# Nothing is coerced, because a coerced value silently changes the answer:
+# "false" is not a flag, 2.7 or "2" is not an integer, and a string is not
+# an array of names.
+
+def _bad(expected: str, value) -> SchemaError:
+    return SchemaError(f"expected {expected}, got {value!r}")
+
+
+def _string(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise _bad("a string", value)
+
+
+def _integer(value) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _bad("an integer", value)
+
+
+def _flag(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise _bad("a boolean", value)
+
+
+def _prob(value) -> Fraction:
+    if isinstance(value, bool):
+        raise _bad("a rational", value)
+    return rational(value)
+
+
+def _array(item: Callable) -> Callable:
+    """A JSON array, every element checked by ``item``; parsed as a tuple."""
+    def check(value) -> tuple:
+        if not isinstance(value, list):
+            raise _bad("an array", value)
+        return tuple(map(item, value))
+
+    return check
+
+
+def _entry(*items: Callable) -> Callable:
+    """A JSON array of exactly ``len(items)`` elements; parsed as a tuple."""
+    def check(value) -> tuple:
+        if not isinstance(value, list) or len(value) != len(items):
+            raise _bad(f"an array of {len(items)} items", value)
+        return tuple(item(v) for item, v in zip(items, value))
+
+    return check
+
+
+def _table(cell: Callable) -> Callable:
+    """A JSON object, every value checked by ``cell``; parsed as a dict."""
+    def check(value) -> dict:
+        if not isinstance(value, dict):
+            raise _bad("an object", value)
+        return {k: cell(v) for k, v in value.items()}
+
+    return check
+
+
+_NAMES = _array(_string)
+_PROB_TABLE = _table(_table(_prob))
+_MACHINE = {"alphabet": _NAMES, "states": _NAMES, "initial": _string}
+_CHAIN = {**_MACHINE, "label": _table(_string), "trans": _PROB_TABLE}
+_PRODUCT = {"states": _NAMES, "initial": _string, "trans": _PROB_TABLE}
+
+#: The fields of each kind, in the order they are checked, and how.
+_FIELDS: dict[str, dict[str, Callable]] = {
+    "mc": _CHAIN,
+    "mrm": {**_CHAIN, "reward": _table(_integer)},
+    "ntmc": _CHAIN,
+    "wts": {**_MACHINE, "trans": _table(_array(_entry(_string, _string, _integer)))},
+    "dfa": {**_MACHINE, "delta": _table(_table(_entry(_string, _flag)))},
+    "nfa": {**_MACHINE, "delta": _table(_table(_array(_entry(_string, _flag))))},
+    "rm": {**_MACHINE, "bound": _integer, "delta": _table(_table(_entry(_string, _integer)))},
+    "wmm": {**_MACHINE, "delta": _table(_table(_array(_entry(_string, _flag, _integer))))},
+    "product-mc": _PRODUCT,
+    "product-mrm": {**_PRODUCT, "stepreward": _table(_integer)},
+    "product-absorbing": _PRODUCT,
+    "product-wts": {**_PRODUCT, "trans": _table(_array(_entry(_string, _integer)))},
+}
 
 
 def parse_model(text: str | dict):
@@ -65,119 +149,17 @@ def parse_model(text: str | dict):
     kind = doc.get("kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
-    try:
-        if kind in ("mc", "mrm", "ntmc"):
-            _need(doc, "alphabet", "states", "initial", "label", "trans")
-            common = dict(
-                states=tuple(doc["states"]),
-                alphabet=tuple(doc["alphabet"]),
-                label=dict(doc["label"]),
-                trans={x: _prob_row(row) for x, row in doc["trans"].items()},
-                initial=doc["initial"],
-            )
-            if kind == "mc":
-                return LabeledMc(**common)
-            if kind == "ntmc":
-                return NonTerminatingMc(**common)
-            _need(doc, "reward")
-            return MarkovRewardModel(reward={x: int(r) for x, r in doc["reward"].items()}, **common)
-        if kind == "wts":
-            _need(doc, "alphabet", "states", "initial", "trans")
-            return WeightedTs(
-                states=tuple(doc["states"]),
-                alphabet=tuple(doc["alphabet"]),
-                trans={
-                    x: tuple((succ, a, int(m)) for succ, a, m in entries)
-                    for x, entries in doc["trans"].items()
-                },
-                initial=doc["initial"],
-            )
-        if kind == "dfa":
-            _need(doc, "alphabet", "states", "initial", "delta")
-            return Dfa(
-                states=tuple(doc["states"]),
-                alphabet=tuple(doc["alphabet"]),
-                delta={
-                    y: {a: (tgt, bool(flag)) for a, (tgt, flag) in row.items()}
-                    for y, row in doc["delta"].items()
-                },
-                initial=doc["initial"],
-            )
-        if kind == "nfa":
-            _need(doc, "alphabet", "states", "initial", "delta")
-            return Nfa(
-                states=tuple(doc["states"]),
-                alphabet=tuple(doc["alphabet"]),
-                delta={
-                    y: {
-                        a: tuple((tgt, bool(flag)) for tgt, flag in entries)
-                        for a, entries in row.items()
-                    }
-                    for y, row in doc["delta"].items()
-                },
-                initial=doc["initial"],
-            )
-        if kind == "rm":
-            _need(doc, "alphabet", "states", "initial", "bound", "delta")
-            return RewardMachine(
-                states=tuple(doc["states"]),
-                alphabet=tuple(doc["alphabet"]),
-                bound=int(doc["bound"]),
-                delta={
-                    y: {a: (tgt, int(w)) for a, (tgt, w) in row.items()}
-                    for y, row in doc["delta"].items()
-                },
-                initial=doc["initial"],
-            )
-        if kind == "wmm":
-            _need(doc, "alphabet", "states", "initial", "delta")
-            return WeightedMealy(
-                states=tuple(doc["states"]),
-                alphabet=tuple(doc["alphabet"]),
-                delta={
-                    y: {
-                        a: tuple((tgt, bool(flag), int(w)) for tgt, flag, w in entries)
-                        for a, entries in row.items()
-                    }
-                    for y, row in doc["delta"].items()
-                },
-                initial=doc["initial"],
-            )
-        if kind == "product-mc":
-            _need(doc, "states", "initial", "trans")
-            return ProductMc(
-                states=tuple(doc["states"]),
-                trans={x: _prob_row(row) for x, row in doc["trans"].items()},
-                initial=doc["initial"],
-            )
-        if kind == "product-mrm":
-            _need(doc, "states", "initial", "trans", "stepreward")
-            return ProductRewardMc(
-                states=tuple(doc["states"]),
-                trans={x: _prob_row(row) for x, row in doc["trans"].items()},
-                stepreward={x: int(r) for x, r in doc["stepreward"].items()},
-                initial=doc["initial"],
-            )
-        if kind == "product-absorbing":
-            _need(doc, "states", "initial", "trans")
-            return AbsorbingProductMc(
-                states=tuple(doc["states"]),
-                trans={x: _prob_row(row) for x, row in doc["trans"].items()},
-                initial=doc["initial"],
-            )
-        _need(doc, "states", "initial", "trans")
-        return ProductWts(
-            states=tuple(doc["states"]),
-            trans={
-                x: tuple((succ, int(w)) for succ, w in entries)
-                for x, entries in doc["trans"].items()
-            },
-            initial=doc["initial"],
-        )
-    except SchemaError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed {kind} document: {exc}") from exc
+    fields = _FIELDS[kind]
+    _need(doc, *fields)
+    values = {}
+    for f, check in fields.items():
+        try:
+            values[f] = check(doc[f])
+        except SchemaError as exc:
+            raise SchemaError(f"field {f!r}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed {kind} document: {exc}") from exc
+    return KINDS[kind](**values)
 
 
 def model_to_dict(model) -> dict:

@@ -140,34 +140,31 @@ def rm_seq_step(
     return out
 
 
-def marginal_step(
-    successors: Iterable[tuple[TraceDist, Fraction]], symbol: str
-) -> TraceDist:
-    """One-step extension of fixed-depth trace marginals."""
-    out: TraceDist = {}
-    for dist, p in successors:
-        for w, q in dist.items():
-            t = (symbol, *w)
-            out[t] = out.get(t, ZERO) + p * q
-    return out
-
-
 # ---------------------------------------------------------------------------
 # depth-bounded semantics (iterated steps, all states at once)
 
-def mc_semantics_levels(c: LabeledMc, depth: int) -> list[dict[str, TraceDist]]:
-    """Depth 0..depth trace distributions for every state."""
-    levels: list[dict[str, TraceDist]] = [{x: {} for x in c.states}]
+def _unfold(states, start: Callable, step: Callable, depth: int) -> list[dict]:
+    """Levels 0..depth of a depth-bounded semantics, every state at once.
+
+    Level 0 holds ``start()`` at every state; ``step(prev, state)`` folds
+    the previous level back one transition into the value at ``state``.
+    """
+    levels = [{s: start() for s in states}]
     for _ in range(depth):
         prev = levels[-1]
-        cur: dict[str, TraceDist] = {}
-        for x in c.states:
-            row = c.trans[x]
-            halt = row.get(TARGET, ZERO)
-            succ = [(prev[s], p) for s, p in row.items() if s != TARGET]
-            cur[x] = mc_trace_step(succ, halt, c.label[x])
-        levels.append(cur)
+        levels.append({s: step(prev, s) for s in states})
     return levels
+
+
+def mc_semantics_levels(c: LabeledMc, depth: int) -> list[dict[str, TraceDist]]:
+    """Depth 0..depth trace distributions for every state."""
+
+    def step(prev, x):
+        row = c.trans[x]
+        succ = [(prev[s], p) for s, p in row.items() if s != TARGET]
+        return mc_trace_step(succ, row.get(TARGET, ZERO), c.label[x])
+
+    return _unfold(c.states, dict, step, depth)
 
 
 def mc_semantics(c: LabeledMc, state: str, depth: int) -> TraceDist:
@@ -176,17 +173,12 @@ def mc_semantics(c: LabeledMc, state: str, depth: int) -> TraceDist:
 
 
 def mrm_semantics_levels(c: MarkovRewardModel, depth: int) -> list[dict[str, TraceRewardDist]]:
-    levels: list[dict[str, TraceRewardDist]] = [{x: {} for x in c.states}]
-    for _ in range(depth):
-        prev = levels[-1]
-        cur: dict[str, TraceRewardDist] = {}
-        for x in c.states:
-            row = c.trans[x]
-            halt = row.get(TARGET, ZERO)
-            succ = [(prev[s], p) for s, p in row.items() if s != TARGET]
-            cur[x] = mrm_trace_step(succ, halt, c.reward[x], c.label[x])
-        levels.append(cur)
-    return levels
+    def step(prev, x):
+        row = c.trans[x]
+        succ = [(prev[s], p) for s, p in row.items() if s != TARGET]
+        return mrm_trace_step(succ, row.get(TARGET, ZERO), c.reward[x], c.label[x])
+
+    return _unfold(c.states, dict, step, depth)
 
 
 def mrm_semantics(c: MarkovRewardModel, state: str, depth: int) -> TraceRewardDist:
@@ -195,15 +187,10 @@ def mrm_semantics(c: MarkovRewardModel, state: str, depth: int) -> TraceRewardDi
 
 
 def dfa_language_levels(d: Dfa, depth: int) -> list[dict[str, LangSet]]:
-    levels: list[dict[str, LangSet]] = [{y: set() for y in d.states}]
-    for _ in range(depth):
-        prev = levels[-1]
-        cur = {
-            y: dfa_lang_step({a: (prev[t], f) for a, (t, f) in d.delta[y].items()})
-            for y in d.states
-        }
-        levels.append(cur)
-    return levels
+    def step(prev, y):
+        return dfa_lang_step({a: (prev[t], f) for a, (t, f) in d.delta[y].items()})
+
+    return _unfold(d.states, set, step, depth)
 
 
 def dfa_language(d: Dfa, state: str, depth: int) -> LangSet:
@@ -212,17 +199,12 @@ def dfa_language(d: Dfa, state: str, depth: int) -> LangSet:
 
 
 def nfa_language_levels(d: Nfa, depth: int) -> list[dict[str, LangSet]]:
-    levels: list[dict[str, LangSet]] = [{y: set() for y in d.states}]
-    for _ in range(depth):
-        prev = levels[-1]
-        cur = {}
-        for y in d.states:
-            row = {
-                a: [(prev[t], f) for t, f in nfa_row(d, y, a)] for a in d.alphabet
-            }
-            cur[y] = nfa_lang_step(row)
-        levels.append(cur)
-    return levels
+    def step(prev, y):
+        return nfa_lang_step(
+            {a: [(prev[t], f) for t, f in nfa_row(d, y, a)] for a in d.alphabet}
+        )
+
+    return _unfold(d.states, set, step, depth)
 
 
 def nfa_language(d: Nfa, state: str, depth: int) -> LangSet:
@@ -230,17 +212,12 @@ def nfa_language(d: Nfa, state: str, depth: int) -> LangSet:
 
 
 def wts_semantics_levels(c: WeightedTs, depth: int) -> list[dict[str, TraceWeightSet]]:
-    levels: list[dict[str, TraceWeightSet]] = [{x: set() for x in c.states}]
-    for _ in range(depth):
-        prev = levels[-1]
-        cur = {}
-        for x in c.states:
-            cur[x] = wts_trace_step(
-                (None if succ == TARGET else prev[succ], a, m)
-                for succ, a, m in c.trans[x]
-            )
-        levels.append(cur)
-    return levels
+    def step(prev, x):
+        return wts_trace_step(
+            (None if succ == TARGET else prev[succ], a, m) for succ, a, m in c.trans[x]
+        )
+
+    return _unfold(c.states, set, step, depth)
 
 
 def wts_semantics(c: WeightedTs, state: str, depth: int) -> TraceWeightSet:
@@ -249,18 +226,12 @@ def wts_semantics(c: WeightedTs, state: str, depth: int) -> TraceWeightSet:
 
 
 def wmm_semantics_levels(d: WeightedMealy, depth: int) -> list[dict[str, TraceWeightSet]]:
-    levels: list[dict[str, TraceWeightSet]] = [{y: set() for y in d.states}]
-    for _ in range(depth):
-        prev = levels[-1]
-        cur = {}
-        for y in d.states:
-            row = {
-                a: [(prev[t], f, m) for t, f, m in wmm_row(d, y, a)]
-                for a in d.alphabet
-            }
-            cur[y] = wmm_trace_step(row)
-        levels.append(cur)
-    return levels
+    def step(prev, y):
+        return wmm_trace_step(
+            {a: [(prev[t], f, m) for t, f, m in wmm_row(d, y, a)] for a in d.alphabet}
+        )
+
+    return _unfold(d.states, set, step, depth)
 
 
 def wmm_semantics(d: WeightedMealy, state: str, depth: int) -> TraceWeightSet:
@@ -270,15 +241,11 @@ def wmm_semantics(d: WeightedMealy, state: str, depth: int) -> TraceWeightSet:
 
 def rm_semantics(d: RewardMachine, state: str, depth: int) -> dict[Trace, tuple[int, ...]]:
     """Weight sequence assigned to every word of length 1..depth."""
-    levels: list[dict[str, dict[Trace, tuple[int, ...]]]] = [{y: {} for y in d.states}]
-    for _ in range(depth):
-        prev = levels[-1]
-        cur = {}
-        for y in d.states:
-            row = {a: (prev[t], w) for a, (t, w) in d.delta[y].items()}
-            cur[y] = rm_seq_step(row)
-        levels.append(cur)
-    return levels[depth][state]
+
+    def step(prev, y):
+        return rm_seq_step({a: (prev[t], w) for a, (t, w) in d.delta[y].items()})
+
+    return _unfold(d.states, dict, step, depth)[depth][state]
 
 
 def rm_weights(d: RewardMachine, state: str, word: Trace) -> tuple[int, ...]:
@@ -292,15 +259,13 @@ def rm_weights(d: RewardMachine, state: str, word: Trace) -> tuple[int, ...]:
 
 
 def ntmc_marginal_levels(c: NonTerminatingMc, depth: int) -> list[dict[str, TraceDist]]:
-    levels: list[dict[str, TraceDist]] = [{x: {(): ONE} for x in c.states}]
-    for _ in range(depth):
-        prev = levels[-1]
-        cur = {}
-        for x in c.states:
-            succ = [(prev[s], p) for s, p in c.trans[x].items()]
-            cur[x] = marginal_step(succ, c.label[x])
-        levels.append(cur)
-    return levels
+    """Depth 0..depth marginals: the chain step without halting mass,
+    unfolded from the empty word of mass 1."""
+
+    def step(prev, x):
+        return mc_trace_step([(prev[s], p) for s, p in c.trans[x].items()], ZERO, c.label[x])
+
+    return _unfold(c.states, lambda: {(): ONE}, step, depth)
 
 
 def ntmc_marginal(c: NonTerminatingMc, state: str, depth: int) -> TraceDist:
@@ -347,7 +312,9 @@ def nfa_accepts(d: Nfa, state: str, word: Trace) -> bool:
 class DfaLanguage:
     """Lazy view of the depth-bounded accepted word set (supports ``in``)."""
 
-    def __init__(self, d: Dfa, state: str, max_len: int):
+    accepts = staticmethod(dfa_accepts)
+
+    def __init__(self, d: Dfa | Nfa, state: str, max_len: int):
         self.d = d
         self.state = state
         self.max_len = max_len
@@ -358,28 +325,15 @@ class DfaLanguage:
             return False
         got = self._memo.get(word)
         if got is None:
-            got = dfa_accepts(self.d, self.state, word)
+            got = self.accepts(self.d, self.state, word)
             self._memo[word] = got
         return got
 
 
-class NfaLanguage:
+class NfaLanguage(DfaLanguage):
     """Lazy view of the depth-bounded accepted word set of an NFA."""
 
-    def __init__(self, d: Nfa, state: str, max_len: int):
-        self.d = d
-        self.state = state
-        self.max_len = max_len
-        self._memo: dict[Trace, bool] = {}
-
-    def __contains__(self, word: Trace) -> bool:
-        if not 1 <= len(word) <= self.max_len:
-            return False
-        got = self._memo.get(word)
-        if got is None:
-            got = nfa_accepts(self.d, self.state, word)
-            self._memo[word] = got
-        return got
+    accepts = staticmethod(nfa_accepts)
 
 
 def wmm_min_weight(d: WeightedMealy, state: str, word: Trace):

@@ -16,8 +16,10 @@ The full grammar ships in ``docs/grammar.ebnf``.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .domains import ONE, ZERO
 from .models import LabeledMc, NonTerminatingMc, TARGET, WeightedTs
@@ -509,6 +511,12 @@ class _Space:
     def initial(self) -> dict[str, int]:
         return {v.name: v.init for v in self.program.variables}
 
+    def key(self, env: dict[str, int]) -> tuple:
+        return tuple(env[n] for n in self.names)
+
+    def env(self, key: tuple) -> dict[str, int]:
+        return dict(zip(self.names, key))
+
     def state_id(self, env: dict[str, int]) -> str:
         return ",".join(f"{n}={env[n]}" for n in self.names)
 
@@ -523,10 +531,7 @@ class _Space:
 
     def label(self, env: dict[str, int]) -> str:
         table = self.program.labels
-        if table is None:
-            raise CompileError("probabilistic compilation needs a label block")
-        key = tuple(env[n] for n in self.names)
-        return table.entries.get(key, table.default)
+        return table.entries.get(self.key(env), table.default)
 
     def all_valuations(self):
         def rec(i: int, env: dict[str, int]):
@@ -545,14 +550,14 @@ class _Space:
 
 def _run_block(stmts, env: dict[str, int], space: _Space) -> dict[tuple, Fraction]:
     """Distribution over successor valuations after one pass of ``stmts``."""
-    current: dict[tuple, Fraction] = {tuple(env[n] for n in space.names): ONE}
+    current: dict[tuple, Fraction] = {space.key(env): ONE}
     for stmt in stmts:
         nxt: dict[tuple, Fraction] = {}
         for vals, p in current.items():
-            local = dict(zip(space.names, vals))
+            local = space.env(vals)
             if isinstance(stmt, Assign):
                 local[stmt.var] = space.check_range(stmt.var, _eval(stmt.expr, local))
-                key = tuple(local[n] for n in space.names)
+                key = space.key(local)
                 nxt[key] = nxt.get(key, ZERO) + p
             elif isinstance(stmt, ProbChoice):
                 for branch, q in zip(stmt.branches, stmt.probs):
@@ -564,6 +569,44 @@ def _run_block(stmts, env: dict[str, int], space: _Space) -> dict[tuple, Fractio
                 raise CompileError("weighted choice inside a probabilistic program")
         current = nxt
     return current
+
+
+def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachable: bool):
+    """Explore the valuation space breadth-first and build one row per state.
+
+    ``successors(env)`` lists a valuation's outgoing entries, each starting
+    with the successor's key; it runs once per valuation that becomes a
+    state.  ``row(env, entries)`` turns them into that state's row.  The
+    states are the guard-satisfying valuations reachable from the initial
+    one, in breadth-first order, or with ``restrict_reachable`` off all of
+    them in declaration order; unreached ones are expanded as their rows
+    are built.  Returns (rows by state id, reachable count, warnings).
+    """
+    guard = space.program.guard
+    valid = [space.key(env) for env in space.all_valuations() if _holds(guard, env)]
+    allowed = set(valid)
+    start = space.key(space.initial())
+    explored: dict[tuple, list] = {}
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        key = queue.popleft()
+        entries = explored[key] = successors(space.env(key))
+        for succ, *_ in entries:
+            if succ in allowed and succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+
+    warnings = []
+    dropped = len(valid) - len(explored)
+    if restrict_reachable and dropped:
+        warnings.append(f"{dropped} guard-satisfying valuations unreachable from init")
+    rows = {}
+    for key in explored if restrict_reachable else valid:
+        env = space.env(key)
+        entries = explored[key] if key in explored else successors(env)
+        rows[space.state_id(env)] = row(env, entries)
+    return rows, len(explored), tuple(warnings)
 
 
 def _alphabet_from_labels(table: LabelTable) -> tuple[str, ...]:
@@ -594,51 +637,20 @@ def compile_probabilistic(
     if not _holds(program.guard, init):
         raise CompileError("initial valuation violates the loop guard")
 
+    if program.labels is None:
+        raise CompileError("probabilistic compilation needs a label block")
     alphabet = program.alphabet or _alphabet_from_labels(program.labels)
-    if program.labels is not None:
-        for sym in _alphabet_from_labels(program.labels):
-            if sym not in alphabet:
-                raise CompileError(f"label {sym!r} not in the declared alphabet")
+    for sym in _alphabet_from_labels(program.labels):
+        if sym not in alphabet:
+            raise CompileError(f"label {sym!r} not in the declared alphabet")
 
-    def successors(env: dict[str, int]) -> dict[tuple, Fraction]:
-        return _run_block(program.body, env, space)
+    def successors(env: dict[str, int]):
+        return list(_run_block(program.body, env, space).items())
 
-    # explore the guard-satisfying valuations
-    all_states: list[dict[str, int]] = [
-        env for env in space.all_valuations() if _holds(program.guard, env)
-    ]
-    by_key = {tuple(env[n] for n in space.names): env for env in all_states}
-    reachable: list[tuple] = []
-    seen = set()
-    queue = [tuple(init[n] for n in space.names)]
-    while queue:
-        key = queue.pop(0)
-        if key in seen:
-            continue
-        seen.add(key)
-        reachable.append(key)
-        for succ_key in successors(dict(zip(space.names, key))):
-            if succ_key in by_key and succ_key not in seen:
-                queue.append(succ_key)
-
-    chosen = reachable if restrict_reachable else [
-        tuple(env[n] for n in space.names) for env in all_states
-    ]
-    warnings = []
-    dropped = len(all_states) - len(reachable)
-    if restrict_reachable and dropped:
-        warnings.append(f"{dropped} guard-satisfying valuations unreachable from init")
-
-    states = tuple(space.state_id(dict(zip(space.names, key))) for key in chosen)
-    label = {}
-    trans: dict[str, dict[str, Fraction]] = {}
-    for key in chosen:
-        env = dict(zip(space.names, key))
-        sid = space.state_id(env)
-        label[sid] = space.label(env)
-        row: dict[str, Fraction] = {}
-        for succ_key, p in successors(env).items():
-            succ_env = dict(zip(space.names, succ_key))
+    def row(env: dict[str, int], entries) -> tuple[str, dict[str, Fraction]]:
+        out: dict[str, Fraction] = {}
+        for succ_key, p in entries:
+            succ_env = space.env(succ_key)
             if _holds(program.guard, succ_env):
                 row_key = space.state_id(succ_env)
             elif mode == "terminating":
@@ -647,18 +659,19 @@ def compile_probabilistic(
                 raise CompileError(
                     f"reactive program can halt: guard fails at {space.state_id(succ_env)}"
                 )
-            row[row_key] = row.get(row_key, ZERO) + p
-        trans[sid] = row
+            out[row_key] = out.get(row_key, ZERO) + p
+        return space.label(env), out
 
+    rows, reachable, warnings = _unroll(space, successors, row, restrict_reachable)
     cls = LabeledMc if mode == "terminating" else NonTerminatingMc
     model = cls(
-        states=states,
+        states=tuple(rows),
         alphabet=tuple(alphabet),
-        label=label,
-        trans=trans,
+        label={sid: label for sid, (label, _) in rows.items()},
+        trans={sid: out for sid, (_, out) in rows.items()},
         initial=space.state_id(init),
     )
-    return CompileReport(model, space.size, len(reachable), tuple(warnings))
+    return CompileReport(model, space.size, reachable, warnings)
 
 
 def compile_weighted(program: Program, restrict_reachable: bool = True) -> CompileReport:
@@ -692,53 +705,22 @@ def compile_weighted(program: Program, restrict_reachable: bool = True) -> Compi
             local = dict(env)
             for a in opt.body:
                 local[a.var] = space.check_range(a.var, _eval(a.expr, local))
-            out.append((local, opt.symbol, opt.weight))
+            out.append((space.key(local), opt.symbol, opt.weight))
         return out
 
-    all_states = [
-        env for env in space.all_valuations() if _holds(program.guard, env)
-    ]
-    by_key = {tuple(env[n] for n in space.names): env for env in all_states}
-    reachable: list[tuple] = []
-    seen = set()
-    queue = [tuple(init[n] for n in space.names)]
-    while queue:
-        key = queue.pop(0)
-        if key in seen:
-            continue
-        seen.add(key)
-        reachable.append(key)
-        for succ_env, _, _ in moves(dict(zip(space.names, key))):
-            succ_key = tuple(succ_env[n] for n in space.names)
-            if succ_key in by_key and succ_key not in seen:
-                queue.append(succ_key)
-
-    chosen = reachable if restrict_reachable else [
-        tuple(env[n] for n in space.names) for env in all_states
-    ]
-    warnings = []
-    dropped = len(all_states) - len(reachable)
-    if restrict_reachable and dropped:
-        warnings.append(f"{dropped} guard-satisfying valuations unreachable from init")
-
-    trans: dict[str, tuple[tuple[str, str, int], ...]] = {}
-    states = tuple(space.state_id(dict(zip(space.names, key))) for key in chosen)
-    for key in chosen:
-        env = dict(zip(space.names, key))
-        sid = space.state_id(env)
+    def row(env: dict[str, int], entries) -> tuple[tuple[str, str, int], ...]:
         triples = set()
-        for succ_env, symbol, weight in moves(env):
-            if _holds(program.guard, succ_env):
-                succ = space.state_id(succ_env)
-            else:
-                succ = TARGET
+        for succ_key, symbol, weight in entries:
+            succ_env = space.env(succ_key)
+            succ = space.state_id(succ_env) if _holds(program.guard, succ_env) else TARGET
             triples.add((succ, symbol, weight))
-        trans[sid] = tuple(sorted(triples))
+        return tuple(sorted(triples))
 
+    trans, reachable, warnings = _unroll(space, moves, row, restrict_reachable)
     model = WeightedTs(
-        states=states,
+        states=tuple(trans),
         alphabet=tuple(alphabet),
         trans=trans,
         initial=space.state_id(init),
     )
-    return CompileReport(model, space.size, len(reachable), tuple(warnings))
+    return CompileReport(model, space.size, reachable, warnings)

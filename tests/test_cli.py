@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -146,6 +147,85 @@ def test_compile_gridworld(tmp_path, capsys):
     summary = json.loads(err.strip().splitlines()[-1])
     assert summary["valuations"] == 15
     assert summary["reachable"] == 14
+
+
+#: Small programs whose guard admits valuations the initial one never reaches.
+UNREACHED_PROGRAMS = {
+    "drop.qtp": (
+        "var i : 0..4 init 2;\n"
+        "label { (3): b; default: a; }\n"
+        "while (i > 0) { { i <- i - 1 } [1/3] { i <- i } }\n"
+    ),
+    "wdrop.qtp": (
+        "var i : 0..4 init 2;\n"
+        "while (i > 0) {\n"
+        "  choice {\n"
+        "    emit a add 1 { i <- i - 1; }\n"
+        "    when (i > 3) emit b add 2 { i <- i; }\n"
+        "  }\n"
+        "}\n"
+    ),
+}
+
+#: sha256 of ``compile`` stdout followed by its stderr summary, keyed by
+#: (program, mode, --no-restrict).
+COMPILE_GOLDEN = {
+    ("patrol.qtp", "reactive", False): "3f080582174383df30dec5def6645381201675f47d9728cad4bcd49cbfc7ef94",
+    ("patrol.qtp", "reactive", True): "2c267260a8c3d2c81112da685d7fd083c98db3da5fa8e71b3e0e4633c3199c6b",
+    ("gridworld.qtp", "terminating", False): "28a0eebc85362eab35cd46600543802cc7cef4dfc064ddf828f270446e021664",
+    ("gridworld.qtp", "terminating", True): "827c3eee9ff029d488cab0a176c7b636ace368702634c44625a44c440887cbed",
+    ("travel.qtp", "weighted", False): "f2992ab64d7f10b714d01d544eb69ffedcc9a2db9d8de1f98f81d029eb418453",
+    ("travel.qtp", "weighted", True): "f2992ab64d7f10b714d01d544eb69ffedcc9a2db9d8de1f98f81d029eb418453",
+    ("drop.qtp", "terminating", False): "fc136378756d8ec64a431d69a632df091613e50ca904b4cf9cac98b7cc11fac7",
+    ("drop.qtp", "terminating", True): "c30cc796bd3c14073cfdaaafa8a9044787044c96f9ebd87828e3ef84193d957a",
+    ("wdrop.qtp", "weighted", False): "f677204eb6b527aadb7015050b02e6abe0f116ababfc1aca7bea669712c141c9",
+    ("wdrop.qtp", "weighted", True): "d80dec35b09bce4da30272f6c635a135fd3b47a93afb5daee653d2fd0a1ae00a",
+}
+
+
+@pytest.mark.parametrize("program, mode, no_restrict", COMPILE_GOLDEN)
+def test_compile_output_matches_golden_digests(program, mode, no_restrict, tmp_path, capsys):
+    path = fixture_path(program)
+    if program in UNREACHED_PROGRAMS:
+        path = tmp_path / program
+        path.write_text(UNREACHED_PROGRAMS[program])
+    argv = ["compile", "--mode", mode, str(path)] + ["--no-restrict"] * no_restrict
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256((out + err).encode()).hexdigest() == COMPILE_GOLDEN[program, mode, no_restrict]
+
+
+def test_string_flag_is_a_usage_error(tmp_path, capsys):
+    # a "false" flag used to count as accepting, giving value 1 instead of 0
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "kind": "mc", "alphabet": ["a"], "states": ["s"], "initial": "s",
+        "label": {"s": "a"}, "trans": {"s": {"*": "1/2", "s": "1/2"}},
+    }))
+    dfa = tmp_path / "dfa.json"
+    dfa.write_text(
+        '{"kind":"dfa","alphabet":["a"],"states":["q"],"initial":"q","delta":{"q":{"a":["q","false"]}}}'
+    )
+    code, out, err = run(capsys, "infer", str(chain), str(dfa), "--pairing", "mc-dfa")
+    assert (code, out) == (2, "")
+    assert "expected a boolean" in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "dfa", "alphabet": ["a"], "states": [["q"]], "initial": "q", "delta": {}},
+        {"kind": "mc", "alphabet": ["a"], "states": ["s"], "initial": "s",
+         "label": {"s": ["a"]}, "trans": {"s": {"*": "1/1"}}},
+    ],
+    ids=["list-state", "list-label"],
+)
+def test_unhashable_names_are_usage_errors(doc, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "expected a string" in err
 
 
 def test_compile_syntax_error_exit_code(tmp_path, capsys):
@@ -385,3 +465,22 @@ def test_lawcheck_verdicts_do_not_depend_on_assert(argv, expected):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == expected, proc.stderr
+
+
+def test_lawcheck_all_output_is_byte_identical():
+    # digests of the output before the oracle, lawcheck and compiler loops
+    # were merged; the second covers the ntmc-dfa skip note on stderr
+    # followed by the JSON document on stdout
+    src = os.path.dirname(os.path.dirname(qtrace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = {}
+    for argv in (["--seed", "7"], ["--seed", "3", "--format", "json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtrace", "lawcheck", "all", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[argv[1]] = proc
+    assert hashlib.md5(runs["7"].stdout.encode()).hexdigest() == "8464cd3e79245f062019f22bd681962f"
+    text = runs["3"].stderr + runs["3"].stdout
+    assert hashlib.md5(text.encode()).hexdigest() == "0cbf6aba790d54faec90b6bb2ced9702"

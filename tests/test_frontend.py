@@ -9,6 +9,7 @@ import qtrace.oracle as oracle
 from qtrace.bundled import fixture_text, load_model
 from qtrace.modeljson import SchemaError, emit_model, parse_model
 from qtrace.models import TARGET, validate
+from qtrace import programs
 from qtrace.products import product_mc_dfa
 from qtrace.programs import (
     CompileError,
@@ -153,6 +154,59 @@ def test_unclamped_arithmetic_is_a_compile_error():
         compile_probabilistic(parse_program(bad), "terminating")
 
 
+@pytest.mark.parametrize("restrict", [True, False])
+@pytest.mark.parametrize(
+    "text, mode",
+    [
+        (fixture_text("gridworld.qtp"), "terminating"),
+        (fixture_text("patrol.qtp"), "reactive"),
+        (
+            "var i : 0..4 init 2;\nlabel { (3): b; default: a; }\n"
+            "while (i > 0) { { i <- i - 1 } [1/3] { i <- i } }",
+            "terminating",
+        ),
+    ],
+    ids=["gridworld", "patrol", "unreached"],
+)
+def test_loop_body_runs_once_per_state(text, mode, restrict, monkeypatch):
+    program = parse_program(text)
+    run_block = programs._run_block
+    ran = []
+
+    def counting(stmts, env, space):
+        if stmts is program.body:
+            ran.append(tuple(env.values()))
+        return run_block(stmts, env, space)
+
+    monkeypatch.setattr(programs, "_run_block", counting)
+    report = compile_probabilistic(program, mode, restrict_reachable=restrict)
+    assert len(ran) == len(set(ran)) == len(report.model.states)
+
+
+@pytest.mark.parametrize(
+    "restrict, message",
+    [
+        (True, "reactive program can halt: guard fails at x=0"),
+        (False, "assignment drives 'x' to -2, outside 0..3; clamp explicitly with max/min"),
+    ],
+)
+def test_first_error_follows_the_row_order(restrict, message):
+    # x=3 -> x=2 -> x=0 halts; the unreachable x=1 leaves the range, and
+    # only the unrestricted compilation builds its row, before x=2's
+    text = "var x : 0..3 init 3;\nlabel { default: a; }\nwhile (x >= 1) { x <- x + x - 4 }"
+    with pytest.raises(CompileError) as info:
+        compile_probabilistic(parse_program(text), "reactive", restrict_reachable=restrict)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("alphabet", ["", "alphabet a;\n"], ids=["bare", "alphabet"])
+def test_missing_label_block_is_a_compile_error(alphabet):
+    # without an alphabet this used to fail with an AttributeError
+    text = f"var x : 0..3 init 0;\n{alphabet}while (x < 3) {{ {{ x <- x + 1 }} [1/2] {{ x <- x }} }}"
+    with pytest.raises(CompileError, match="needs a label block"):
+        compile_probabilistic(parse_program(text), "terminating")
+
+
 # ---------------------------------------------------------------------------
 # weighted compilation
 
@@ -271,6 +325,72 @@ def test_rationals_survive_round_trip():
     assert model.trans["x0"]["x1"] == F(1, 3)
     again = parse_model(emit_model(model))
     assert again.trans["x0"]["x1"] == F(1, 3)
+
+
+#: One small valid document per kind with typed fields.
+VALID_DOCS = {
+    "mc": {"kind": "mc", "alphabet": ["a"], "states": ["s"], "initial": "s",
+           "label": {"s": "a"}, "trans": {"s": {TARGET: "1/2", "s": "1/2"}}},
+    "mrm": {"kind": "mrm", "alphabet": ["a"], "states": ["s"], "initial": "s",
+            "label": {"s": "a"}, "trans": {"s": {TARGET: "1/1"}}, "reward": {"s": 2}},
+    "wts": {"kind": "wts", "alphabet": ["a"], "states": ["s"], "initial": "s",
+            "trans": {"s": [[TARGET, "a", 2]]}},
+    "dfa": {"kind": "dfa", "alphabet": ["a"], "states": ["q"], "initial": "q",
+            "delta": {"q": {"a": ["q", False]}}},
+    "nfa": {"kind": "nfa", "alphabet": ["a"], "states": ["q"], "initial": "q",
+            "delta": {"q": {"a": [["q", True]]}}},
+    "rm": {"kind": "rm", "alphabet": ["a"], "states": ["r"], "initial": "r", "bound": 2,
+           "delta": {"r": {"a": ["r", 1]}}},
+    "wmm": {"kind": "wmm", "alphabet": ["a"], "states": ["q"], "initial": "q",
+            "delta": {"q": {"a": [["q", True, 1]]}}},
+    "product-mrm": {"kind": "product-mrm", "states": ["s"], "initial": "s",
+                    "trans": {"s": {"s": "1/1"}}, "stepreward": {"s": 1}},
+    "product-wts": {"kind": "product-wts", "states": ["s"], "initial": "s",
+                    "trans": {"s": [["s", 1]]}},
+}
+
+
+#: (kind, path into its VALID_DOCS document, mistyped value for that field)
+MISTYPED = [
+    ("dfa", ("delta", "q", "a", 1), "false"),
+    ("nfa", ("delta", "q", "a", 0, 1), 1),
+    ("wmm", ("delta", "q", "a", 0, 1), "true"),
+    ("wts", ("trans", "s", 0, 2), 2.7),
+    ("wts", ("trans", "s", 0, 2), "2"),
+    ("wts", ("trans", "s", 0, 2), True),
+    ("mrm", ("reward", "s"), 2.7),
+    ("rm", ("bound",), "2"),
+    ("rm", ("delta", "r", "a", 1), True),
+    ("wmm", ("delta", "q", "a", 0, 2), 2.7),
+    ("product-mrm", ("stepreward", "s"), 2.7),
+    ("product-wts", ("trans", "s", 0, 1), "2"),
+    ("mc", ("trans", "s", "s"), True),
+    ("mc", ("alphabet",), "ab"),
+    ("dfa", ("states",), "q"),
+    ("mc", ("states",), [["s"]]),
+    ("dfa", ("states",), [["q"]]),
+    ("mc", ("label", "s"), ["a"]),
+    ("wts", ("trans", "s", 0), f"{TARGET}a2"),
+    ("dfa", ("delta", "q"), ["a"]),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    MISTYPED,
+    ids=[f"{k}:{'/'.join(map(str, p))}={v!r}" for k, p, v in MISTYPED],
+)
+def test_mistyped_fields_are_rejected(kind, path, value):
+    # values are checked, not coerced: "false" is no flag, 2.7 or "2" no
+    # integer, a string no array of names, and a list no state name
+    doc = json.loads(json.dumps(VALID_DOCS[kind]))
+    assert validate(parse_model(json.dumps(doc))) == []
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError):
+        parse_model(json.dumps(doc))
 
 
 def test_malformed_document_rejected():

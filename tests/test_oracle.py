@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,16 @@ from hypothesis import strategies as st
 
 import qtrace.oracle as oracle
 from qtrace.bundled import load_model
-from qtrace.lawcheck import random_dfa, random_mc, random_ntmc, random_wts
+from qtrace.lawcheck import (
+    random_dfa,
+    random_mc,
+    random_mrm,
+    random_nfa,
+    random_ntmc,
+    random_rm,
+    random_wmm,
+    random_wts,
+)
 from qtrace.models import (
     Dfa,
     MarkovRewardModel,
@@ -379,3 +389,55 @@ def test_weighted_semantics_monotone_in_depth():
         cur = oracle.wts_semantics(wts, wts.initial, k)
         assert prev <= cur
         prev = cur
+
+
+# ---------------------------------------------------------------------------
+# golden semantics
+
+#: sha256 of levels 0..6 of every state's semantics, over 25 seeded random
+#: machines per kind.  The semantics must stay bit-identical, so any change
+#: to a level's values, or to the order of a trace distribution, fails here.
+SEMANTICS_GOLDEN = {
+    "mc": "8d4081a2b2e2fc0226cd34721a7ead7372e6a71091189441cb33f00bf239a12b",
+    "mrm": "4e86fb7f6e1995d677a23d7718634e21087310579e3f82d0691fddf5912ac4a9",
+    "ntmc": "dd57abeee807dd77ecc80b0806d5d92ebd93bf07cebffb37814c7def04cb22b7",
+    "dfa": "4d363538e2c9990e6aed756409b44b43b26c54fae86c5d3d44fdff387d06bb8b",
+    "nfa": "d20fe5afabea4f49fc85e3d25c6881c1d1878295a3083e7cc186985ce919d2f4",
+    "wts": "e60668ec54ba65eaa586b9f2cc6c33021ad751c9e4d1680a2512ec267e0fd908",
+    "wmm": "1c0d01877517e09d661da8e64bf496d45e8570a69a4ae484a86750a9ca85b21d",
+    "rm": "60c924d2b6c7757cb9b8bd0996fce691fe86bd6369d396587cafc7116f734b5e",
+}
+
+SEMANTICS = {
+    "mc": (random_mc, oracle.mc_semantics_levels),
+    "mrm": (random_mrm, oracle.mrm_semantics_levels),
+    "ntmc": (random_ntmc, oracle.ntmc_marginal_levels),
+    "dfa": (random_dfa, oracle.dfa_language_levels),
+    "nfa": (random_nfa, oracle.nfa_language_levels),
+    "wts": (random_wts, oracle.wts_semantics_levels),
+    "wmm": (random_wmm, oracle.wmm_semantics_levels),
+    "rm": (
+        random_rm,
+        lambda d, depth: [
+            {y: oracle.rm_semantics(d, y, k) for y in d.states} for k in range(depth + 1)
+        ],
+    ),
+}
+
+
+def semantics_digest(kind: str) -> str:
+    make, levels = SEMANTICS[kind]
+    digest = hashlib.sha256()
+    for i in range(25):
+        machine = make(random.Random(f"golden:{kind}:{i}"))
+        for k, level in enumerate(levels(machine, 6)):
+            for state, value in level.items():
+                # dicts keep their insertion order; sets have none, so sort them
+                body = sorted(value) if isinstance(value, set) else list(value.items())
+                digest.update(f"{i}:{k}:{state}:{body!r}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", SEMANTICS_GOLDEN)
+def test_semantics_match_golden_digests(kind):
+    assert semantics_digest(kind) == SEMANTICS_GOLDEN[kind]
