@@ -15,6 +15,7 @@ iteration and direct solving agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -49,21 +50,34 @@ def rational(value: str | int | Fraction) -> Fraction:
         raise ConfigError(f"not a rational: {value!r}") from exc
 
 
+def _int_str(n: int) -> str:
+    """Decimal digits of ``n``, however many.  ``str`` refuses integers
+    longer than the interpreter's conversion limit (4,300 digits by
+    default); ``decimal`` converts them without one."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def rational_str(value: Fraction) -> str:
     """Canonical "num/den" rendering (denominator always written)."""
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def value_str(value, decimal: int | None = None) -> str:
     """Text of a domain value: a rational as written by ``str`` (or rounded
-    to ``decimal`` places), a pair in parentheses, infinity as ``inf``."""
+    to ``decimal`` places), a pair in parentheses, infinity as ``inf``.
+    Integers of any length are written out in full."""
     if isinstance(value, Fraction):
-        return str(value) if decimal is None else f"{float(value):.{decimal}f}"
+        if decimal is not None:
+            return f"{float(value):.{decimal}f}"
+        return _int_str(value.numerator) if value.denominator == 1 else rational_str(value)
     if isinstance(value, tuple):
         return "(" + ", ".join(value_str(v, decimal) for v in value) + ")"
     if value == INF:
         return "inf"
-    return str(value)
+    return _int_str(value)
 
 
 def bottom(domain: str):

@@ -4,7 +4,9 @@ The value of a product state is the least solution of a one-step update
 equation.  Probabilistic products are solved exactly: states that cannot
 reach the accepting sink are pinned to the bottom value first (this is
 what selects the *least* solution), the remainder is a nonsingular linear
-system solved by fraction-free elimination over the integers.  Weighted
+system solved one strongly connected component at a time, in reverse
+topological order: a single state by back substitution, a cyclic
+component by sparse elimination on integer rows.  Weighted
 products are solved by iterating the min-cost update until it stabilizes,
 which nonnegative weights guarantee within as many rounds as there are
 product states.  Each exact answer is checked against its update equation
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
 from .domains import (
@@ -190,49 +192,181 @@ def _states_reaching(m, goal: str) -> set[str]:
     return seen
 
 
-def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rhs: dict[str, Fraction]) -> dict[str, Fraction]:
-    """Solve (I - coeff) v = rhs exactly by fraction-free elimination.
+def _components(succ: list) -> list[list[int]]:
+    """Strongly connected components of the graph with an edge ``i -> j``
+    for each ``j`` in ``succ[i]``, each listed after every component it
+    reaches (Tarjan 1972).  The depth-first search keeps its own stack, so
+    long chains cannot hit the recursion limit."""
+    n = len(succ)
+    order = [-1] * n  # discovery number, -1 while unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    work: list = []  # the search path: (state, its successors not yet looked at)
+    found: list[list[int]] = []
+    count = 0
 
-    Rows are first scaled to integers; forward elimination keeps every
-    intermediate entry an exact integer (Bareiss scheme), and back
-    substitution recovers the rational solution.
+    def visit(v: int) -> None:
+        nonlocal count
+        order[v] = low[v] = count
+        count += 1
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(succ[v])))
+
+    for root in range(n):
+        if order[root] < 0:
+            visit(root)
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if order[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w] and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    found.append(component)
+    return found
+
+
+def _divide_content(row: dict[int, int], rhs: int) -> int:
+    """Divide ``row`` in place by the greatest common divisor of its entries
+    and ``rhs``; returns ``rhs`` divided by it."""
+    content = gcd(rhs, *row.values())
+    if content > 1:
+        for j in row:
+            row[j] //= content
+        rhs //= content
+    return rhs
+
+
+def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], value: list) -> None:
+    """Solve one cyclic component into ``value``, given the values of every
+    state it leaves to.
+
+    This is state elimination (Daws, ICTAC 2004) written as Gaussian
+    elimination.  Each row of (I - coeff) restricted to the component, with
+    the known outside values moved to its right-hand side, is scaled to
+    integers and kept free of a common factor.  Forward elimination takes
+    diagonal pivots in greedy Markowitz order (least (row count - 1) *
+    (column count - 1) first, from a heap of lazily refreshed scores); back
+    substitution then runs in fractions.
     """
-    n = len(unknowns)
-    index = {s: i for i, s in enumerate(unknowns)}
-    mat: list[list[int]] = []
-    for s in unknowns:
-        row = [ZERO] * (n + 1)
-        row[index[s]] = ONE
-        for t, p in coeff[s].items():
-            if t in index:
-                row[index[t]] -= p
-        row[n] = rhs[s]
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        mat.append([int(f * scale) for f in row])
+    from heapq import heapify, heappop, heappush  # only cyclic products need it, so not on import
 
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if mat[i][k] != 0), None)
-        if pivot_row is None:
+    inside = set(component)
+    mat: dict[int, dict[int, int]] = {}
+    b: dict[int, int] = {}
+    cols: dict[int, set[int]] = {k: set() for k in component}
+    for i in component:
+        acc = rhs[i]
+        entries = {i: ONE}
+        for j, p in rows[i].items():
+            if j in inside:
+                entries[j] = entries.get(j, ZERO) - p
+            else:
+                acc += p * value[j]
+        scale = lcm(acc.denominator, *(f.denominator for f in entries.values()))
+        mat[i] = {j: f.numerator * (scale // f.denominator) for j, f in entries.items() if f}
+        b[i] = _divide_content(mat[i], acc.numerator * (scale // acc.denominator))
+        for j in mat[i]:
+            cols[j].add(i)
+
+    def score(k: int) -> tuple[int, int]:
+        return ((len(mat[k]) - 1) * (len(cols[k]) - 1), k)
+
+    heap = [score(k) for k in component]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        entry = heappop(heap)
+        k = entry[1]
+        if k not in cols or entry != score(k):  # eliminated already, or a stale score
+            continue
+        order.append(k)
+        row_k = mat[k]
+        pivot = row_k.get(k, 0)
+        if pivot == 0:
             raise SolverError("reduced system is singular; zero-pinning failed")
-        if pivot_row != k:
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            factor = mat[i][k]
+        others = [j for j in row_k if j != k]
+        for j in others:
+            cols[j].discard(k)
+        for i in cols.pop(k):
+            if i == k:
+                continue
             row_i = mat[i]
-            row_k = mat[k]
-            for j in range(k, n + 1):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
+            f = row_i.pop(k)
+            g = gcd(pivot, f)
+            up, down = pivot // g, f // g  # row_i <- up * row_i - down * row_k
+            if up != 1:
+                for j in row_i:
+                    row_i[j] *= up
+            for j in others:
+                a = row_i.get(j, 0) - down * row_k[j]
+                if a:
+                    if j not in row_i:
+                        cols[j].add(i)
+                    row_i[j] = a
+                elif j in row_i:
+                    del row_i[j]
+                    cols[j].discard(i)
+            b[i] = _divide_content(row_i, up * b[i] - down * b[k])
+            heappush(heap, score(i))
+        for j in others:
+            heappush(heap, score(j))
 
-    solution: list[Fraction] = [ZERO] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(mat[i][n])
-        for j in range(i + 1, n):
-            acc -= mat[i][j] * solution[j]
-        solution[i] = acc / mat[i][i]
-    return {s: solution[index[s]] for s in unknowns}
+    for k in reversed(order):
+        acc = Fraction(b[k])
+        for j, a in mat[k].items():
+            if j != k:
+                acc -= a * value[j]
+        value[k] = acc / mat[k][k]
+
+
+def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rhs: dict[str, Fraction]) -> dict[str, Fraction]:
+    """Solve (I - coeff) v = rhs exactly, one strongly connected component
+    at a time.
+
+    The states are numbered, split into components, and the components
+    solved so that every value a component reads from outside it is
+    already known.  A single state is back substitution, divided by
+    1 - p when it has a self-loop of probability p; a larger component is
+    eliminated by ``_eliminate``.  Diagonal pivots suffice because on
+    states that all reach the goal I - coeff is a nonsingular M-matrix,
+    and so is every matrix elimination leaves; a zero pivot therefore
+    means the zero-pinning failed.  Entries of ``coeff`` that name no
+    unknown are ignored: those states are pinned to 0.
+    """
+    index = {s: i for i, s in enumerate(unknowns)}
+    rows = [{index[t]: p for t, p in coeff[s].items() if t in index} for s in unknowns]
+    b = [rhs[s] for s in unknowns]
+    value: list = [None] * len(unknowns)
+    for component in _components(rows):
+        if len(component) > 1:
+            _eliminate(component, rows, b, value)
+            continue
+        (i,) = component
+        acc = b[i]
+        for j, p in rows[i].items():
+            if j != i:
+                acc += p * value[j]
+        pivot = ONE - rows[i].get(i, ZERO)
+        if pivot == 0:
+            raise SolverError("reduced system is singular; zero-pinning failed")
+        value[i] = acc / pivot
+    return {s: value[i] for s, i in index.items()}
 
 
 def _linear_solver(m, states: list[str]) -> Callable:

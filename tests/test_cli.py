@@ -467,6 +467,32 @@ def test_lawcheck_verdicts_do_not_depend_on_assert(argv, expected):
     assert proc.returncode == expected, proc.stderr
 
 
+def test_values_past_the_int_str_limit_are_printed(tmp_path, capsys):
+    # the epsilon iterates' denominators grow by 8 bits a round, so after
+    # 2,116 rounds the answer has over 5,000 digits
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "kind": "mc", "alphabet": ["a", "b"], "states": ["s", "t"], "initial": "s",
+        "label": {"s": "a", "t": "b"},
+        "trans": {"s": {"s": "255/256", "t": "1/256"}, "t": {"*": "1/1"}},
+    }))
+    dfa = tmp_path / "dfa.json"
+    dfa.write_text(json.dumps({
+        "kind": "dfa", "alphabet": ["a", "b"], "states": ["q", "r"], "initial": "q",
+        "delta": {"q": {"a": ["q", False], "b": ["r", True]},
+                  "r": {"a": ["r", True], "b": ["r", True]}},
+    }))
+    argv = ["infer", str(chain), str(dfa), "--pairing", "mc-dfa", "--mode", "epsilon",
+            "--epsilon", "1/1000000"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    num, den = out.removeprefix("value(s|q) = ").strip().split("/")
+    assert num.isdigit() and den.isdigit() and len(den) > 4300
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["values"]["s|q"] == f"{num}/{den}"
+
+
 def test_lawcheck_all_output_is_byte_identical():
     # digests of the output before the oracle, lawcheck and compiler loops
     # were merged; the second covers the ntmc-dfa skip note on stderr

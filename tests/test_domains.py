@@ -17,7 +17,9 @@ from qtrace.domains import (
     leq,
     rational,
     rational_str,
+    value_str,
 )
+from qtrace.solvers import SolveReport
 
 rationals = st.fractions(max_denominator=1000)
 
@@ -44,6 +46,18 @@ def test_rational_parse_and_render():
         rational("4/0")
     with pytest.raises(ConfigError):
         rational("pi")
+
+
+def test_values_past_the_int_str_limit_render_in_full():
+    # str(int) refuses more than 4,300 digits; the renderers must not
+    digits = "1" + "0" * 4998 + "7"  # 10**4999 + 7, a 5,000-digit numerator
+    big = Fraction(10**4999 + 7, 3)
+    assert value_str(big) == rational_str(big) == digits + "/3"
+    assert value_str(Fraction(10**4999 + 7)) == digits
+    assert value_str((big, Fraction(1, 2))) == f"({digits}/3, 1/2)"
+    assert value_str(10**4999 + 7) == digits
+    report = SolveReport({"s": big, "t": (big, Fraction(1))}, "kleene", 1, True, PROB_REWARD)
+    assert report.to_json()["values"] == {"s": digits + "/3", "t": [digits + "/3", "1/1"]}
 
 
 def test_tropical_order_is_reversed():

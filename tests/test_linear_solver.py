@@ -1,0 +1,188 @@
+"""The sparse exact solver against the dense reference it replaced.
+
+``solvers._solve_linear`` must return the very same dict as the dense
+Bareiss solver kept in ``dense_solver.py``: same keys, same order, same
+exact fractions.  It is checked on seeded random systems with several
+strongly connected components, self-loops and acyclic tails, and on every
+system that solving real products asks it for.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from dense_solver import _solve_linear as dense_solve_linear
+
+from qtrace import solvers
+from qtrace.bundled import load_model
+from qtrace.models import MarkovRewardModel
+from qtrace.products import product_mc_dfa, product_mrm_dfa, product_ntmc_dfa
+from qtrace.programs import compile_probabilistic, parse_program
+from qtrace.solvers import SolverError, _components, _solve_linear, solve_product
+
+F = Fraction
+SYMBOLS = ("recharge", "lake", "arid", "volcano")
+
+
+def _same(unknowns, coeff, rhs):
+    got = _solve_linear(unknowns, coeff, rhs)
+    want = dense_solve_linear(unknowns, coeff, rhs)
+    assert got == want
+    assert list(got) == list(want)
+    return got
+
+
+def _random_system(rng: random.Random):
+    """A substochastic system whose components are known blocks.
+
+    States come in blocks, and every edge between blocks points forward,
+    so the blocks are the strongly connected components: a block of
+    several states is one cycle plus random chords, a block of one state
+    has a self-loop half of the time, and the last blocks are single
+    states in a chain (an acyclic tail).  Every state reaches the last,
+    which keeps some mass back, so the system is nonsingular.
+    """
+    sizes = [rng.choice((1, 1, 2, 3, 5, 8)) for _ in range(rng.randint(1, 8))]
+    sizes += [1] * rng.randint(0, 4)
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(list(range(start, start + size)))
+        start += size
+    n = start
+    edges: dict[int, set[int]] = {i: set() for i in range(n)}
+    for b, block in enumerate(blocks):
+        if len(block) > 1:
+            for k, i in enumerate(block):
+                edges[i].add(block[(k + 1) % len(block)])
+                if rng.random() < 0.4:
+                    edges[i].add(rng.choice(block))
+        elif b < len(blocks) - rng.randint(1, 3) and rng.random() < 0.5:
+            edges[block[0]].add(block[0])
+        if b + 1 < len(blocks):
+            edges[block[-1]].add(blocks[b + 1][0])
+        for i in block:
+            if block[-1] + 1 < n and rng.random() < 0.3:
+                edges[i].add(rng.randrange(block[-1] + 1, n))
+    names = [f"s{i}" for i in range(n)]
+    coeff, rhs = {}, {}
+    for i in range(n):
+        weights = {names[j]: rng.randint(1, 9) for j in sorted(edges[i])}
+        if rng.random() < 0.2:  # an edge to a pinned state: not an unknown, so ignored
+            weights["pinned"] = rng.randint(1, 9)
+        kept = rng.randint(1, 9) if i == n - 1 or rng.random() < 0.3 else 0
+        total = sum(weights.values()) + kept
+        coeff[names[i]] = {t: F(w, total) for t, w in weights.items()}
+        rhs[names[i]] = F(kept * rng.randint(0, 5), total * rng.randint(1, 7))
+    order = names[:]
+    rng.shuffle(order)
+    return order, coeff, rhs, sizes
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_systems_match_the_dense_solver(seed):
+    rng = random.Random(seed)
+    unknowns, coeff, rhs, sizes = _random_system(rng)
+    _same(unknowns, coeff, rhs)
+    index = {s: i for i, s in enumerate(unknowns)}
+    succ = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
+    assert sorted(map(len, _components(succ))) == sorted(sizes)
+
+
+def test_random_systems_cover_every_component_shape():
+    shapes = set()
+    for seed in range(40):
+        unknowns, coeff, _, sizes = _random_system(random.Random(seed))
+        shapes.add("cyclic" if max(sizes) > 1 else "acyclic")
+        if sum(size > 1 for size in sizes) > 1:
+            shapes.add("several cyclic")
+        if any(s in coeff[s] for s in unknowns):
+            shapes.add("self-loop")
+    assert shapes == {"cyclic", "acyclic", "several cyclic", "self-loop"}
+
+
+def _patrol(w: int, h: int, rng: random.Random) -> str:
+    cells = [(x, y) for x in range(w) for y in range(h) if (x, y) != (w - 1, h - 1)]
+    picked = rng.sample(cells, max(len(SYMBOLS), len(cells) // 4))
+    labels = "".join(f"  ({x},{y}): {SYMBOLS[k % 4]};\n" for k, (x, y) in enumerate(picked))
+    return (
+        f"var x : 0..{w - 1} init {w - 1};\nvar y : 0..{h - 1} init {h - 1};\n"
+        "alphabet sand, recharge, lake, arid, volcano;\n"
+        f"label {{\n{labels}  default: sand;\n}}\n"
+        "while (true) {\n"
+        f"  {{ x <- max(x - 1, 0) }} [1/4] {{ y <- max(y - 1, 0) }} [1/4] "
+        f"{{ x <- min(x + 1, {w - 1}) }} [1/4] {{ y <- min(y + 1, {h - 1}) }}\n}}\n"
+    )
+
+
+def _gridworld(w: int, h: int, rng: random.Random) -> str:
+    cells = [(i, j) for i in range(1, w + 1) for j in range(1, h + 1) if (i, j) != (w, h)]
+    picked = rng.sample(cells, max(len(SYMBOLS), len(cells) // 3))
+    labels = "".join(f"  ({i},{j}): {SYMBOLS[k % 4]};\n" for k, (i, j) in enumerate(picked))
+    return (
+        f"var i : 1..{w} init {w};\nvar j : 1..{h} init {h};\n"
+        "alphabet sand, recharge, lake, arid, volcano;\n"
+        f"label {{\n{labels}  default: sand;\n}}\n"
+        "while (i > 1 or j > 1) {\n"
+        "  { i <- max(i - 1, 1) } [4/5] { j <- max(j - 1, 1) }\n}\n"
+    )
+
+
+def _with_reward(chain) -> MarkovRewardModel:
+    reward = {x: k % 7 for k, x in enumerate(chain.states)}
+    return MarkovRewardModel(chain.states, chain.alphabet, chain.label, reward, chain.trans, chain.initial)
+
+
+def _products():
+    safe = load_model("safe-recharge-dfa.json")
+    reach = load_model("reach-recharge-dfa.json")
+    robot = load_model("robot-mc.json")
+    yield pytest.param(product_mc_dfa(robot, safe), 1, id="robot/mc-dfa")
+    yield pytest.param(product_mrm_dfa(_with_reward(robot), reach), 2, id="robot/mrm-dfa")
+    for w, h in ((4, 3), (6, 4), (9, 7)):
+        text = _patrol(w, h, random.Random(f"patrol {w}x{h}"))
+        chain = compile_probabilistic(parse_program(text), "reactive").model
+        yield pytest.param(product_ntmc_dfa(chain, safe), 1, id=f"patrol-{w}x{h}/ntmc-dfa")
+    for w, h in ((5, 3), (8, 6), (12, 9)):
+        text = _gridworld(w, h, random.Random(f"gridworld {w}x{h}"))
+        chain = compile_probabilistic(parse_program(text), "terminating").model
+        yield pytest.param(product_mc_dfa(chain, reach), 1, id=f"gridworld-{w}x{h}/mc-dfa")
+        yield pytest.param(product_mrm_dfa(_with_reward(chain), reach), 2, id=f"gridworld-{w}x{h}/mrm-dfa")
+
+
+@pytest.mark.parametrize("product, solves", list(_products()))
+def test_product_systems_match_the_dense_solver(product, solves, monkeypatch):
+    sizes = []
+
+    def compare(unknowns, coeff, rhs):
+        sizes.append(len(unknowns))
+        return _same(unknowns, coeff, rhs)
+
+    monkeypatch.setattr(solvers, "_solve_linear", compare)
+    solve_product(product)
+    assert len(sizes) == solves and sizes[-1] > 1
+
+
+def test_closed_cycle_is_singular():
+    with pytest.raises(SolverError, match="singular"):
+        _solve_linear(["a", "b"], {"a": {"b": F(1)}, "b": {"a": F(1)}}, {"a": F(0), "b": F(0)})
+    with pytest.raises(SolverError, match="singular"):
+        _solve_linear(["a"], {"a": {"a": F(1)}}, {"a": F(1, 2)})
+
+
+def test_long_acyclic_chain_solves_without_recursion():
+    n = 5000
+    names = [f"c{i}" for i in range(n)]
+    coeff = {s: {t: F(1, 2)} for s, t in zip(names, names[1:])}
+    coeff[names[-1]] = {}
+    values = _solve_linear(names, coeff, {s: F(1, 2) for s in names})
+    assert all(values[s] == 1 - F(1, 2 ** (n - i)) for i, s in enumerate(names))
+
+
+def test_long_cycle_with_one_exit_solves_without_recursion():
+    n = 2000
+    names = [f"c{i}" for i in range(n)]
+    coeff = {s: {t: F(1)} for s, t in zip(names, names[1:] + names[:1])}
+    coeff[names[0]] = {names[1]: F(1, 2)}
+    rhs = {s: F(0) for s in names}
+    rhs[names[0]] = F(1, 2)
+    assert _solve_linear(names, coeff, rhs) == {s: F(1) for s in names}
