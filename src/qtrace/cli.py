@@ -212,6 +212,8 @@ def cmd_lawcheck(args) -> int:
     results = []
 
     if args.mutate:
+        if args.pairing != "mc-dfa":
+            raise UsageError("--mutate needs the mc-dfa pairing: the catalogue mutates its rule only")
         from .bundled import load_model
 
         mc = load_model("robot-mc.json")

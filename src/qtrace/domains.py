@@ -65,6 +65,21 @@ def rational_str(value: Fraction) -> str:
     return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
+def _json_value(value):
+    """JSON form of a value: a rational as "num/den", a tuple as an array,
+    a dict as an object, infinity as "inf"; strings, flags and integers as
+    they are."""
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if value == INF:
+        return "inf"
+    return value
+
+
 def value_str(value, decimal: int | None = None) -> str:
     """Text of a domain value: a rational as written by ``str`` (or rounded
     to ``decimal`` places), a pair in parentheses, infinity as ``inf``.

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Callable
 
-from .domains import rational, rational_str
+from .domains import _json_value, rational
 from .models import (
     Dfa,
     LabeledMc,
@@ -163,46 +163,12 @@ def parse_model(text: str | dict):
 
 
 def model_to_dict(model) -> dict:
+    """The document of a machine: its kind and the fields ``parse_model``
+    checks for that kind, in JSON form."""
     kind = KIND_OF.get(type(model))
     if kind is None:
         raise SchemaError(f"cannot serialize {type(model).__name__}")
-    doc: dict = {"kind": kind}
-    if kind in ("mc", "mrm", "ntmc", "wts", "dfa", "nfa", "rm", "wmm"):
-        doc["alphabet"] = list(model.alphabet)
-    doc["states"] = list(model.states)
-    doc["initial"] = model.initial
-    if kind in ("mc", "mrm", "ntmc"):
-        doc["label"] = dict(model.label)
-        doc["trans"] = {
-            x: {succ: rational_str(p) for succ, p in row.items()}
-            for x, row in model.trans.items()
-        }
-        if kind == "mrm":
-            doc["reward"] = dict(model.reward)
-    elif kind == "wts":
-        doc["trans"] = {x: [list(t) for t in entries] for x, entries in model.trans.items()}
-    elif kind in ("dfa", "rm"):
-        doc["delta"] = {
-            y: {a: list(entry) for a, entry in row.items()}
-            for y, row in model.delta.items()
-        }
-        if kind == "rm":
-            doc["bound"] = model.bound
-    elif kind in ("nfa", "wmm"):
-        doc["delta"] = {
-            y: {a: [list(e) for e in entries] for a, entries in row.items()}
-            for y, row in model.delta.items()
-        }
-    elif kind in ("product-mc", "product-mrm", "product-absorbing"):
-        doc["trans"] = {
-            x: {succ: rational_str(p) for succ, p in row.items()}
-            for x, row in model.trans.items()
-        }
-        if kind == "product-mrm":
-            doc["stepreward"] = dict(model.stepreward)
-    else:
-        doc["trans"] = {x: [list(t) for t in entries] for x, entries in model.trans.items()}
-    return doc
+    return {"kind": kind, **{f: _json_value(getattr(model, f)) for f in _FIELDS[kind]}}
 
 
 def emit_model(model) -> str:

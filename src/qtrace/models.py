@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .domains import ONE, ZERO
 
@@ -186,8 +187,17 @@ def _check_rows(model, out: list[str], allow_target: bool) -> None:
                 out.append(f"label {a!r} at state {x!r} not in alphabet")
 
 
-def _check_dfa(d: Dfa, out: list[str]) -> None:
+def _check_flag(flag, y: str, a: str, out: list[str]) -> None:
+    if not isinstance(flag, bool):
+        out.append(f"acceptance flag at ({y!r}, {a!r}) is not a boolean")
+
+
+def _check_total_delta(d, out: list[str], check_mark: Callable) -> None:
+    """A row at every state holding exactly the alphabet's symbols, each
+    entry a known target and a mark (flag or weight) checked by
+    ``check_mark(mark, y, a, out)``."""
     states = set(d.states)
+    symbols = set(d.alphabet)
     for y in d.states:
         row = d.delta.get(y)
         if row is None:
@@ -197,14 +207,31 @@ def _check_dfa(d: Dfa, out: list[str]) -> None:
             if a not in row:
                 out.append(f"delta not total: missing ({y!r}, {a!r})")
                 continue
-            tgt, flag = row[a]
+            tgt, mark = row[a]
             if tgt not in states:
                 out.append(f"unknown delta target {tgt!r} at ({y!r}, {a!r})")
-            if not isinstance(flag, bool):
-                out.append(f"acceptance flag at ({y!r}, {a!r}) is not a boolean")
+            check_mark(mark, y, a, out)
         for a in row:
-            if a not in set(d.alphabet):
+            if a not in symbols:
                 out.append(f"delta uses unknown symbol {a!r} at state {y!r}")
+
+
+def _check_edges(d, out: list[str]) -> None:
+    """Rows and entries may be missing; every edge present has a known
+    target, a flag and, on a weighted machine, a natural weight."""
+    states = set(d.states)
+    symbols = set(d.alphabet)
+    for y in d.states:
+        for a, entries in d.delta.get(y, {}).items():
+            if a not in symbols:
+                out.append(f"delta uses unknown symbol {a!r} at state {y!r}")
+            for tgt, flag, *weight in entries:
+                if tgt not in states:
+                    out.append(f"unknown delta target {tgt!r} at ({y!r}, {a!r})")
+                _check_flag(flag, y, a, out)
+                for w in weight:
+                    if not isinstance(w, int) or w < 0:
+                        out.append(f"weight {w!r} at ({y!r}, {a!r}) is not a natural number")
 
 
 def validate(model) -> list[str]:
@@ -245,49 +272,18 @@ def validate(model) -> list[str]:
                 if not isinstance(m, int) or m < 0:
                     out.append(f"weight {m!r} at state {x!r} is not a natural number")
     elif isinstance(model, Dfa):
-        _check_dfa(model, out)
-    elif isinstance(model, Nfa):
-        states = set(model.states)
-        for y in model.states:
-            for a, entries in model.delta.get(y, {}).items():
-                if a not in set(model.alphabet):
-                    out.append(f"delta uses unknown symbol {a!r} at state {y!r}")
-                for tgt, flag in entries:
-                    if tgt not in states:
-                        out.append(f"unknown delta target {tgt!r} at ({y!r}, {a!r})")
-                    if not isinstance(flag, bool):
-                        out.append(f"acceptance flag at ({y!r}, {a!r}) is not a boolean")
+        _check_total_delta(model, out, _check_flag)
     elif isinstance(model, RewardMachine):
         if model.bound < 1:
             out.append("weight bound must be at least 1")
-        states = set(model.states)
-        for y in model.states:
-            row = model.delta.get(y)
-            if row is None:
-                out.append(f"delta not total: no row at state {y!r}")
-                continue
-            for a in model.alphabet:
-                if a not in row:
-                    out.append(f"delta not total: missing ({y!r}, {a!r})")
-                    continue
-                tgt, w = row[a]
-                if tgt not in states:
-                    out.append(f"unknown delta target {tgt!r} at ({y!r}, {a!r})")
-                if not isinstance(w, int) or not (1 <= w <= model.bound):
-                    out.append(f"weight {w!r} at ({y!r}, {a!r}) outside 1..{model.bound}")
-    elif isinstance(model, WeightedMealy):
-        states = set(model.states)
-        for y in model.states:
-            for a, entries in model.delta.get(y, {}).items():
-                if a not in set(model.alphabet):
-                    out.append(f"delta uses unknown symbol {a!r} at state {y!r}")
-                for tgt, flag, w in entries:
-                    if tgt not in states:
-                        out.append(f"unknown delta target {tgt!r} at ({y!r}, {a!r})")
-                    if not isinstance(flag, bool):
-                        out.append(f"acceptance flag at ({y!r}, {a!r}) is not a boolean")
-                    if not isinstance(w, int) or w < 0:
-                        out.append(f"weight {w!r} at ({y!r}, {a!r}) is not a natural number")
+
+        def check_weight(w, y: str, a: str, out: list[str]) -> None:
+            if not isinstance(w, int) or not (1 <= w <= model.bound):
+                out.append(f"weight {w!r} at ({y!r}, {a!r}) outside 1..{model.bound}")
+
+        _check_total_delta(model, out, check_weight)
+    elif isinstance(model, (Nfa, WeightedMealy)):
+        _check_edges(model, out)
     else:
         out.append(f"unknown model type {type(model).__name__}")
     return out

@@ -19,6 +19,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from .domains import ONE, ZERO
@@ -533,20 +534,6 @@ class _Space:
         table = self.program.labels
         return table.entries.get(self.key(env), table.default)
 
-    def all_valuations(self):
-        def rec(i: int, env: dict[str, int]):
-            if i == len(self.names):
-                yield dict(env)
-                return
-            name = self.names[i]
-            lo, hi = self.ranges[name]
-            for v in range(lo, hi + 1):
-                env[name] = v
-                yield from rec(i + 1, env)
-            del env[name]
-
-        yield from rec(0, {})
-
 
 def _run_block(stmts, env: dict[str, int], space: _Space) -> dict[tuple, Fraction]:
     """Distribution over successor valuations after one pass of ``stmts``."""
@@ -583,7 +570,8 @@ def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachab
     are built.  Returns (rows by state id, reachable count, warnings).
     """
     guard = space.program.guard
-    valid = [space.key(env) for env in space.all_valuations() if _holds(guard, env)]
+    keys = product(*(range(v.lo, v.hi + 1) for v in space.program.variables))
+    valid = [key for key in keys if _holds(guard, space.env(key))]
     allowed = set(valid)
     start = space.key(space.initial())
     explored: dict[tuple, list] = {}
@@ -609,14 +597,6 @@ def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachab
     return rows, len(explored), tuple(warnings)
 
 
-def _alphabet_from_labels(table: LabelTable) -> tuple[str, ...]:
-    seen: list[str] = []
-    for sym in list(table.entries.values()) + [table.default]:
-        if sym not in seen:
-            seen.append(sym)
-    return tuple(seen)
-
-
 def compile_probabilistic(
     program: Program, mode: str, restrict_reachable: bool = True
 ) -> CompileReport:
@@ -639,8 +619,9 @@ def compile_probabilistic(
 
     if program.labels is None:
         raise CompileError("probabilistic compilation needs a label block")
-    alphabet = program.alphabet or _alphabet_from_labels(program.labels)
-    for sym in _alphabet_from_labels(program.labels):
+    labels = tuple(dict.fromkeys([*program.labels.entries.values(), program.labels.default]))
+    alphabet = program.alphabet or labels
+    for sym in labels:
         if sym not in alphabet:
             raise CompileError(f"label {sym!r} not in the declared alphabet")
 
@@ -688,11 +669,8 @@ def compile_weighted(program: Program, restrict_reachable: bool = True) -> Compi
     if not _holds(program.guard, init):
         raise CompileError("initial valuation violates the loop guard")
 
-    emitted: list[str] = []
-    for opt in choice.options:
-        if opt.symbol not in emitted:
-            emitted.append(opt.symbol)
-    alphabet = program.alphabet or tuple(emitted)
+    emitted = tuple(dict.fromkeys(opt.symbol for opt in choice.options))
+    alphabet = program.alphabet or emitted
     for sym in emitted:
         if sym not in alphabet:
             raise CompileError(f"emitted symbol {sym!r} not in the declared alphabet")

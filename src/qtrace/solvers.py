@@ -30,10 +30,10 @@ from .domains import (
     PROB_REWARD,
     TROPICAL,
     ZERO,
+    _json_value,
     bottom_vector,
     kleene_iterate,
     kleene_lfp,
-    rational_str,
 )
 from .products import ProductMc, ProductRewardMc, ProductWts, pair_states
 
@@ -56,21 +56,12 @@ class SolveReport:
         return self.values[state]
 
     def to_json(self) -> dict:
-        def render(v):
-            if isinstance(v, Fraction):
-                return rational_str(v)
-            if isinstance(v, tuple):
-                return [render(x) for x in v]
-            if v == INF:
-                return "inf"
-            return v
-
         return {
             "method": self.method,
             "iterations": self.iterations,
             "converged": self.converged,
             "domain": self.domain,
-            "values": {s: render(v) for s, v in self.values.items()},
+            "values": _json_value(self.values),
         }
 
 
@@ -116,38 +107,28 @@ def min_cost_step(successors, accept_weights):
 # ---------------------------------------------------------------------------
 # transformers
 
-def reach_transformer(m: ProductMc) -> Callable[[dict], dict]:
+def _prob_transformer(m, step, extra=lambda s: ()) -> Callable[[dict], dict]:
+    """The update ``step(successor values, goal mass, *extra(s))`` at every
+    state of a probabilistic product; each row is compiled once, so a round
+    makes one ``step`` call per state."""
     compiled = []
     for s in pair_states(m):
         row = m.trans[s]
-        acc = row.get(m.GOAL, ZERO)
         succ = [(t, p) for t, p in row.items() if t not in m.SINKS]
-        compiled.append((s, acc, succ))
+        compiled.append((s, succ, (row.get(m.GOAL, ZERO), *extra(s))))
 
     def phi(u: dict) -> dict:
-        return {
-            s: reach_value_step(((u[t], p) for t, p in succ), acc)
-            for s, acc, succ in compiled
-        }
+        return {s: step(((u[t], p) for t, p in succ), *args) for s, succ, args in compiled}
 
     return phi
+
+
+def reach_transformer(m: ProductMc) -> Callable[[dict], dict]:
+    return _prob_transformer(m, reach_value_step)
 
 
 def reward_transformer(m: ProductRewardMc) -> Callable[[dict], dict]:
-    compiled = []
-    for s in pair_states(m):
-        row = m.trans[s]
-        acc = row.get(m.GOAL, ZERO)
-        succ = [(t, p) for t, p in row.items() if t not in m.SINKS]
-        compiled.append((s, acc, succ, m.stepreward[s]))
-
-    def phi(u: dict) -> dict:
-        return {
-            s: reward_value_step(((u[t], p) for t, p in succ), acc, n)
-            for s, acc, succ, n in compiled
-        }
-
-    return phi
+    return _prob_transformer(m, reward_value_step, lambda s: (m.stepreward[s],))
 
 
 def tropical_transformer(m: ProductWts) -> Callable[[dict], dict]:

@@ -263,6 +263,15 @@ def test_lawcheck_mutation_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("pairing", ["wts-nfa", "mrm-dfa", "all"])
+def test_lawcheck_mutate_needs_the_mc_dfa_pairing(pairing, capsys):
+    # the catalogue mutates the mc-dfa rule only; it must not run it under
+    # another pairing's name
+    code, out, err = run(capsys, "lawcheck", pairing, "--mutate", "flag-swapped", "--kmax", "3")
+    assert (code, out) == (2, "")
+    assert "--mutate" in err and "mc-dfa" in err
+
+
 def test_complete_dfa_flag(tmp_path, capsys):
     doc = json.loads(fixture_text("safe-recharge-dfa.json"))
     del doc["delta"]["y2"]["arid"]
@@ -510,3 +519,15 @@ def test_lawcheck_all_output_is_byte_identical():
     assert hashlib.md5(runs["7"].stdout.encode()).hexdigest() == "8464cd3e79245f062019f22bd681962f"
     text = runs["3"].stderr + runs["3"].stdout
     assert hashlib.md5(text.encode()).hexdigest() == "0cbf6aba790d54faec90b6bb2ced9702"
+
+
+def test_import_qtrace_stays_lean():
+    # each of these once slowed every start-up when it was imported eagerly
+    src = os.path.dirname(os.path.dirname(qtrace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    heavy = ["qtrace.oracle", "qtrace.lawcheck", "qtrace.cli", "qtrace.programs", "heapq"]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, qtrace; print([m for m in {heavy!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

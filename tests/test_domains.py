@@ -60,6 +60,16 @@ def test_values_past_the_int_str_limit_render_in_full():
     assert report.to_json()["values"] == {"s": digits + "/3", "t": [digits + "/3", "1/1"]}
 
 
+def test_infinity_renders_as_inf_in_text_and_json():
+    # a tropical state that cannot accept, and an infinite expected reward
+    assert value_str(INF) == "inf"
+    assert value_str((Fraction(1, 2), INF)) == "(1/2, inf)"
+    report = SolveReport({"s": INF, "t": 3}, "bellman", 2, True, TROPICAL)
+    assert report.to_json()["values"] == {"s": "inf", "t": 3}
+    report = SolveReport({"s": (Fraction(1, 2), INF)}, "kleene", 1, False, PROB_REWARD)
+    assert report.to_json()["values"] == {"s": ["1/2", "inf"]}
+
+
 def test_tropical_order_is_reversed():
     assert leq(TROPICAL, INF, 3)
     assert leq(TROPICAL, 7, 3)

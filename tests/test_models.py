@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qtrace.bundled import load_model
-from qtrace.lawcheck import random_dfa
+from qtrace.lawcheck import random_dfa, random_nfa, random_rm, random_wmm
 from qtrace.models import (
     Dfa,
     HALT_SYMBOL,
@@ -188,3 +189,124 @@ def test_translation_rejects_reserved_symbol(robot, monitor):
     )
     with pytest.raises(ModelError):
         translate_to_nonterminating(taken, monitor)
+
+
+# ---------------------------------------------------------------------------
+# golden violation lists
+
+#: How each requirement kind can be broken; the weight edits apply to the
+#: entry's last field (weighted Mealy weight, reward-machine weight).
+BREAKS = {
+    "dfa": ("drop-row", "drop-symbol", "unknown-symbol", "unknown-target", "bad-flag", "bad-initial"),
+    "nfa": ("drop-row", "drop-symbol", "unknown-symbol", "unknown-target", "bad-flag", "bad-initial"),
+    "wmm": (
+        "drop-row", "drop-symbol", "unknown-symbol", "unknown-target", "bad-flag",
+        "negative-weight", "bad-initial",
+    ),
+    "rm": (
+        "drop-row", "drop-symbol", "unknown-symbol", "unknown-target", "weight-out-of-bound",
+        "zero-bound", "bad-initial",
+    ),
+}
+
+REQUIREMENTS = {"dfa": random_dfa, "nfa": random_nfa, "wmm": random_wmm, "rm": random_rm}
+
+
+def _edit_edge(kind, entry, field, value, template):
+    """``entry`` with ``field`` of its (first) edge replaced by ``value``."""
+    if kind in ("dfa", "rm"):
+        return entry[:field] + (value,) + entry[field + 1:]
+    edges = list(entry) or [template]
+    edges[0] = edges[0][:field] + (value,) + edges[0][field + 1:]
+    return tuple(edges)
+
+
+def broken_requirement(kind: str, i: int):
+    """A seeded random requirement of ``kind`` with one to three breakages."""
+    rng = random.Random(f"violations:{kind}:{i}")
+    model = REQUIREMENTS[kind](rng)
+    delta = {y: dict(row) for y, row in model.delta.items()}
+    initial, bound = model.initial, getattr(model, "bound", None)
+    template = {"dfa": None, "rm": None, "nfa": (model.states[0], True),
+                "wmm": (model.states[0], True, 0)}[kind]
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(BREAKS[kind])
+        y, a = rng.choice(model.states), rng.choice(model.alphabet)
+        row = delta.get(y)
+        if how == "drop-row":
+            delta.pop(y, None)
+        elif how == "drop-symbol" and row is not None:
+            row.pop(a, None)
+        elif how == "unknown-symbol" and row is not None:
+            row["z"] = model.delta[y][a] if kind in ("dfa", "rm") else (template,)
+        elif how == "bad-initial":
+            initial = "nowhere"
+        elif how == "zero-bound":
+            bound = 0
+        elif row is not None and (a in row or kind in ("nfa", "wmm")):
+            entry = row.get(a, ())
+            if how == "unknown-target":
+                row[a] = _edit_edge(kind, entry, 0, "nowhere", template)
+            elif how == "bad-flag":
+                row[a] = _edit_edge(kind, entry, 1, rng.choice(["yes", 1, None]), template)
+            elif how == "negative-weight":
+                row[a] = _edit_edge(kind, entry, 2, -rng.randint(1, 3), template)
+            elif how == "weight-out-of-bound":
+                row[a] = _edit_edge(kind, entry, 1, rng.choice([0, bound + 1, "2"]), template)
+    if kind == "rm":
+        return type(model)(model.states, model.alphabet, bound, delta, initial)
+    return type(model)(model.states, model.alphabet, delta, initial)
+
+
+def violations_digest(kind: str, keep=lambda line: True) -> str:
+    digest = hashlib.sha256()
+    for i in range(300):
+        lines = [line for line in validate(broken_requirement(kind, i)) if keep(line)]
+        digest.update(f"{i}:{lines!r}\n".encode())
+    return digest.hexdigest()
+
+
+#: sha256 of ``validate`` on 300 broken requirements per kind, computed
+#: before the delta checks of the four requirement kinds were merged.  The
+#: reward-machine digest was taken when those ignored unknown symbols, so
+#: it is compared with their output less its unknown-symbol lines.
+VIOLATIONS_GOLDEN = {
+    "dfa": "d6f6b726317d13bcb280cc2310d7cb09fdbc5ddc23735645f96d414d751faa21",
+    "nfa": "fa124311a02bff36cc5469e99a0fce870331e7df254555f0a0b46814f76d1cf3",
+    "wmm": "21c21ad65fc16f0896c5c727e6ad96e94a5cbd531c7879fcc7a6ed67faf1b0de",
+    "rm": "8337d3f965150a35ed4373b07dff3b76b0243239aa53036b3eda62aa40d4c1e8",
+}
+
+UNKNOWN_SYMBOL = "delta uses unknown symbol"
+
+
+def _known_symbols_only(line: str) -> bool:
+    return not line.startswith(UNKNOWN_SYMBOL)
+
+
+@pytest.mark.parametrize("kind", ["dfa", "nfa", "wmm"])
+def test_violations_match_golden_digests(kind):
+    assert violations_digest(kind) == VIOLATIONS_GOLDEN[kind]
+
+
+def test_reward_machine_violations_keep_their_order():
+    assert violations_digest("rm", _known_symbols_only) == VIOLATIONS_GOLDEN["rm"]
+    reported = 0
+    for i in range(300):
+        model = broken_requirement("rm", i)
+        added = [line for line in validate(model) if not _known_symbols_only(line)]
+        expected = [
+            f"{UNKNOWN_SYMBOL} 'z' at state {y!r}"
+            for y in model.states
+            if "z" in model.delta.get(y, {})
+        ]
+        assert added == expected
+        reported += len(added)
+    assert reported > 0
+
+
+def test_reward_machine_unknown_symbol_is_reported():
+    rm = RewardMachine(("r0",), ("a",), 2, {"r0": {"a": ("r0", 1), "z": ("r0", 1)}}, "r0")
+    assert validate(rm) == [f"{UNKNOWN_SYMBOL} 'z' at state 'r0'"]
+    dfa = Dfa(("r0",), ("a",), {"r0": {"a": ("r0", True), "z": ("r0", True)}}, "r0")
+    assert validate(dfa) == validate(rm)
