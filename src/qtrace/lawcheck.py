@@ -29,11 +29,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from heapq import heappop, heappush
 from typing import Callable
 
 from . import oracle
-from .domains import INF, ONE, ZERO, bottom_vector, value_str
+from .domains import ONE, ZERO, bottom_vector, value_str
 from .models import (
     ACCEPT,
     Dfa,
@@ -52,7 +51,6 @@ from .models import (
 )
 from .products import (
     PAIRING_TABLE,
-    ProductWts,
     _product_mc_dfa,
     mc_dfa_row,
     mrm_dfa_row,
@@ -408,36 +406,6 @@ def check_translation(c: LabeledMc, d: Dfa) -> CheckResult:
                         name, x=x, y=f"{y}/{tag}", k="exact", lhs=lhs, rhs=rhs, details={}
                     )
     return CheckResult(name, True, None, {})
-
-
-# ---------------------------------------------------------------------------
-# independent shortest-path oracle
-
-def dijkstra_to_accept(m: ProductWts) -> dict[str, int | float]:
-    """Least weight to the accepting sink, by Dijkstra on the reversed graph.
-
-    Deliberately independent of the min-cost iteration in the solver.
-    """
-    incoming: dict[str, list[tuple[str, int]]] = {}
-    for s, entries in m.trans.items():
-        for t, w in entries:
-            incoming.setdefault(t, []).append((s, w))
-    dist: dict[str, int | float] = {s: INF for s in m.trans}
-    heap: list[tuple[int, str]] = []
-    for s, w in incoming.get(ACCEPT, []):
-        if w < dist[s]:
-            dist[s] = w
-            heappush(heap, (w, s))
-    while heap:
-        dw, t = heappop(heap)
-        if dw > dist[t]:
-            continue
-        for s, w in incoming.get(t, []):
-            cand = dw + w
-            if cand < dist[s]:
-                dist[s] = cand
-                heappush(heap, (cand, s))
-    return dist
 
 
 # ---------------------------------------------------------------------------

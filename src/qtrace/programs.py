@@ -233,7 +233,7 @@ class _Parser:
     def program(self) -> Program:
         variables = []
         while self.peek().text == "var":
-            variables.append(self.var_decl())
+            variables.append(self.var_decl(variables))
         if not variables:
             raise self.error("expected at least one 'var' declaration")
         alphabet = None
@@ -283,8 +283,10 @@ class _Parser:
             )
         return False
 
-    def var_decl(self) -> VarDecl:
+    def var_decl(self, declared: list[VarDecl]) -> VarDecl:
         self.expect("var")
+        if any(v.name == self.peek().text for v in declared):
+            raise self.error(f"variable {self.peek().text!r} is declared twice")
         name = self.name("a variable name")
         self.expect(":")
         lo = self.number()

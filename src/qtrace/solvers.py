@@ -6,14 +6,14 @@ reach the accepting sink are pinned to the bottom value first (this is
 what selects the *least* solution), the remainder is a nonsingular linear
 system solved one strongly connected component at a time, in reverse
 topological order: a single state by back substitution, a cyclic
-component by sparse elimination on integer rows.  Weighted
-products are solved by iterating the min-cost update until it stabilizes,
-which nonnegative weights guarantee within as many rounds as there are
-product states.  Each exact answer is checked against its update equation
-before it is returned; a failed check raises ``SolverError`` (never an
-``assert``, so the check also runs under ``python -O``).  Every product
-class names its value domain (``DOMAIN``), and one solve path serves all
-of them: the iterating modes are shared, the exact answer is per domain.
+component by sparse elimination on integer rows.  Weighted products are
+solved by one Dijkstra pass from the accepting sink over the reversed
+product graph, which nonnegative weights make exact.  Each exact answer
+is checked against its update equation before it is returned; a failed
+check raises ``SolverError`` (never an ``assert``, so the check also runs
+under ``python -O``).  Every product class names its value domain
+(``DOMAIN``), and one solve path serves all of them: the iterating modes
+are shared, the exact answer is per domain.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class SolveReport:
     """Solver outcome: a value vector plus how it was obtained."""
 
     values: dict[str, object]
-    method: str  # "exact-linear" | "kleene" | "bellman"
+    method: str  # "exact-linear" | "kleene" | "dijkstra"
     iterations: int
     converged: bool
     domain: str
@@ -135,7 +135,7 @@ def tropical_transformer(m: ProductWts) -> Callable[[dict], dict]:
     compiled = []
     for s in pair_states(m):
         acc = [w for t, w in m.trans[s] if t == m.GOAL]
-        succ = [(t, w) for t, w in m.trans[s] if t not in m.SINKS]
+        succ = [edge for edge in m.trans[s] if edge[0] not in m.SINKS]  # shares the product's tuples
         compiled.append((s, acc, succ))
 
     def phi(u: dict) -> dict:
@@ -390,14 +390,39 @@ def _exact_reward(m: ProductRewardMc, states: list[str], phi) -> SolveReport:
     return _checked(phi, {s: (prob[s], reward[s]) for s in states}, PROB_REWARD)
 
 
-def _bellman(m: ProductWts, states: list[str], phi) -> SolveReport:
-    """Min-cost iteration from all-infinity until it stabilizes; with
-    nonnegative weights it does within (number of states + 1) rounds."""
-    bound = len(states) + 1
-    res = kleene_lfp(phi, bottom_vector(states, TROPICAL), None, bound + 1, TROPICAL)
-    if not res.converged:
-        raise SolverError("min-cost iteration did not stabilize within the state bound")
-    return SolveReport(res.values, "bellman", res.iterations, True, TROPICAL)
+def _dijkstra(m: ProductWts, states: list[str], phi) -> SolveReport:
+    """Least costs by one Dijkstra pass (1959) from the goal over the
+    reversed product graph: a goal edge seeds its source at its weight, and
+    edges into the other sinks are ignored.  Settled costs are final only
+    because weights are nonnegative, so a negative weight raises."""
+    from heapq import heapify, heappop, heappush  # not on ``import qtrace``
+
+    index = {s: i for i, s in enumerate(states)}
+    preds: list[list[int]] = [[] for _ in states]  # per state: source, weight, source, ...
+    cost: list = [INF] * len(states)
+    for i, s in enumerate(states):
+        for t, w in m.trans[s]:
+            if w < 0:
+                raise SolverError(f"negative weight {w} at product state {s!r}")
+            if t == m.GOAL:
+                cost[i] = min(cost[i], w)
+            elif t not in m.SINKS:
+                preds[index[t]] += i, w
+    heap = [(c, i) for i, c in enumerate(cost) if c != INF]
+    heapify(heap)
+    while heap:
+        c, j = heappop(heap)
+        if c == cost[j]:  # else stale: j was lowered after this entry was pushed
+            edges = iter(preds[j])
+            for i, w in zip(edges, edges):
+                if c + w < cost[i]:
+                    cost[i] = c + w
+                    heappush(heap, (c + w, i))
+    del preds, index
+    values = dict(zip(states, cost))
+    if phi(values) != values:
+        raise SolverError("least costs do not satisfy the update equation")
+    return SolveReport(values, "dijkstra", 0, True, TROPICAL)
 
 
 #: Per value domain: the one-step update, the exact solve
@@ -405,7 +430,7 @@ def _bellman(m: ProductWts, states: list[str], phi) -> SolveReport:
 _SOLVERS = {
     PROB: (reach_transformer, _exact_reach, ("exact",)),
     PROB_REWARD: (reward_transformer, _exact_reward, ("exact",)),
-    TROPICAL: (tropical_transformer, _bellman, ("bellman", "exact")),
+    TROPICAL: (tropical_transformer, _dijkstra, ("bellman", "exact")),
 }
 
 
@@ -428,7 +453,7 @@ def _solve(m, domain: str, mode: str, steps=None, epsilon=None, max_iter=100_000
         values = kleene_iterate(phi, bottom_vector(states, domain), steps)
         return SolveReport(values, "kleene", steps, False, domain)
     if mode == "epsilon":
-        if domain == TROPICAL:  # min-cost iteration is exact within the state bound
+        if domain == TROPICAL:  # the least costs are exact already
             raise ValueError("--mode epsilon needs a probabilistic pairing; use bellman or iterate")
         if epsilon is None:
             raise ValueError("epsilon mode needs epsilon")
@@ -484,9 +509,10 @@ def solve_tropical(
 ) -> SolveReport:
     """Least cost of reaching the accepting sink, per product state.
 
-    Bellman mode (also ``exact``) iterates the min-cost update from the
-    all-infinity vector until it stabilizes; ``iterate`` stops after
-    ``steps`` rounds.
+    Bellman mode (also ``exact``) runs one Dijkstra pass from the
+    accepting sink; weights must be nonnegative, so a product built by
+    hand with a negative weight raises ``SolverError``.  ``iterate`` gives
+    the ``steps``-th iterate of the min-cost update from all-infinity.
     """
     return _solve(m, TROPICAL, mode, steps)
 

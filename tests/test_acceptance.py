@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from minplus_solver import least_costs
 
 import qtrace.oracle as oracle
 from qtrace import lawcheck
@@ -201,9 +202,9 @@ def test_criterion_08_tropical_optimality():
         pairs = pair_states(prod)
         assert len(pairs) <= 8
         rep = solve_tropical(prod)
-        dist = lawcheck.dijkstra_to_accept(prod)
+        dist = least_costs(prod)
         if any(rep.values[s] != dist[s] for s in pairs):
-            failures.append(("dijkstra", i))
+            failures.append(("min-plus", i))
             continue
         depth = len(pairs)
         sys_sem = oracle.wts_semantics(wts, wts.initial, depth)

@@ -7,6 +7,7 @@ import pytest
 
 import qtrace.oracle as oracle
 from qtrace.bundled import fixture_text, load_model
+from qtrace.cli import main
 from qtrace.modeljson import SchemaError, emit_model, parse_model
 from qtrace.models import TARGET, validate
 from qtrace import programs
@@ -58,6 +59,24 @@ def test_mode_conflict_rejected():
     )
     with pytest.raises(ParseError, match="mode conflict"):
         parse_program(text)
+
+
+def test_duplicate_variable_rejected(tmp_path, capsys):
+    text = (
+        "var x : 0..1 init 0;\n"
+        "var x : 0..2 init 0;\n"
+        "alphabet a;\n"
+        "while (x < 1) { choice { when (x == 0) emit a add 1 { x <- 1; } } }"
+    )
+    with pytest.raises(ParseError, match="variable 'x' is declared twice") as err:
+        parse_program(text)
+    assert err.value.line == 2
+    src = tmp_path / "twice.qtp"
+    src.write_text(text)
+    assert main(["compile", str(src), "--mode", "weighted", "--no-restrict"]) == 2
+    captured = capsys.readouterr()
+    assert "variable 'x' is declared twice" in captured.err
+    assert captured.out == ""
 
 
 def test_fuzz_inputs_never_crash():

@@ -1,20 +1,23 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from minplus_solver import least_costs
 
 from qtrace.bundled import load_model
 from qtrace.domains import INF, PROB, TROPICAL, bottom_vector, leq
 from qtrace.lawcheck import (
-    dijkstra_to_accept,
     random_dfa,
     random_mc,
     random_mrm,
     random_nfa,
     random_ntmc,
+    random_wmm,
     random_wts,
 )
-from qtrace.models import ACCEPT, Dfa, MarkovRewardModel
+from qtrace.models import ACCEPT, REJECT, TARGET, Dfa, MarkovRewardModel, WeightedTs
 from qtrace.products import (
     ProductMc,
     ProductRewardMc,
@@ -163,12 +166,13 @@ def test_tropical_direct_and_unreachable():
     assert rep.converged
 
 
-def test_bellman_stabilizes_within_state_bound():
+def test_dijkstra_matches_min_plus_iteration():
     rng = random.Random(14)
     for _ in range(20):
         prod = product_wts_nfa(random_wts(rng), random_nfa(rng), restrict=False)
         rep = solve_tropical(prod)
-        assert rep.iterations <= len(pair_states(prod)) + 1
+        assert (rep.method, rep.iterations, rep.converged) == ("dijkstra", 0, True)
+        assert rep.values == least_costs(prod)
 
 
 def test_tropical_matches_independent_shortest_path():
@@ -176,8 +180,93 @@ def test_tropical_matches_independent_shortest_path():
     for _ in range(25):
         prod = product_wts_nfa(random_wts(rng), random_nfa(rng), restrict=False)
         rep = solve_tropical(prod)
-        dist = dijkstra_to_accept(prod)
+        dist = least_costs(prod)
         assert all(rep.values[s] == dist[s] for s in rep.values)
+
+
+def test_negative_weight_is_a_solver_error():
+    # built by hand, so no model validation ran
+    prod = ProductWts(
+        states=("p", "q", ACCEPT, REJECT),
+        trans={"p": (("q", -1),), "q": ((ACCEPT, 2),)},
+        initial="p",
+    )
+    for solve in (solve_tropical, solve_product):
+        with pytest.raises(SolverError, match="negative weight -1"):
+            solve(prod)
+
+
+def _zero_weight_wts(rng: random.Random) -> WeightedTs:
+    """A weighted system whose weights are mostly 0, with self-loops and
+    several terminating transitions per state."""
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 5)))
+    trans = {}
+    for x in states:
+        entries = {
+            (TARGET if rng.random() < 0.3 else rng.choice(states), rng.choice("ab"), rng.choice((0, 0, 1, 3)))
+            for _ in range(rng.randint(1, 4))
+        }
+        trans[x] = tuple(sorted(entries))
+    return WeightedTs(states, ("a", "b"), trans, states[0])
+
+
+def _tropical_golden_products():
+    rng = random.Random(81)
+    for i in range(120):
+        wts = _zero_weight_wts(rng)
+        if i % 2:
+            yield product_wts_wmm(wts, random_wmm(rng, ("a", "b"), 3), restrict=i % 3 == 0)
+        else:
+            yield product_wts_nfa(wts, random_nfa(rng, ("a", "b"), 3), restrict=i % 3 == 0)
+
+
+def _zero_weight_cycle(prod) -> bool:
+    zero = {s: [t for t, w in prod.trans[s] if w == 0 and t not in prod.SINKS] for s in pair_states(prod)}
+    for s in zero:
+        seen, todo = set(), list(zero[s])
+        while todo:
+            t = todo.pop()
+            if t == s:
+                return True
+            if t not in seen:
+                seen.add(t)
+                todo.extend(zero[t])
+    return False
+
+
+def _reaching_goal(prod) -> set:
+    reach = {prod.GOAL}
+    grew = True
+    while grew:
+        grew = False
+        for s in pair_states(prod):
+            if s not in reach and any(t in reach for t, _ in prod.trans[s]):
+                reach.add(s)
+                grew = True
+    return reach
+
+
+#: sha256 of the JSON value vectors of ``_tropical_golden_products``, as the
+#: min-plus iteration computed them before the Dijkstra solver replaced it.
+TROPICAL_GOLDEN = "d107f7f08ae028c2bfd447480242175b2e5c322ee3a2d4809cb2614bf763727b"
+
+
+def test_tropical_values_match_golden_digest():
+    digest = hashlib.sha256()
+    shapes = {"zero-cycle": 0, "parallel-goal": 0, "self-loop": 0, "reject-only": 0}
+    for prod in _tropical_golden_products():
+        rep = solve_tropical(prod)
+        reach = _reaching_goal(prod)
+        for s, v in rep.values.items():
+            assert type(v) is int if s in reach else v == INF, (s, v)
+            row = prod.trans[s]
+            shapes["parallel-goal"] += len({w for t, w in row if t == ACCEPT}) > 1
+            shapes["self-loop"] += any(t == s for t, _ in row)
+            shapes["reject-only"] += s not in reach and any(t == REJECT for t, _ in row)
+        shapes["zero-cycle"] += _zero_weight_cycle(prod)
+        digest.update(json.dumps(rep.to_json()["values"]).encode())
+    assert all(shapes.values()), shapes
+    assert digest.hexdigest() == TROPICAL_GOLDEN
 
 
 @pytest.mark.parametrize("epsilon", [F(0), F(-1)])
@@ -274,3 +363,18 @@ def test_wrong_linear_solution_raises_solver_error(monkeypatch, capsys):
             "--pairing", "mc-dfa"]
     assert main(argv) == 1
     assert "error: exact solution does not satisfy" in capsys.readouterr().err
+
+
+def test_wrong_least_costs_raise_solver_error(monkeypatch):
+    # a Dijkstra pass that lowers costs but never queues them leaves r at
+    # infinity although it reaches the goal through p
+    import heapq
+
+    monkeypatch.setattr(heapq, "heappush", lambda heap, item: None)
+    prod = ProductWts(
+        states=("r", "p", "q", ACCEPT, REJECT),
+        trans={"r": (("p", 1),), "p": (("q", 1),), "q": ((ACCEPT, 2),)},
+        initial="r",
+    )
+    with pytest.raises(SolverError, match="least costs do not satisfy the update equation"):
+        solve_tropical(prod)
