@@ -6,6 +6,11 @@ programs use weighted branch blocks ``{s} [p] {s'}``; weighted programs
 use a ``choice`` block whose options emit a symbol and add a cost.  The
 two statement forms must not be mixed.
 
+A valuation is the tuple of variable values in declaration order, and it
+is the compiler's only valuation format.  The parser resolves every name
+to its position in that tuple, so an undeclared name is a ``ParseError``,
+and turns every expression and guard into a function of the tuple.
+
 Compilation unrolls the loop over the (finite) valuation space: one loop
 iteration becomes one transition, so the whole body is folded into a
 single distribution over successor valuations.  Valuations violating the
@@ -15,6 +20,7 @@ The full grammar ships in ``docs/grammar.ebnf``.
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -89,7 +95,26 @@ def _tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# syntax trees
+# parsed programs
+
+def _true(vals: tuple) -> bool:
+    """The guard ``true``; the compilers recognise it by identity."""
+    return True
+
+
+_OPS = {
+    "+": operator.add, "-": operator.sub, "max": max, "min": min,
+    "<": operator.lt, ">": operator.gt, "<=": operator.le,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+    "and": operator.and_, "or": operator.or_,
+}
+
+
+def _apply(op: str, left: Callable, right: Callable) -> Callable[[tuple], int]:
+    """``left op right`` as a function of the valuation tuple."""
+    fn = _OPS[op]
+    return lambda vals: fn(left(vals), right(vals))
+
 
 @dataclass(frozen=True)
 class VarDecl:
@@ -106,43 +131,9 @@ class LabelTable:
 
 
 @dataclass(frozen=True)
-class Lit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Ref:
-    name: str
-
-
-@dataclass(frozen=True)
-class Arith:
-    op: str  # "+", "-", "max", "min"
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Cmp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Guard:
-    # disjunction of conjunctions of comparisons; empty means "true"
-    clauses: tuple[tuple[Cmp, ...], ...]
-
-    @property
-    def trivially_true(self) -> bool:
-        return not self.clauses
-
-
-@dataclass(frozen=True)
 class Assign:
-    var: str
-    expr: object
+    var: int  # position of the variable in declaration order
+    expr: Callable[[tuple], int]
 
 
 @dataclass(frozen=True)
@@ -153,7 +144,7 @@ class ProbChoice:
 
 @dataclass(frozen=True)
 class ChoiceOption:
-    guard: Guard
+    guard: Callable[[tuple], bool]
     symbol: str
     weight: int
     body: tuple[Assign, ...]
@@ -169,7 +160,7 @@ class Program:
     variables: tuple[VarDecl, ...]
     alphabet: tuple[str, ...] | None
     labels: LabelTable | None
-    guard: Guard
+    guard: Callable[[tuple], bool]
     body: tuple
     mode: str  # "probabilistic" | "weighted"
 
@@ -191,6 +182,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.index: dict[str, int] = {}  # variable name -> position
+        self.forms: set[type] = set()  # ProbChoice and Choice, as seen
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -233,7 +226,7 @@ class _Parser:
     def program(self) -> Program:
         variables = []
         while self.peek().text == "var":
-            variables.append(self.var_decl(variables))
+            variables.append(self.var_decl())
         if not variables:
             raise self.error("expected at least one 'var' declaration")
         alphabet = None
@@ -263,29 +256,17 @@ class _Parser:
         if not body:
             raise self.error("loop body is empty")
 
-        has_prob = any(self._contains(s, ProbChoice) for s in body)
-        has_weighted = any(self._contains(s, Choice) for s in body)
-        if has_prob and has_weighted:
+        if self.forms == {ProbChoice, Choice}:
             raise ParseError(
                 "mode conflict: probabilistic branches and weighted choice in one program",
                 1, 1,
             )
-        mode = "weighted" if has_weighted else "probabilistic"
+        mode = "weighted" if Choice in self.forms else "probabilistic"
         return Program(tuple(variables), alphabet, labels, guard, tuple(body), mode)
 
-    @staticmethod
-    def _contains(stmt, kind) -> bool:
-        if isinstance(stmt, kind):
-            return True
-        if isinstance(stmt, ProbChoice):
-            return any(
-                _Parser._contains(s, kind) for br in stmt.branches for s in br
-            )
-        return False
-
-    def var_decl(self, declared: list[VarDecl]) -> VarDecl:
+    def var_decl(self) -> VarDecl:
         self.expect("var")
-        if any(v.name == self.peek().text for v in declared):
+        if self.peek().text in self.index:
             raise self.error(f"variable {self.peek().text!r} is declared twice")
         name = self.name("a variable name")
         self.expect(":")
@@ -299,6 +280,7 @@ class _Parser:
         self.expect(";")
         if not lo <= init <= hi:
             raise self.error(f"initial value {init} outside range {lo}..{hi}")
+        self.index[name] = len(self.index)
         return VarDecl(name, lo, hi, init)
 
     def label_block(self, arity: int) -> LabelTable:
@@ -340,8 +322,16 @@ class _Parser:
             return self.assign()
         raise self.error(f"expected a statement, found {tok.text!r}")
 
+    def variable(self) -> int:
+        """Position of a declared variable."""
+        tok = self.peek()
+        name = self.name("a variable")
+        if name not in self.index:
+            raise ParseError(f"undeclared variable {name!r}", tok.line, tok.column)
+        return self.index[name]
+
     def assign(self) -> Assign:
-        var = self.name("a variable")
+        var = self.variable()
         self.expect("<-")
         expr = self.expr()
         # the semicolon may be omitted right before a closing brace
@@ -358,6 +348,7 @@ class _Parser:
         return tuple(stmts)
 
     def prob_choice(self) -> ProbChoice:
+        self.forms.add(ProbChoice)
         branches = [self.block()]
         probs: list[Fraction] = []
         while self.peek().text == "[":
@@ -383,10 +374,11 @@ class _Parser:
 
     def choice(self) -> Choice:
         self.expect("choice")
+        self.forms.add(Choice)
         self.expect("{")
         options = []
         while not self.accept("}"):
-            guard = Guard(())
+            guard = _true
             if self.accept("when"):
                 self.expect("(")
                 guard = self.guard()
@@ -406,41 +398,36 @@ class _Parser:
 
     # guards and expressions --------------------------------------------
 
-    def guard(self) -> Guard:
-        if self.peek().text == "true":
-            self.next()
-            return Guard(())
-        clauses = [self.conjunction()]
-        while self.accept("or"):
-            clauses.append(self.conjunction())
-        return Guard(tuple(clauses))
+    def chain(self, ops: tuple[str, ...], operand: Callable) -> Callable[[tuple], int]:
+        """``operand`` ops ``operand`` ..., folded to the left."""
+        node = operand()
+        while self.peek().text in ops:
+            node = _apply(self.next().text, node, operand())
+        return node
 
-    def conjunction(self) -> tuple[Cmp, ...]:
-        atoms = [self.comparison()]
-        while self.accept("and"):
-            atoms.append(self.comparison())
-        return tuple(atoms)
+    def guard(self) -> Callable[[tuple], bool]:
+        return _true if self.accept("true") else self.chain(("or",), self.conjunction)
 
-    def comparison(self) -> Cmp:
+    def conjunction(self) -> Callable[[tuple], bool]:
+        return self.chain(("and",), self.comparison)
+
+    def comparison(self) -> Callable[[tuple], bool]:
         left = self.expr()
         tok = self.peek()
         if tok.text not in ("<", ">", "<=", ">=", "==", "!="):
             raise self.error(f"expected a comparison operator, found {tok.text!r}")
         self.next()
         right = self.expr()
-        return Cmp(tok.text, left, right)
+        return _apply(tok.text, left, right)
 
-    def expr(self):
-        node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            node = Arith(op, node, self.term())
-        return node
+    def expr(self) -> Callable[[tuple], int]:
+        return self.chain(("+", "-"), self.term)
 
-    def term(self):
+    def term(self) -> Callable[[tuple], int]:
         tok = self.peek()
         if tok.kind == "num":
-            return Lit(self.number())
+            value = self.number()
+            return lambda vals: value
         if tok.text in ("max", "min"):
             op = self.next().text
             self.expect("(")
@@ -448,14 +435,14 @@ class _Parser:
             self.expect(",")
             right = self.expr()
             self.expect(")")
-            return Arith(op, left, right)
+            return _apply(op, left, right)
         if tok.text == "(":
             self.next()
             node = self.expr()
             self.expect(")")
             return node
         if tok.kind == "name" and tok.text not in KEYWORDS:
-            return Ref(self.next().text)
+            return operator.itemgetter(self.variable())
         raise self.error(f"expected an expression, found {tok.text!r}")
 
 
@@ -465,95 +452,53 @@ def parse_program(text: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-def _eval(expr, env: dict[str, int]) -> int:
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Ref):
-        if expr.name not in env:
-            raise CompileError(f"undeclared variable {expr.name!r}")
-        return env[expr.name]
-    if isinstance(expr, Arith):
-        left = _eval(expr.left, env)
-        right = _eval(expr.right, env)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "max":
-            return max(left, right)
-        return min(left, right)
-    raise CompileError(f"cannot evaluate {expr!r}")
-
-
-def _holds(guard: Guard, env: dict[str, int]) -> bool:
-    if guard.trivially_true:
-        return True
-    ops = {
-        "<": int.__lt__, ">": int.__gt__, "<=": int.__le__,
-        ">=": int.__ge__, "==": int.__eq__, "!=": int.__ne__,
-    }
-    return any(
-        all(ops[c.op](_eval(c.left, env), _eval(c.right, env)) for c in clause)
-        for clause in guard.clauses
-    )
-
+# compilation
 
 class _Space:
-    """Declared valuation space: naming, ranges, label lookup."""
+    """Declared valuation space: state names, range checks, label lookup."""
 
     def __init__(self, program: Program):
         self.program = program
         self.names = [v.name for v in program.variables]
-        self.ranges = {v.name: (v.lo, v.hi) for v in program.variables}
+        self.initial = tuple(v.init for v in program.variables)
         self.size = 1
         for v in program.variables:
             self.size *= v.hi - v.lo + 1
 
-    def initial(self) -> dict[str, int]:
-        return {v.name: v.init for v in self.program.variables}
+    def state_id(self, vals: tuple) -> str:
+        return ",".join(f"{n}={x}" for n, x in zip(self.names, vals))
 
-    def key(self, env: dict[str, int]) -> tuple:
-        return tuple(env[n] for n in self.names)
-
-    def env(self, key: tuple) -> dict[str, int]:
-        return dict(zip(self.names, key))
-
-    def state_id(self, env: dict[str, int]) -> str:
-        return ",".join(f"{n}={env[n]}" for n in self.names)
-
-    def check_range(self, var: str, value: int) -> int:
-        lo, hi = self.ranges[var]
-        if not lo <= value <= hi:
+    def assign(self, stmt: Assign, vals: tuple) -> tuple:
+        """``vals`` after ``stmt``, which must keep its variable in range."""
+        value = stmt.expr(vals)
+        v = self.program.variables[stmt.var]
+        if not v.lo <= value <= v.hi:
             raise CompileError(
-                f"assignment drives {var!r} to {value}, outside {lo}..{hi}; "
+                f"assignment drives {v.name!r} to {value}, outside {v.lo}..{v.hi}; "
                 f"clamp explicitly with max/min"
             )
-        return value
+        return vals[: stmt.var] + (value,) + vals[stmt.var + 1 :]
 
-    def label(self, env: dict[str, int]) -> str:
+    def label(self, vals: tuple) -> str:
         table = self.program.labels
-        return table.entries.get(self.key(env), table.default)
+        return table.entries.get(vals, table.default)
 
 
-def _run_block(stmts, env: dict[str, int], space: _Space) -> dict[tuple, Fraction]:
+def _run_block(stmts, vals: tuple, space: _Space) -> dict[tuple, Fraction]:
     """Distribution over successor valuations after one pass of ``stmts``."""
-    current: dict[tuple, Fraction] = {space.key(env): ONE}
+    current: dict[tuple, Fraction] = {vals: ONE}
     for stmt in stmts:
         nxt: dict[tuple, Fraction] = {}
-        for vals, p in current.items():
-            local = space.env(vals)
+        for key, p in current.items():
             if isinstance(stmt, Assign):
-                local[stmt.var] = space.check_range(stmt.var, _eval(stmt.expr, local))
-                key = space.key(local)
-                nxt[key] = nxt.get(key, ZERO) + p
+                succ = space.assign(stmt, key)
+                nxt[succ] = nxt.get(succ, ZERO) + p
             elif isinstance(stmt, ProbChoice):
                 for branch, q in zip(stmt.branches, stmt.probs):
                     if q == 0:
                         continue
-                    for key, r in _run_block(branch, local, space).items():
-                        nxt[key] = nxt.get(key, ZERO) + p * q * r
+                    for succ, r in _run_block(branch, key, space).items():
+                        nxt[succ] = nxt.get(succ, ZERO) + p * q * r
             else:
                 raise CompileError("weighted choice inside a probabilistic program")
         current = nxt
@@ -563,25 +508,23 @@ def _run_block(stmts, env: dict[str, int], space: _Space) -> dict[tuple, Fractio
 def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachable: bool):
     """Explore the valuation space breadth-first and build one row per state.
 
-    ``successors(env)`` lists a valuation's outgoing entries, each starting
-    with the successor's key; it runs once per valuation that becomes a
-    state.  ``row(env, entries)`` turns them into that state's row.  The
+    ``successors(vals)`` lists a valuation's outgoing entries, each starting
+    with the successor valuation; it runs once per valuation that becomes a
+    state.  ``row(vals, entries)`` turns them into that state's row.  The
     states are the guard-satisfying valuations reachable from the initial
     one, in breadth-first order, or with ``restrict_reachable`` off all of
     them in declaration order; unreached ones are expanded as their rows
     are built.  Returns (rows by state id, reachable count, warnings).
     """
-    guard = space.program.guard
     keys = product(*(range(v.lo, v.hi + 1) for v in space.program.variables))
-    valid = [key for key in keys if _holds(guard, space.env(key))]
+    valid = list(filter(space.program.guard, keys))
     allowed = set(valid)
-    start = space.key(space.initial())
     explored: dict[tuple, list] = {}
-    seen = {start}
-    queue = deque([start])
+    seen = {space.initial}
+    queue = deque([space.initial])
     while queue:
         key = queue.popleft()
-        entries = explored[key] = successors(space.env(key))
+        entries = explored[key] = successors(key)
         for succ, *_ in entries:
             if succ in allowed and succ not in seen:
                 seen.add(succ)
@@ -593,9 +536,8 @@ def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachab
         warnings.append(f"{dropped} guard-satisfying valuations unreachable from init")
     rows = {}
     for key in explored if restrict_reachable else valid:
-        env = space.env(key)
-        entries = explored[key] if key in explored else successors(env)
-        rows[space.state_id(env)] = row(env, entries)
+        entries = explored[key] if key in explored else successors(key)
+        rows[space.state_id(key)] = row(key, entries)
     return rows, len(explored), tuple(warnings)
 
 
@@ -612,11 +554,11 @@ def compile_probabilistic(
         raise CompileError("program uses weighted choice; compile it as weighted")
     if mode not in ("terminating", "reactive"):
         raise CompileError(f"unknown mode {mode!r}")
-    if mode == "terminating" and program.guard.trivially_true:
+    if mode == "terminating" and program.guard is _true:
         raise CompileError("terminating mode requires a non-trivial loop guard")
     space = _Space(program)
-    init = space.initial()
-    if not _holds(program.guard, init):
+    init = space.initial
+    if not program.guard(init):
         raise CompileError("initial valuation violates the loop guard")
 
     if program.labels is None:
@@ -627,23 +569,22 @@ def compile_probabilistic(
         if sym not in alphabet:
             raise CompileError(f"label {sym!r} not in the declared alphabet")
 
-    def successors(env: dict[str, int]):
-        return list(_run_block(program.body, env, space).items())
+    def successors(vals: tuple):
+        return list(_run_block(program.body, vals, space).items())
 
-    def row(env: dict[str, int], entries) -> tuple[str, dict[str, Fraction]]:
+    def row(vals: tuple, entries) -> tuple[str, dict[str, Fraction]]:
         out: dict[str, Fraction] = {}
-        for succ_key, p in entries:
-            succ_env = space.env(succ_key)
-            if _holds(program.guard, succ_env):
-                row_key = space.state_id(succ_env)
+        for succ, p in entries:
+            if program.guard(succ):
+                row_key = space.state_id(succ)
             elif mode == "terminating":
                 row_key = TARGET
             else:
                 raise CompileError(
-                    f"reactive program can halt: guard fails at {space.state_id(succ_env)}"
+                    f"reactive program can halt: guard fails at {space.state_id(succ)}"
                 )
             out[row_key] = out.get(row_key, ZERO) + p
-        return space.label(env), out
+        return space.label(vals), out
 
     rows, reachable, warnings = _unroll(space, successors, row, restrict_reachable)
     cls = LabeledMc if mode == "terminating" else NonTerminatingMc
@@ -663,12 +604,12 @@ def compile_weighted(program: Program, restrict_reachable: bool = True) -> Compi
         raise CompileError("program has no weighted choice; compile it as probabilistic")
     if len(program.body) != 1 or not isinstance(program.body[0], Choice):
         raise CompileError("a weighted loop body must be a single choice block")
-    if program.guard.trivially_true:
+    if program.guard is _true:
         raise CompileError("weighted programs must terminate; give a loop guard")
     choice = program.body[0]
     space = _Space(program)
-    init = space.initial()
-    if not _holds(program.guard, init):
+    init = space.initial
+    if not program.guard(init):
         raise CompileError("initial valuation violates the loop guard")
 
     emitted = tuple(dict.fromkeys(opt.symbol for opt in choice.options))
@@ -677,23 +618,21 @@ def compile_weighted(program: Program, restrict_reachable: bool = True) -> Compi
         if sym not in alphabet:
             raise CompileError(f"emitted symbol {sym!r} not in the declared alphabet")
 
-    def moves(env: dict[str, int]):
+    def moves(vals: tuple):
         out = []
         for opt in choice.options:
-            if not _holds(opt.guard, env):
-                continue
-            local = dict(env)
-            for a in opt.body:
-                local[a.var] = space.check_range(a.var, _eval(a.expr, local))
-            out.append((space.key(local), opt.symbol, opt.weight))
+            if opt.guard(vals):
+                succ = vals
+                for a in opt.body:
+                    succ = space.assign(a, succ)
+                out.append((succ, opt.symbol, opt.weight))
         return out
 
-    def row(env: dict[str, int], entries) -> tuple[tuple[str, str, int], ...]:
+    def row(vals: tuple, entries) -> tuple[tuple[str, str, int], ...]:
         triples = set()
-        for succ_key, symbol, weight in entries:
-            succ_env = space.env(succ_key)
-            succ = space.state_id(succ_env) if _holds(program.guard, succ_env) else TARGET
-            triples.add((succ, symbol, weight))
+        for succ, symbol, weight in entries:
+            sid = space.state_id(succ) if program.guard(succ) else TARGET
+            triples.add((sid, symbol, weight))
         return tuple(sorted(triples))
 
     trans, reachable, warnings = _unroll(space, moves, row, restrict_reachable)

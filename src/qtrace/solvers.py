@@ -420,9 +420,31 @@ def _dijkstra(m: ProductWts, states: list[str], phi) -> SolveReport:
                     heappush(heap, (c + w, i))
     del preds, index
     values = dict(zip(states, cost))
+    _check_least_costs(m, values, phi)
+    return SolveReport(values, "dijkstra", 0, True, TROPICAL)
+
+
+def _check_least_costs(m: ProductWts, values: dict, phi) -> None:
+    """Raise ``SolverError`` unless ``values`` are the least costs.
+
+    A fixed point of the update bounds every cost from below by the weight
+    of every path to the goal; a path of tight edges (weight plus successor
+    cost equal to the cost) from each finite cost to the goal attains it."""
     if phi(values) != values:
         raise SolverError("least costs do not satisfy the update equation")
-    return SolveReport(values, "dijkstra", 0, True, TROPICAL)
+    tight: dict[str, list[str]] = {}  # per target: the sources of its tight edges
+    for s, c in values.items():
+        for t, w in m.trans[s] if c != INF else ():
+            if (w if t == m.GOAL else w + values.get(t, INF)) == c:
+                tight.setdefault(t, []).append(s)
+    reached, stack = set(), [m.GOAL]
+    while stack:
+        for s in tight.pop(stack.pop(), ()):
+            if s not in reached:
+                reached.add(s)
+                stack.append(s)
+    if any(c != INF and s not in reached for s, c in values.items()):
+        raise SolverError("least costs are not attained by a path to the goal")
 
 
 #: Per value domain: the one-step update, the exact solve

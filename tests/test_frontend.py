@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import string
@@ -15,11 +16,13 @@ from qtrace.products import product_mc_dfa
 from qtrace.programs import (
     CompileError,
     ParseError,
+    ProbChoice,
     compile_probabilistic,
     compile_weighted,
     parse_program,
 )
 from qtrace.solvers import solve_reach_prob
+from random_programs import random_program
 
 F = Fraction
 
@@ -76,6 +79,30 @@ def test_duplicate_variable_rejected(tmp_path, capsys):
     assert main(["compile", str(src), "--mode", "weighted", "--no-restrict"]) == 2
     captured = capsys.readouterr()
     assert "variable 'x' is declared twice" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "body, mode, column",
+    [
+        ("z <- 1; x <- x + 1;", "terminating", 3),
+        ("choice { emit a add 1 { z <- 1; x <- x + 1; } }", "weighted", 27),
+        ("{ x <- z } [0] { x <- 1 }", "terminating", 10),
+    ],
+    ids=["probabilistic", "weighted", "branch-never-runs"],
+)
+def test_undeclared_variable_rejected(body, mode, column, tmp_path, capsys):
+    # the first two used to crash compile with a KeyError traceback, the
+    # last one compiled because its branch never runs
+    text = f"var x : 0..2 init 0;\nlabel {{ default : a; }}\nwhile (x < 2) {{\n  {body}\n}}"
+    with pytest.raises(ParseError, match="undeclared variable 'z'") as err:
+        parse_program(text)
+    assert (err.value.line, err.value.column) == (4, column)
+    src = tmp_path / "stray.qtp"
+    src.write_text(text)
+    assert main(["compile", str(src), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: undeclared variable 'z' (line 4, column {column})\n"
     assert captured.out == ""
 
 
@@ -194,7 +221,7 @@ def test_loop_body_runs_once_per_state(text, mode, restrict, monkeypatch):
 
     def counting(stmts, env, space):
         if stmts is program.body:
-            ran.append(tuple(env.values()))
+            ran.append(env)
         return run_block(stmts, env, space)
 
     monkeypatch.setattr(programs, "_run_block", counting)
@@ -267,6 +294,60 @@ def test_weighted_compile_rejects_probabilistic_program():
     prog = parse_program(fixture_text("gridworld.qtp"))
     with pytest.raises(CompileError):
         compile_weighted(prog)
+
+
+# ---------------------------------------------------------------------------
+# seeded random programs
+
+def _compile_outcome(text: str, mode: str, restrict: bool) -> str:
+    """The emitted model and counts of one compilation, or its error."""
+    try:
+        program = parse_program(text)
+        if mode == "weighted":
+            report = compile_weighted(program, restrict_reachable=restrict)
+        else:
+            report = compile_probabilistic(program, mode, restrict_reachable=restrict)
+    except (ParseError, CompileError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    counts = [report.state_count, report.reachable_count, list(report.warnings)]
+    return emit_model(report.model) + json.dumps(counts)
+
+
+def _nests_branches(stmts) -> bool:
+    return any(
+        isinstance(s, ProbChoice) and any(isinstance(t, ProbChoice) for br in s.branches for t in br)
+        for s in stmts
+    )
+
+
+def test_random_programs_match_golden_digest():
+    # 400 programs, each compiled in all three modes with and without the
+    # reachability restriction; the digest was computed with the compiler
+    # that still evaluated syntax trees over dict valuations
+    rng = random.Random(9)
+    texts = [random_program(rng) for _ in range(400)]
+    outcomes = [
+        _compile_outcome(text, mode, restrict)
+        for text in texts
+        for mode in ("terminating", "reactive", "weighted")
+        for restrict in (True, False)
+    ]
+    corpus = "".join(texts)
+    for feature in (" and ", " or ", "max(", "min(", " + ", " - ", "when (", "[0]", "(true)"):
+        assert feature in corpus
+    assert sum(_nests_branches(parse_program(t).body) for t in texts) >= 20
+    for outcome in (
+        "assignment drives",
+        "reactive program can halt",
+        "initial valuation violates",
+        "unreachable from init",
+        '"kind": "mc"',
+        '"kind": "ntmc"',
+        '"kind": "wts"',
+    ):
+        assert sum(outcome in o for o in outcomes) >= 10, outcome
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "528b08de6e6053a1401328daed369130c063695fa0e2b845ebc812753af984c5"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from minplus_solver import least_costs
 
+from qtrace import solvers
 from qtrace.bundled import load_model
 from qtrace.domains import INF, PROB, TROPICAL, bottom_vector, leq
 from qtrace.lawcheck import (
@@ -378,3 +379,24 @@ def test_wrong_least_costs_raise_solver_error(monkeypatch):
     )
     with pytest.raises(SolverError, match="least costs do not satisfy the update equation"):
         solve_tropical(prod)
+
+
+@pytest.mark.parametrize(
+    "trans, wrong, least",
+    [
+        ({"q": (("q", 0),)}, {"q": 0}, {"q": INF}),
+        ({"p": ((ACCEPT, 5), ("p", 0))}, {"p": 3}, {"p": 5}),
+        ({"p": (("q", 0), (REJECT, 0)), "q": (("p", 0), (ACCEPT, 2))}, {"p": 1, "q": 1}, {"p": 2, "q": 2}),
+    ],
+    ids=["zero-loop", "loop-below-goal", "zero-cycle"],
+)
+def test_least_cost_check_rejects_other_fixed_points(trans, wrong, least):
+    # each wrong vector satisfies the update equation; only the tight-path
+    # condition tells it from the least costs
+    prod = ProductWts(states=(*trans, ACCEPT, REJECT), trans=trans, initial=next(iter(trans)))
+    phi = product_transformer(prod)
+    assert phi(wrong) == wrong and phi(least) == least
+    with pytest.raises(SolverError, match="least costs are not attained by a path to the goal"):
+        solvers._check_least_costs(prod, wrong, phi)
+    solvers._check_least_costs(prod, least, phi)
+    assert solve_tropical(prod).values == least
