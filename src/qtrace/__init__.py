@@ -9,14 +9,12 @@ every construction is checked against.
 
 from .domains import (
     INF,
-    KleeneResult,
     PROB,
     PROB_REWARD,
     Rational,
     TROPICAL,
     bottom_vector,
     kleene_iterate,
-    kleene_lfp,
     rational,
     rational_str,
 )

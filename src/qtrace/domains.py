@@ -1,4 +1,4 @@
-"""Exact value domains and the generic fixed-point iteration used by every solver.
+"""Exact value domains, their rendering, and the k-step iteration of an update.
 
 Three ordered domains are supported:
 
@@ -8,13 +8,13 @@ Three ordered domains are supported:
                      is the bottom: "no finite cost found yet");
 * ``prob-reward`` -- pairs (probability, expected reward), componentwise.
 
-All probabilities and rewards are ``fractions.Fraction`` values so that
-iteration and direct solving agree bit for bit.
+All probabilities and rewards are ``fractions.Fraction`` values, so the
+k-th iterate of a product's update (``--mode iterate``, and the iterates
+``lawcheck`` compares) and the direct semantics agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -30,8 +30,6 @@ INF = float("inf")
 PROB = "prob"
 TROPICAL = "tropical"
 PROB_REWARD = "prob-reward"
-
-DOMAINS = (PROB, TROPICAL, PROB_REWARD)
 
 
 class ConfigError(ValueError):
@@ -82,11 +80,13 @@ def _json_value(value):
 
 def value_str(value, decimal: int | None = None) -> str:
     """Text of a domain value: a rational as written by ``str`` (or rounded
-    to ``decimal`` places), a pair in parentheses, infinity as ``inf``.
-    Integers of any length are written out in full."""
+    to ``decimal`` places, exactly and half to even), a pair in parentheses,
+    infinity as ``inf``.  Integers of any length are written out in full."""
     if isinstance(value, Fraction):
         if decimal is not None:
-            return f"{float(value):.{decimal}f}"
+            whole, frac = divmod(round(abs(value) * 10**decimal), 10**decimal)
+            digits = _int_str(whole) + ("." + _int_str(frac).zfill(decimal) if decimal else "")
+            return "-" + digits if value < 0 else digits
         return _int_str(value.numerator) if value.denominator == 1 else rational_str(value)
     if isinstance(value, tuple):
         return "(" + ", ".join(value_str(v, decimal) for v in value) + ")"
@@ -126,72 +126,9 @@ def leq(domain: str, a, b) -> bool:
     raise ConfigError(f"unknown domain tag: {domain!r}")
 
 
-def change(domain: str, a, b):
-    """Magnitude of the difference between two values, for epsilon stopping."""
-    if domain == PROB:
-        return abs(a - b)
-    if domain == TROPICAL:
-        if a == b:
-            return ZERO
-        if a == INF or b == INF:
-            return INF
-        return abs(a - b)
-    if domain == PROB_REWARD:
-        dp = abs(a[0] - b[0])
-        if a[1] == b[1]:
-            return dp
-        if a[1] == INF or b[1] == INF:
-            return INF
-        return max(dp, abs(a[1] - b[1]))
-    raise ConfigError(f"unknown domain tag: {domain!r}")
-
-
-@dataclass(frozen=True)
-class KleeneResult:
-    """Outcome of a fixed-point iteration.
-
-    ``converged`` is True only when the stopping rule actually fired:
-    literal stabilization in exact mode, change below epsilon otherwise.
-    Hitting ``max_iter`` reports the last iterate with ``converged=False``.
-    """
-
-    values: dict
-    iterations: int
-    converged: bool
-
-
 def kleene_iterate(transformer: Callable[[dict], dict], start: dict, steps: int) -> dict:
     """Apply ``transformer`` exactly ``steps`` times to ``start``."""
     current = start
     for _ in range(steps):
         current = transformer(current)
     return current
-
-
-def kleene_lfp(
-    transformer: Callable[[dict], dict],
-    start: dict,
-    epsilon: Fraction | None = None,
-    max_iter: int = 100_000,
-    domain: str = PROB,
-) -> KleeneResult:
-    """Iterate ``transformer`` from ``start`` towards its least fixed point.
-
-    In exact mode (``epsilon is None``) the iteration stops once an
-    iterate repeats literally; this is sound for acyclic and tropical
-    systems but can only report "max_iter reached" on genuinely infinite
-    ascents.  With ``epsilon`` set, it stops when the largest pointwise
-    change drops below epsilon.
-    """
-    current = start
-    for i in range(max_iter):
-        nxt = transformer(current)
-        if epsilon is None:
-            if nxt == current:
-                return KleeneResult(nxt, i + 1, True)
-        else:
-            delta = max(change(domain, nxt[s], current[s]) for s in nxt)
-            if delta < epsilon:
-                return KleeneResult(nxt, i + 1, True)
-        current = nxt
-    return KleeneResult(current, max_iter, False)

@@ -183,7 +183,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.index: dict[str, int] = {}  # variable name -> position
-        self.forms: set[type] = set()  # ProbChoice and Choice, as seen
+        self.forms: dict[type, Token] = {}  # ProbChoice and Choice: first token of each
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -241,7 +241,7 @@ class _Parser:
             alphabet = tuple(symbols)
         labels = None
         if self.peek().text == "label":
-            labels = self.label_block(len(variables))
+            labels = self.label_block(variables)
         self.expect("while")
         self.expect("(")
         guard = self.guard()
@@ -256,10 +256,11 @@ class _Parser:
         if not body:
             raise self.error("loop body is empty")
 
-        if self.forms == {ProbChoice, Choice}:
+        if len(self.forms) == 2:
+            second = list(self.forms.values())[1]
             raise ParseError(
                 "mode conflict: probabilistic branches and weighted choice in one program",
-                1, 1,
+                second.line, second.column,
             )
         mode = "weighted" if Choice in self.forms else "probabilistic"
         return Program(tuple(variables), alphabet, labels, guard, tuple(body), mode)
@@ -283,7 +284,7 @@ class _Parser:
         self.index[name] = len(self.index)
         return VarDecl(name, lo, hi, init)
 
-    def label_block(self, arity: int) -> LabelTable:
+    def label_block(self, variables: list[VarDecl]) -> LabelTable:
         self.expect("label")
         self.expect("{")
         entries: dict[tuple[int, ...], str] = {}
@@ -295,16 +296,21 @@ class _Parser:
                 self.expect(";")
                 continue
             self.expect("(")
-            key = [self.number()]
+            key = [(self.peek(), self.number())]  # each coordinate with its token
             while self.accept(","):
-                key.append(self.number())
+                key.append((self.peek(), self.number()))
             self.expect(")")
+            arity = len(variables)
             if len(key) != arity:
                 raise self.error(
                     f"label key has {len(key)} coordinates, program declares {arity} variables"
                 )
+            for (tok, x), v in zip(key, variables):
+                if not v.lo <= x <= v.hi:
+                    message = f"label key {x} outside range {v.lo}..{v.hi} of {v.name!r}"
+                    raise ParseError(message, tok.line, tok.column)
             self.expect(":")
-            entries[tuple(key)] = self.name("a symbol")
+            entries[tuple(x for _, x in key)] = self.name("a symbol")
             self.expect(";")
         if default is None:
             raise self.error("label block needs a 'default' entry")
@@ -348,7 +354,7 @@ class _Parser:
         return tuple(stmts)
 
     def prob_choice(self) -> ProbChoice:
-        self.forms.add(ProbChoice)
+        self.forms.setdefault(ProbChoice, self.peek())
         branches = [self.block()]
         probs: list[Fraction] = []
         while self.peek().text == "[":
@@ -373,8 +379,7 @@ class _Parser:
         return ProbChoice(tuple(branches), tuple(probs) + (rest,))
 
     def choice(self) -> Choice:
-        self.expect("choice")
-        self.forms.add(Choice)
+        self.forms.setdefault(Choice, self.expect("choice"))
         self.expect("{")
         options = []
         while not self.accept("}"):

@@ -1,4 +1,4 @@
-"""Evaluate product machines: exact linear solving and fixed-point iteration.
+"""Evaluate product machines: exact linear solving, Dijkstra, and k-step iterates.
 
 The value of a product state is the least solution of a one-step update
 equation.  Probabilistic products are solved exactly: states that cannot
@@ -12,8 +12,9 @@ product graph, which nonnegative weights make exact.  Each exact answer
 is checked against its update equation before it is returned; a failed
 check raises ``SolverError`` (never an ``assert``, so the check also runs
 under ``python -O``).  Every product class names its value domain
-(``DOMAIN``), and one solve path serves all of them: the iterating modes
-are shared, the exact answer is per domain.
+(``DOMAIN``), and one solve path serves all of them: ``iterate`` (the
+k-th iterate of the update) is shared, and every other mode, ``epsilon``
+included, returns the domain's exact answer.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .domains import (
     _json_value,
     bottom_vector,
     kleene_iterate,
-    kleene_lfp,
 )
 from .products import ProductMc, ProductRewardMc, ProductWts, pair_states
 
@@ -463,9 +463,9 @@ def _domain(m) -> str:
     return domain
 
 
-def _solve(m, domain: str, mode: str, steps=None, epsilon=None, max_iter=100_000) -> SolveReport:
-    """The one solve path: ``iterate`` and ``epsilon`` work alike in every
-    domain, the exact answer is the domain's own."""
+def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
+    """The one solve path: ``iterate`` works alike in every domain, every
+    other mode gives the domain's own exact answer."""
     transformer, exact, exact_modes = _SOLVERS[domain]
     phi = transformer(m)
     states = list(pair_states(m))
@@ -479,11 +479,9 @@ def _solve(m, domain: str, mode: str, steps=None, epsilon=None, max_iter=100_000
             raise ValueError("--mode epsilon needs a probabilistic pairing; use bellman or iterate")
         if epsilon is None:
             raise ValueError("epsilon mode needs epsilon")
-        if epsilon <= 0:  # the change between iterates would never drop below it
+        if epsilon <= 0:  # not a bound; the exact answer is within every positive one
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        res = kleene_lfp(phi, bottom_vector(states, domain), epsilon, max_iter, domain)
-        return SolveReport(res.values, "kleene", res.iterations, res.converged, domain)
-    if mode not in exact_modes:
+    elif mode not in exact_modes:
         raise ValueError(f"unknown mode {mode!r}")
     return exact(m, states, phi)
 
@@ -493,7 +491,6 @@ def solve_reach_prob(
     mode: str = "exact",
     steps: int | None = None,
     epsilon: Fraction | None = None,
-    max_iter: int = 100_000,
 ) -> SolveReport:
     """Probability of reaching the accepting sink, per product state.
 
@@ -501,11 +498,10 @@ def solve_reach_prob(
                       as a linear system; the result is the least fixed
                       point and satisfies the update equation bit for bit.
     ``iterate``    -- the ``steps``-th iterate from the all-zero vector.
-    ``epsilon``    -- iterate until the largest pointwise change is below
-                      ``epsilon`` (still exact arithmetic); ``epsilon``
-                      must be positive.
+    ``epsilon``    -- the exact answer, which lies within every positive
+                      ``epsilon``; ``epsilon`` must be given and positive.
     """
-    return _solve(m, PROB, mode, steps, epsilon, max_iter)
+    return _solve(m, PROB, mode, steps, epsilon)
 
 
 def solve_partial_expected_reward(
@@ -513,7 +509,6 @@ def solve_partial_expected_reward(
     mode: str = "exact",
     steps: int | None = None,
     epsilon: Fraction | None = None,
-    max_iter: int = 100_000,
 ) -> SolveReport:
     """(acceptance probability, partial expected reward) per product state.
 
@@ -521,7 +516,7 @@ def solve_partial_expected_reward(
     probability system and then the reward system against it, over the
     same pinned state set.
     """
-    return _solve(m, PROB_REWARD, mode, steps, epsilon, max_iter)
+    return _solve(m, PROB_REWARD, mode, steps, epsilon)
 
 
 def solve_tropical(

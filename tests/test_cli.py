@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import qtrace
 from qtrace.bundled import fixture_path, fixture_text
 from qtrace.cli import main
+from qtrace.domains import value_str
 from qtrace.lawcheck import random_instance
 from qtrace.modeljson import emit_model
 
@@ -54,6 +56,26 @@ def test_decimal_zero_rounds_to_an_integer(capsys):
         capsys, "oracle", ROBOT, MONITOR, "--pairing", "mc-dfa", "--depth", "4", "--decimal", "0"
     )
     assert (code, out) == (0, "oracle value at depth 4: 0\n")
+
+
+def test_decimal_rounds_the_exact_value(capsys):
+    # digits past float precision are the exact value's, ties go to even
+    code, out, _ = run(capsys, "infer", ROBOT, MONITOR, "--pairing", "mc-dfa", "--decimal", "25")
+    assert (code, out) == (0, "value(x0|y0) = 0." + "16".ljust(25, "0") + "\n")
+    assert value_str(Fraction(3, 20), 1) == "0.2"
+    assert value_str(Fraction(-1, 1000), 2) == "-0.00"
+
+
+def test_decimal_renders_values_past_float_range(tmp_path, capsys):
+    # float(10**400) overflows; the rounding must not go through float
+    chain, dfa = _two_state_chain(tmp_path)
+    doc = json.loads((tmp_path / "chain.json").read_text())
+    doc.update(kind="mrm", reward={"s": 10**400, "t": 1})
+    mrm = tmp_path / "mrm.json"
+    mrm.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "infer", str(mrm), dfa, "--pairing", "mrm-dfa", "--decimal", "2")
+    assert code == 0, err
+    assert out == f"value(s|q) = (1.00, {256 * 10**400 + 1}.00)\n"
 
 
 def test_infer_weighted(capsys):
@@ -476,9 +498,9 @@ def test_lawcheck_verdicts_do_not_depend_on_assert(argv, expected):
     assert proc.returncode == expected, proc.stderr
 
 
-def test_values_past_the_int_str_limit_are_printed(tmp_path, capsys):
-    # the epsilon iterates' denominators grow by 8 bits a round, so after
-    # 2,116 rounds the answer has over 5,000 digits
+def _two_state_chain(tmp_path):
+    """Paths of a chain ``s -> s`` 255/256, ``s -> t`` 1/256 and a DFA that
+    accepts on reaching ``t``: the answer from ``s`` is exactly 1."""
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({
         "kind": "mc", "alphabet": ["a", "b"], "states": ["s", "t"], "initial": "s",
@@ -491,10 +513,32 @@ def test_values_past_the_int_str_limit_are_printed(tmp_path, capsys):
         "delta": {"q": {"a": ["q", False], "b": ["r", True]},
                   "r": {"a": ["r", True], "b": ["r", True]}},
     }))
-    argv = ["infer", str(chain), str(dfa), "--pairing", "mc-dfa", "--mode", "epsilon",
-            "--epsilon", "1/1000000"]
+    return str(chain), str(dfa)
+
+
+def test_epsilon_mode_gives_the_exact_answer(tmp_path, capsys):
+    # stopping once a round changed by less than epsilon printed 0.999746,
+    # 254 epsilon below the answer, and reported it converged
+    chain, dfa = _two_state_chain(tmp_path)
+    argv = ["infer", chain, dfa, "--pairing", "mc-dfa", "--mode", "epsilon", "--epsilon", "1/1000000"]
+    report = "method=exact-linear iterations=0 converged=True\n"
+    assert run(capsys, *argv) == (0, "value(s|q) = 1\n", report)
+    assert run(capsys, *argv, "--decimal", "6") == (0, "value(s|q) = 1.000000\n", report)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["method"], doc["iterations"], doc["converged"]) == ("exact-linear", 0, True)
+    assert doc["values"]["s|q"] == "1/1"
+
+
+def test_values_past_the_int_str_limit_are_printed(tmp_path, capsys):
+    # the iterates' denominators grow by 8 bits a round, so after 2,116
+    # rounds the answer has over 5,000 digits
+    chain, dfa = _two_state_chain(tmp_path)
+    argv = ["infer", chain, dfa, "--pairing", "mc-dfa", "--mode", "iterate", "--steps", "2116"]
     code, out, err = run(capsys, *argv)
     assert code == 0, err
+    assert hashlib.md5(out.encode()).hexdigest() == "899f206470631444cd28a7fd11d2957f"
     num, den = out.removeprefix("value(s|q) = ").strip().split("/")
     assert num.isdigit() and den.isdigit() and len(den) > 4300
     code, out, err = run(capsys, *argv, "--format", "json")

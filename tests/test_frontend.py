@@ -53,15 +53,37 @@ def test_parse_error_reports_position():
 
 
 def test_mode_conflict_rejected():
+    # the error points at the first statement of the form that came second,
+    # in either order; a syntax error anywhere in the program comes first
+    branches = "{ t <- t + 1 } [1/2] { t <- t + 2 }"
+    choice = "choice { emit a add 1 { t <- 3; } }"
+    for first, second in ((branches, choice), (choice, branches)):
+        text = f"var t : 0..3 init 0;\nwhile (t < 3) {{\n  {first}\n   {second}\n  {second}\n}}"
+        with pytest.raises(ParseError, match="mode conflict") as err:
+            parse_program(text)
+        assert (err.value.line, err.value.column) == (4, 4)
+        with pytest.raises(ParseError, match="expected an expression"):
+            parse_program(text.replace("t <- 3;", "t <- ;"))
+
+
+def test_label_key_outside_range_rejected(tmp_path, capsys):
+    # such a key used to compile, adding its symbol to the alphabet
+    # without labelling any state
     text = (
-        "var t : 0..3 init 0;\n"
-        "while (t < 3) {\n"
-        "  { t <- t + 1 } [1/2] { t <- t + 2 }\n"
-        "  choice { emit a add 1 { t <- 3; } }\n"
-        "}"
+        "var x : 0..2 init 0;\n"
+        "var y : 1..3 init 1;\n"
+        "label { (0, 1): a; (2, 0): b; default: a; }\n"
+        "while (x < 2) { x <- x + 1 }"
     )
-    with pytest.raises(ParseError, match="mode conflict"):
+    with pytest.raises(ParseError, match=r"label key 0 outside range 1\.\.3 of 'y'") as err:
         parse_program(text)
+    assert (err.value.line, err.value.column) == (3, 24)
+    src = tmp_path / "label.qtp"
+    src.write_text(text.replace("(0, 1)", "(9, 1)"))
+    assert main(["compile", str(src), "--mode", "terminating"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: label key 9 outside range 0..2 of 'x' (line 3, column 10)\n"
+    assert captured.out == ""
 
 
 def test_duplicate_variable_rejected(tmp_path, capsys):

@@ -11,6 +11,7 @@ from qtrace.bundled import load_model
 from qtrace.domains import INF, PROB, TROPICAL, bottom_vector, leq
 from qtrace.lawcheck import (
     random_dfa,
+    random_instance,
     random_mc,
     random_mrm,
     random_nfa,
@@ -20,6 +21,7 @@ from qtrace.lawcheck import (
 )
 from qtrace.models import ACCEPT, REJECT, TARGET, Dfa, MarkovRewardModel, WeightedTs
 from qtrace.products import (
+    PAIRING_TABLE,
     ProductMc,
     ProductRewardMc,
     ProductWts,
@@ -98,12 +100,16 @@ def test_iterates_form_a_chain_below_exact(robot, monitor):
 
 
 def test_epsilon_mode_converges(robot, monitor):
-    prod = product_mc_dfa(robot, monitor)
-    rep = solve_reach_prob(prod, "epsilon", epsilon=F(1, 10**9))
-    assert rep.converged
-    exact = solve_reach_prob(prod).values
-    for s, v in rep.values.items():
-        assert abs(v - exact[s]) < F(1, 10**6)
+    # the exact answer lies within every positive epsilon, and is returned
+    products = [product_mc_dfa(robot, monitor)]
+    for pairing in ("mc-dfa", "mrm-dfa", "ntmc-dfa"):
+        for seed in range(8):
+            system, requirement = random_instance(pairing, random.Random(seed))
+            products.append(PAIRING_TABLE[pairing].build(system, requirement))
+    for prod in products:
+        rep = solve_product(prod, "epsilon", epsilon=F(1, 10**9))
+        assert (rep.method, rep.iterations, rep.converged) == ("exact-linear", 0, True)
+        assert rep.values == solve_product(prod).values
 
 
 def test_exact_solution_is_a_fixed_point_on_random_models():
