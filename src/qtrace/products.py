@@ -36,7 +36,6 @@ from .models import (
     WeightedMealy,
     WeightedTs,
     _joined_pairs,
-    joined,
     nfa_row,
     require_same_alphabet,
     wmm_row,
@@ -221,35 +220,49 @@ def _weight_set(entries) -> tuple[tuple[str, int], ...]:
     return tuple(sorted(set(entries)))
 
 
-def _build(kind, c, d, step, restrict: bool, collect=_summed):
+def _build(kind, c, d, step, restrict: bool, collect=_summed, **fields):
     """Explore the pairs of ``c`` and ``d`` breadth first and build ``kind``.
 
     ``step(x, y)`` gives the entries of the row at pair (x, y) as
     (target, value), where a target is a successor pair (x', y') or a sink
     name; ``collect`` folds the entries into the row.  A restricted product
     holds the pairs reachable from the initial pair in discovery order, an
-    unrestricted one every pair, system state major.
+    unrestricted one every pair, system state major.  Each keyword in
+    ``fields`` names a further per-state field of ``kind``, given as a
+    function of the pair behind the state.
     """
     require_same_alphabet(c, d)
     back = _joined_pairs(c.states, d.states)
-    init = joined(c.initial, d.initial)
+    ids = {pair: s for s, pair in back.items()}
+    init = ids[c.initial, d.initial]
     order = [init] if restrict else list(back)
     seen = set(order)
     rows = {}
     for s in order:  # appended to while it is read: the breadth-first queue
         row = rows[s] = collect(
-            [(joined(*t) if isinstance(t, tuple) else t, v) for t, v in step(*back[s])]
+            [(ids[t] if isinstance(t, tuple) else t, v) for t, v in step(*back[s])]
         )
         if restrict:
             for t in dict(row):  # successor ids, first occurrence first
                 if t not in seen and t not in SINKS:
                     seen.add(t)
                     order.append(t)
-    return kind(states=tuple(order) + kind.SINKS, trans=rows, initial=init)
+    extra = {name: {s: f(*back[s]) for s in rows} for name, f in fields.items()}
+    return kind(states=tuple(order) + kind.SINKS, trans=rows, initial=init, **extra)
 
 
 def _mc_dfa_rule(c, d, y, succ, halt, symbol):
     return mc_dfa_row(succ, halt, symbol, d.delta[y])
+
+
+def _mc_dfa_step(c, d, rule):
+    def step(x, y):
+        row = c.trans[x]
+        succ = [(x2, p) for x2, p in row.items() if x2 != TARGET]
+        pairs, acc, rej = rule(c, d, y, succ, row.get(TARGET, ZERO), c.label[x])
+        return [*pairs, (ACCEPT, acc), (REJECT, rej)]
+
+    return step
 
 
 def _product_mc_dfa(c, d, restrict: bool = True, rule=_mc_dfa_rule) -> ProductMc:
@@ -259,14 +272,7 @@ def _product_mc_dfa(c, d, restrict: bool = True, rule=_mc_dfa_rule) -> ProductMc
     mass, reject mass); the mutation catalogue of ``lawcheck`` passes
     broken rules here, so it exercises the builder that ships.
     """
-
-    def step(x, y):
-        row = c.trans[x]
-        succ = [(x2, p) for x2, p in row.items() if x2 != TARGET]
-        pairs, acc, rej = rule(c, d, y, succ, row.get(TARGET, ZERO), c.label[x])
-        return [*pairs, (ACCEPT, acc), (REJECT, rej)]
-
-    return _build(ProductMc, c, d, step, restrict)
+    return _build(ProductMc, c, d, _mc_dfa_step(c, d, rule), restrict)
 
 
 def product_mc_dfa(c: LabeledMc, d: Dfa, restrict: bool = True) -> ProductMc:
@@ -276,13 +282,9 @@ def product_mc_dfa(c: LabeledMc, d: Dfa, restrict: bool = True) -> ProductMc:
 
 def product_mrm_dfa(c: MarkovRewardModel, d: Dfa, restrict: bool = True) -> ProductRewardMc:
     """Reward-carrying variant of :func:`product_mc_dfa`."""
-    base = product_mc_dfa(c, d, restrict)
-    reward = {joined(x, y): c.reward[x] for x in c.states for y in d.states}
-    return ProductRewardMc(
-        states=base.states,
-        trans=base.trans,
-        stepreward={s: reward[s] for s in base.trans},
-        initial=base.initial,
+    step = _mc_dfa_step(c, d, _mc_dfa_rule)
+    return _build(
+        ProductRewardMc, c, d, step, restrict, stepreward=lambda x, y: c.reward[x]
     )
 
 
@@ -296,25 +298,35 @@ def product_ntmc_dfa(c: NonTerminatingMc, d: Dfa, restrict: bool = True) -> Abso
     return _build(AbsorbingProductMc, c, d, step, restrict)
 
 
-def _moves(c: WeightedTs, x: str) -> list[tuple[str | None, str, int]]:
-    """The transitions of ``x`` with termination written as ``None``."""
-    return [(None if succ == TARGET else succ, a, m) for succ, a, m in c.trans[x]]
+def _moves(c: WeightedTs) -> Callable[[str], list[tuple[str | None, str, int]]]:
+    """The transitions of each state of ``c`` with termination written as
+    ``None``, listed once per state however many pairs it enters."""
+    memo: dict[str, list] = {}
+
+    def moves(x: str):
+        if x not in memo:
+            memo[x] = [(None if succ == TARGET else succ, a, m) for succ, a, m in c.trans[x]]
+        return memo[x]
+
+    return moves
 
 
 def product_wts_nfa(c: WeightedTs, d: Nfa, restrict: bool = True) -> ProductWts:
     """Product of a weighted system with a nondeterministic requirement."""
+    moves = _moves(c)
 
     def step(x, y):
-        return wts_nfa_row(_moves(c, x), lambda a: nfa_row(d, y, a))
+        return wts_nfa_row(moves(x), lambda a: nfa_row(d, y, a))
 
     return _build(ProductWts, c, d, step, restrict, _weight_set)
 
 
 def product_wts_wmm(c: WeightedTs, d: WeightedMealy, restrict: bool = True) -> ProductWts:
     """Product of a weighted system with a weighted Mealy requirement."""
+    moves = _moves(c)
 
     def step(x, y):
-        return wts_wmm_row(_moves(c, x), lambda a: wmm_row(d, y, a))
+        return wts_wmm_row(moves(x), lambda a: wmm_row(d, y, a))
 
     return _build(ProductWts, c, d, step, restrict, _weight_set)
 

@@ -9,7 +9,20 @@ two statement forms must not be mixed.
 A valuation is the tuple of variable values in declaration order, and it
 is the compiler's only valuation format.  The parser resolves every name
 to its position in that tuple, so an undeclared name is a ``ParseError``,
-and turns every expression and guard into a function of the tuple.
+and writes every guard and expression as straight-line Python source over
+the tuple (:class:`Code`): one temporary per operator node, in parse-tree
+order, so no generated line nests however long a chain or deep a
+parenthesis.  The compiler turns a program into real functions with one
+``compile``/``exec``: the loop guard, one function per assignment of a
+probabilistic program (range check included), and for a weighted program
+one ``moves`` function that holds the whole ``choice`` block.
+
+Generated code is safe because the grammar is closed.  Only integer
+literals (written with ``str(int(...))``), tuple positions, temporaries
+and locals the generator names, and operators from the fixed ``_OPS``
+table reach the source.  Symbols, weights and the range error are bound
+as constants in the namespace of ``exec``, which has no builtins, and are
+never spliced into the source.
 
 Compilation unrolls the loop over the (finite) valuation space: one loop
 iteration becomes one transition, so the whole body is folded into a
@@ -20,10 +33,10 @@ The full grammar ships in ``docs/grammar.ebnf``.
 
 from __future__ import annotations
 
-import operator
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import product
 from typing import Callable
@@ -97,23 +110,35 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # parsed programs
 
-def _true(vals: tuple) -> bool:
-    """The guard ``true``; the compilers recognise it by identity."""
-    return True
-
-
+#: Python source of each operator, over two atoms; no line nests.
 _OPS = {
-    "+": operator.add, "-": operator.sub, "max": max, "min": min,
-    "<": operator.lt, ">": operator.gt, "<=": operator.le,
-    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
-    "and": operator.and_, "or": operator.or_,
+    "+": "{} + {}", "-": "{} - {}", "max": "max({}, {})", "min": "min({}, {})",
+    "<": "{} < {}", ">": "{} > {}", "<=": "{} <= {}", ">=": "{} >= {}",
+    "==": "{} == {}", "!=": "{} != {}", "and": "{} and {}", "or": "{} or {}",
 }
 
+#: Parentheses and ``max``/``min`` calls nested deeper than this are a
+#: ``ParseError``: each level costs the recursive-descent parser two frames.
+MAX_NESTING = 400
 
-def _apply(op: str, left: Callable, right: Callable) -> Callable[[tuple], int]:
-    """``left op right`` as a function of the valuation tuple."""
-    fn = _OPS[op]
-    return lambda vals: fn(left(vals), right(vals))
+
+@dataclass(frozen=True)
+class Code:
+    """A guard or expression as straight-line source over the valuation.
+
+    Each of ``lines`` assigns one operator node to a fresh temporary, in
+    parse-tree order, and ``result`` is the atom holding the value: an
+    integer literal, a temporary, or ``True``.  Both are format templates
+    in which ``{i}`` reads the variable at position ``i``, so the generator
+    decides where each variable's current value lives.
+    """
+
+    lines: tuple[str, ...]
+    result: str
+
+
+#: The guard ``true``; the compilers recognise it by identity.
+_TRUE = Code((), "True")
 
 
 @dataclass(frozen=True)
@@ -133,7 +158,8 @@ class LabelTable:
 @dataclass(frozen=True)
 class Assign:
     var: int  # position of the variable in declaration order
-    expr: Callable[[tuple], int]
+    expr: Code
+    index: int  # position among the program's assignments, in source order
 
 
 @dataclass(frozen=True)
@@ -144,7 +170,7 @@ class ProbChoice:
 
 @dataclass(frozen=True)
 class ChoiceOption:
-    guard: Callable[[tuple], bool]
+    guard: Code
     symbol: str
     weight: int
     body: tuple[Assign, ...]
@@ -160,7 +186,7 @@ class Program:
     variables: tuple[VarDecl, ...]
     alphabet: tuple[str, ...] | None
     labels: LabelTable | None
-    guard: Callable[[tuple], bool]
+    guard: Code
     body: tuple
     mode: str  # "probabilistic" | "weighted"
 
@@ -183,6 +209,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.index: dict[str, int] = {}  # variable name -> position
+        self.assigned = 0  # assignments parsed so far
+        self.temps = 0  # temporaries named so far
+        self.depth = 0  # open parentheses and max/min calls
         self.forms: dict[type, Token] = {}  # ProbChoice and Choice: first token of each
 
     def peek(self) -> Token:
@@ -339,11 +368,13 @@ class _Parser:
     def assign(self) -> Assign:
         var = self.variable()
         self.expect("<-")
-        expr = self.expr()
+        out: list[str] = []
+        value = self.expr(out)
         # the semicolon may be omitted right before a closing brace
         if not self.accept(";") and self.peek().text != "}":
             raise self.error("expected ';' after assignment")
-        return Assign(var, expr)
+        self.assigned += 1
+        return Assign(var, Code(tuple(out), value), self.assigned - 1)
 
     def block(self) -> tuple:
         self.expect("{")
@@ -383,7 +414,7 @@ class _Parser:
         self.expect("{")
         options = []
         while not self.accept("}"):
-            guard = _true
+            guard = _TRUE
             if self.accept("when"):
                 self.expect("(")
                 guard = self.guard()
@@ -402,53 +433,69 @@ class _Parser:
         return Choice(tuple(options))
 
     # guards and expressions --------------------------------------------
+    #
+    # Each method below appends the lines of the operator nodes it parses
+    # to ``out`` and returns the atom holding its value (see ``Code``).
 
-    def chain(self, ops: tuple[str, ...], operand: Callable) -> Callable[[tuple], int]:
+    def emit(self, out: list[str], op: str, left: str, right: str) -> str:
+        """Append ``left op right`` to ``out`` as a fresh temporary; return its name."""
+        temp = f"t{self.temps}"
+        self.temps += 1
+        out.append(f"{temp} = " + _OPS[op].format(left, right))
+        return temp
+
+    def chain(self, ops: tuple[str, ...], operand: Callable, out: list[str]) -> str:
         """``operand`` ops ``operand`` ..., folded to the left."""
-        node = operand()
+        node = operand(out)
         while self.peek().text in ops:
-            node = _apply(self.next().text, node, operand())
+            op = self.next().text
+            node = self.emit(out, op, node, operand(out))
         return node
 
-    def guard(self) -> Callable[[tuple], bool]:
-        return _true if self.accept("true") else self.chain(("or",), self.conjunction)
+    def guard(self) -> Code:
+        if self.accept("true"):
+            return _TRUE
+        out: list[str] = []
+        result = self.chain(("or",), self.conjunction, out)
+        return Code(tuple(out), result)
 
-    def conjunction(self) -> Callable[[tuple], bool]:
-        return self.chain(("and",), self.comparison)
+    def conjunction(self, out: list[str]) -> str:
+        return self.chain(("and",), self.comparison, out)
 
-    def comparison(self) -> Callable[[tuple], bool]:
-        left = self.expr()
+    def comparison(self, out: list[str]) -> str:
+        left = self.expr(out)
         tok = self.peek()
         if tok.text not in ("<", ">", "<=", ">=", "==", "!="):
             raise self.error(f"expected a comparison operator, found {tok.text!r}")
         self.next()
-        right = self.expr()
-        return _apply(tok.text, left, right)
+        return self.emit(out, tok.text, left, self.expr(out))
 
-    def expr(self) -> Callable[[tuple], int]:
-        return self.chain(("+", "-"), self.term)
+    def expr(self, out: list[str]) -> str:
+        return self.chain(("+", "-"), self.term, out)
 
-    def term(self) -> Callable[[tuple], int]:
+    def term(self, out: list[str]) -> str:
         tok = self.peek()
         if tok.kind == "num":
-            value = self.number()
-            return lambda vals: value
-        if tok.text in ("max", "min"):
-            op = self.next().text
-            self.expect("(")
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect(")")
-            return _apply(op, left, right)
-        if tok.text == "(":
-            self.next()
-            node = self.expr()
-            self.expect(")")
-            return node
+            return str(self.number())
         if tok.kind == "name" and tok.text not in KEYWORDS:
-            return operator.itemgetter(self.variable())
-        raise self.error(f"expected an expression, found {tok.text!r}")
+            return f"{{{self.variable()}}}"
+        if tok.text not in ("max", "min", "("):
+            raise self.error(f"expected an expression, found {tok.text!r}")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"expression nested deeper than {MAX_NESTING} levels")
+        self.next()
+        # ``chain`` in place of ``expr``: two frames per nesting level
+        if tok.text == "(":
+            node = self.chain(("+", "-"), self.term, out)
+        else:
+            self.expect("(")
+            left = self.chain(("+", "-"), self.term, out)
+            self.expect(",")
+            node = self.emit(out, tok.text, left, self.chain(("+", "-"), self.term, out))
+        self.expect(")")
+        self.depth -= 1
+        return node
 
 
 def parse_program(text: str) -> Program:
@@ -459,30 +506,109 @@ def parse_program(text: str) -> Program:
 # ---------------------------------------------------------------------------
 # compilation
 
+def _assignments(stmts):
+    """The assignments in ``stmts``, branches included, in source order."""
+    for s in stmts:
+        if isinstance(s, Assign):
+            yield s
+        elif isinstance(s, ProbChoice):
+            for branch in s.branches:
+                yield from _assignments(branch)
+
+
+def _out_of_range(variables: tuple[VarDecl, ...], var: int, value: int):
+    v = variables[var]
+    raise CompileError(
+        f"assignment drives {v.name!r} to {value}, outside {v.lo}..{v.hi}; "
+        f"clamp explicitly with max/min"
+    )
+
+
+def _source(program: Program) -> tuple[str, dict[str, object]]:
+    """The Python source of a program's functions, and the constants it names.
+
+    ``guard(vals)`` is the loop guard.  A weighted program, whose body is
+    one choice block, gets ``moves(vals)``: the (successor, symbol, weight)
+    of each option whose guard holds, in option order.  A probabilistic
+    program gets ``assigns``, the function ``vals -> successor`` of each
+    assignment by index.  Every assignment calls ``out_of_range`` when its
+    value leaves the variable's range.
+    """
+    names = [f"v{i}" for i in range(len(program.variables))]
+    head = f"    {', '.join(names)}, = vals"
+    src: list[str] = []
+    consts: dict[str, object] = {}
+
+    def code(c: Code, env: list[str], indent: str) -> str:
+        """Append the lines of ``c`` over ``env``, which names each
+        variable's current value; return the atom of its result."""
+        src.extend(indent + line.format(*env) for line in c.lines)
+        return c.result.format(*env)
+
+    def assign(stmt: Assign, env: list[str], indent: str) -> list[str]:
+        """Append ``stmt`` over ``env``; return the env after it."""
+        value = code(stmt.expr, env, indent)
+        v = program.variables[stmt.var]
+        src.append(
+            f"{indent}if not {int(v.lo)} <= {value} <= {int(v.hi)}: "
+            f"out_of_range({int(stmt.var)}, {value})"
+        )
+        return env[: stmt.var] + [value] + env[stmt.var + 1 :]
+
+    src += ["def guard(vals):", head]
+    holds = code(program.guard, names, "    ")
+    src.append(f"    return {holds}")
+    if program.mode == "weighted":
+        src += ["def moves(vals):", head, "    out = []"]
+        for k, opt in enumerate(program.body[0].options):
+            consts[f"S{k}"], consts[f"W{k}"] = opt.symbol, opt.weight
+            indent = "    "
+            if opt.guard is not _TRUE:
+                holds = code(opt.guard, names, indent)
+                src.append(f"    if {holds}:")
+                indent = "        "
+            env = names
+            for stmt in opt.body:
+                env = assign(stmt, env, indent)
+            src.append(f"{indent}out.append((({', '.join(env)},), S{k}, W{k}))")
+        src.append("    return out")
+    else:
+        stmts = list(_assignments(program.body))
+        for stmt in stmts:
+            src += [f"def assign{stmt.index}(vals):", head]
+            env = assign(stmt, names, "    ")
+            src.append(f"    return ({', '.join(env)},)")
+        src.append("assigns = (" + "".join(f"assign{s.index}, " for s in stmts) + ")")
+    return "\n".join(src) + "\n", consts
+
+
 class _Space:
-    """Declared valuation space: state names, range checks, label lookup."""
+    """Declared valuation space: state names, label lookup, and the
+    program's functions, compiled from ``_source`` with one ``exec``."""
 
     def __init__(self, program: Program):
         self.program = program
-        self.names = [v.name for v in program.variables]
+        # variable names are identifiers, so they hold no format braces
+        self.id_format = ",".join(f"{v.name}={{}}" for v in program.variables)
         self.initial = tuple(v.init for v in program.variables)
         self.size = 1
         for v in program.variables:
             self.size *= v.hi - v.lo + 1
+        source, consts = _source(program)
+        namespace = {
+            "__builtins__": {}, "max": max, "min": min,
+            "out_of_range": partial(_out_of_range, program.variables), **consts,
+        }
+        # the functions land in their own dict, so that their globals do
+        # not refer back to them and refcounting frees them
+        functions: dict[str, object] = {}
+        exec(compile(source, "<qtp program>", "exec"), namespace, functions)
+        self.guard = functions["guard"]
+        self.moves = functions.get("moves")
+        self.assigns = functions.get("assigns")
 
     def state_id(self, vals: tuple) -> str:
-        return ",".join(f"{n}={x}" for n, x in zip(self.names, vals))
-
-    def assign(self, stmt: Assign, vals: tuple) -> tuple:
-        """``vals`` after ``stmt``, which must keep its variable in range."""
-        value = stmt.expr(vals)
-        v = self.program.variables[stmt.var]
-        if not v.lo <= value <= v.hi:
-            raise CompileError(
-                f"assignment drives {v.name!r} to {value}, outside {v.lo}..{v.hi}; "
-                f"clamp explicitly with max/min"
-            )
-        return vals[: stmt.var] + (value,) + vals[stmt.var + 1 :]
+        return self.id_format.format(*vals)
 
     def label(self, vals: tuple) -> str:
         table = self.program.labels
@@ -496,7 +622,7 @@ def _run_block(stmts, vals: tuple, space: _Space) -> dict[tuple, Fraction]:
         nxt: dict[tuple, Fraction] = {}
         for key, p in current.items():
             if isinstance(stmt, Assign):
-                succ = space.assign(stmt, key)
+                succ = space.assigns[stmt.index](key)
                 nxt[succ] = nxt.get(succ, ZERO) + p
             elif isinstance(stmt, ProbChoice):
                 for branch, q in zip(stmt.branches, stmt.probs):
@@ -515,14 +641,16 @@ def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachab
 
     ``successors(vals)`` lists a valuation's outgoing entries, each starting
     with the successor valuation; it runs once per valuation that becomes a
-    state.  ``row(vals, entries)`` turns them into that state's row.  The
-    states are the guard-satisfying valuations reachable from the initial
-    one, in breadth-first order, or with ``restrict_reachable`` off all of
-    them in declaration order; unreached ones are expanded as their rows
-    are built.  Returns (rows by state id, reachable count, warnings).
+    state.  ``row(vals, entries, ids)`` turns them into that state's row,
+    where ``ids`` maps each state's valuation to its id, so a successor
+    missing from it violates the guard.  The states are the
+    guard-satisfying valuations reachable from the initial one, in
+    breadth-first order, or with ``restrict_reachable`` off all of them in
+    declaration order; unreached ones are expanded as their rows are
+    built.  Returns (rows by state id, reachable count, warnings).
     """
     keys = product(*(range(v.lo, v.hi + 1) for v in space.program.variables))
-    valid = list(filter(space.program.guard, keys))
+    valid = list(filter(space.guard, keys))
     allowed = set(valid)
     explored: dict[tuple, list] = {}
     seen = {space.initial}
@@ -539,10 +667,12 @@ def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachab
     dropped = len(valid) - len(explored)
     if restrict_reachable and dropped:
         warnings.append(f"{dropped} guard-satisfying valuations unreachable from init")
+    states = explored if restrict_reachable else valid
+    ids = {key: space.state_id(key) for key in states}
     rows = {}
-    for key in explored if restrict_reachable else valid:
+    for key in states:
         entries = explored[key] if key in explored else successors(key)
-        rows[space.state_id(key)] = row(key, entries)
+        rows[ids[key]] = row(key, entries, ids)
     return rows, len(explored), tuple(warnings)
 
 
@@ -559,11 +689,11 @@ def compile_probabilistic(
         raise CompileError("program uses weighted choice; compile it as weighted")
     if mode not in ("terminating", "reactive"):
         raise CompileError(f"unknown mode {mode!r}")
-    if mode == "terminating" and program.guard is _true:
+    if mode == "terminating" and program.guard is _TRUE:
         raise CompileError("terminating mode requires a non-trivial loop guard")
     space = _Space(program)
     init = space.initial
-    if not program.guard(init):
+    if not space.guard(init):
         raise CompileError("initial valuation violates the loop guard")
 
     if program.labels is None:
@@ -577,17 +707,16 @@ def compile_probabilistic(
     def successors(vals: tuple):
         return list(_run_block(program.body, vals, space).items())
 
-    def row(vals: tuple, entries) -> tuple[str, dict[str, Fraction]]:
+    def row(vals: tuple, entries, ids) -> tuple[str, dict[str, Fraction]]:
         out: dict[str, Fraction] = {}
         for succ, p in entries:
-            if program.guard(succ):
-                row_key = space.state_id(succ)
-            elif mode == "terminating":
+            row_key = ids.get(succ)
+            if row_key is None:
+                if mode == "reactive":
+                    raise CompileError(
+                        f"reactive program can halt: guard fails at {space.state_id(succ)}"
+                    )
                 row_key = TARGET
-            else:
-                raise CompileError(
-                    f"reactive program can halt: guard fails at {space.state_id(succ)}"
-                )
             out[row_key] = out.get(row_key, ZERO) + p
         return space.label(vals), out
 
@@ -609,12 +738,12 @@ def compile_weighted(program: Program, restrict_reachable: bool = True) -> Compi
         raise CompileError("program has no weighted choice; compile it as probabilistic")
     if len(program.body) != 1 or not isinstance(program.body[0], Choice):
         raise CompileError("a weighted loop body must be a single choice block")
-    if program.guard is _true:
+    if program.guard is _TRUE:
         raise CompileError("weighted programs must terminate; give a loop guard")
     choice = program.body[0]
     space = _Space(program)
     init = space.initial
-    if not program.guard(init):
+    if not space.guard(init):
         raise CompileError("initial valuation violates the loop guard")
 
     emitted = tuple(dict.fromkeys(opt.symbol for opt in choice.options))
@@ -623,24 +752,11 @@ def compile_weighted(program: Program, restrict_reachable: bool = True) -> Compi
         if sym not in alphabet:
             raise CompileError(f"emitted symbol {sym!r} not in the declared alphabet")
 
-    def moves(vals: tuple):
-        out = []
-        for opt in choice.options:
-            if opt.guard(vals):
-                succ = vals
-                for a in opt.body:
-                    succ = space.assign(a, succ)
-                out.append((succ, opt.symbol, opt.weight))
-        return out
-
-    def row(vals: tuple, entries) -> tuple[tuple[str, str, int], ...]:
-        triples = set()
-        for succ, symbol, weight in entries:
-            sid = space.state_id(succ) if program.guard(succ) else TARGET
-            triples.add((sid, symbol, weight))
+    def row(vals: tuple, entries, ids) -> tuple[tuple[str, str, int], ...]:
+        triples = {(ids.get(succ, TARGET), symbol, weight) for succ, symbol, weight in entries}
         return tuple(sorted(triples))
 
-    trans, reachable, warnings = _unroll(space, moves, row, restrict_reachable)
+    trans, reachable, warnings = _unroll(space, space.moves, row, restrict_reachable)
     model = WeightedTs(
         states=tuple(trans),
         alphabet=tuple(alphabet),

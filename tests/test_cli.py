@@ -14,6 +14,7 @@ from qtrace.cli import main
 from qtrace.domains import value_str
 from qtrace.lawcheck import random_instance
 from qtrace.modeljson import emit_model
+from qtrace.programs import MAX_NESTING
 
 ROBOT = fixture_path("robot-mc.json")
 MONITOR = fixture_path("safe-recharge-dfa.json")
@@ -256,6 +257,49 @@ def test_compile_syntax_error_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "compile", str(src), "--mode", "terminating")
     assert code == 2
     assert "line 2" in err
+
+
+def _loop_program(guard: str, value: str) -> str:
+    """A weighted loop over x in 0..3 with the given guard and update."""
+    return (
+        "var x : 0..3 init 0;\nalphabet a;\n"
+        f"while ({guard}) {{ choice {{ emit a add 1 {{ x <- {value}; }} }} }}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "guard, value",
+    [
+        (" + ".join(["x"] * 990) + " < 1980", "x" + " + 0" * 988 + " + 1"),
+        ("(" * 320 + "x" + ")" * 320 + " < 2", "(" * 320 + "x + 1" + ")" * 320),
+        (" + ".join(["x"] * 5000) + " < 10000", "x" + " + 1 - 1" * 2499 + " + 1"),
+        (
+            "(" * MAX_NESTING + "x" + ")" * MAX_NESTING + " < 2",
+            "max(" * MAX_NESTING + "x + 1" + ", 0)" * MAX_NESTING,
+        ),
+    ],
+    ids=["chain-990", "parens-320", "chain-5000", "nesting-at-the-limit"],
+)
+def test_long_chains_and_deep_nesting_compile(guard, value, tmp_path, capsys):
+    # each guard equals x < 2 and each update x + 1 on 0..3; chains of 992
+    # terms or more used to crash with a RecursionError
+    path = tmp_path / "loop.qtp"
+    outputs = []
+    for text in (_loop_program("x < 2", "x + 1"), _loop_program(guard, value)):
+        path.write_text(text)
+        outputs.append(run(capsys, "compile", str(path), "--mode", "weighted"))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("min(", ", 3)")])
+def test_nesting_past_the_limit_is_a_parse_error(opener, closer, tmp_path, capsys):
+    path = tmp_path / "deep.qtp"
+    path.write_text(_loop_program(opener * 2000 + "x" + closer * 2000 + " < 2", "x + 1"))
+    code, out, err = run(capsys, "compile", str(path), "--mode", "weighted")
+    column = len("while (") + 1 + len(opener) * MAX_NESTING  # the first opener past the limit
+    assert (code, out) == (2, "")
+    assert err == f"error: expression nested deeper than {MAX_NESTING} levels (line 3, column {column})\n"
 
 
 def test_product_json(capsys):
