@@ -36,9 +36,7 @@ from .models import (
     WeightedMealy,
     WeightedTs,
     _joined_pairs,
-    nfa_row,
     require_same_alphabet,
-    wmm_row,
 )
 
 SINKS = (ACCEPT, REJECT, ABSORB)
@@ -316,7 +314,8 @@ def product_wts_nfa(c: WeightedTs, d: Nfa, restrict: bool = True) -> ProductWts:
     moves = _moves(c)
 
     def step(x, y):
-        return wts_nfa_row(moves(x), lambda a: nfa_row(d, y, a))
+        row = d.delta.get(y, {})  # once per pair, not per move
+        return wts_nfa_row(moves(x), lambda a: row.get(a, ()))
 
     return _build(ProductWts, c, d, step, restrict, _weight_set)
 
@@ -326,7 +325,8 @@ def product_wts_wmm(c: WeightedTs, d: WeightedMealy, restrict: bool = True) -> P
     moves = _moves(c)
 
     def step(x, y):
-        return wts_wmm_row(moves(x), lambda a: wmm_row(d, y, a))
+        row = d.delta.get(y, {})  # once per pair, not per move
+        return wts_wmm_row(moves(x), lambda a: row.get(a, ()))
 
     return _build(ProductWts, c, d, step, restrict, _weight_set)
 

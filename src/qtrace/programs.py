@@ -121,6 +121,12 @@ _OPS = {
 #: ``ParseError``: each level costs the recursive-descent parser two frames.
 MAX_NESTING = 400
 
+#: Statement blocks ``{ ... }`` nested deeper than this are a ``ParseError``:
+#: each level costs three frames, so an expression nested ``MAX_NESTING``
+#: deep inside blocks nested this deep still fits Python's default
+#: recursion limit of 1000 frames.
+MAX_BLOCK_NESTING = 40
+
 
 @dataclass(frozen=True)
 class Code:
@@ -212,6 +218,7 @@ class _Parser:
         self.assigned = 0  # assignments parsed so far
         self.temps = 0  # temporaries named so far
         self.depth = 0  # open parentheses and max/min calls
+        self.blocks = 0  # open statement blocks
         self.forms: dict[type, Token] = {}  # ProbChoice and Choice: first token of each
 
     def peek(self) -> Token:
@@ -377,11 +384,15 @@ class _Parser:
         return Assign(var, Code(tuple(out), value), self.assigned - 1)
 
     def block(self) -> tuple:
+        self.blocks += 1
+        if self.blocks > MAX_BLOCK_NESTING:
+            raise self.error(f"statement blocks nested deeper than {MAX_BLOCK_NESTING} levels")
         self.expect("{")
         stmts = []
         while self.peek().text != "}":
             stmts.append(self.stmt())
         self.expect("}")
+        self.blocks -= 1
         return tuple(stmts)
 
     def prob_choice(self) -> ProbChoice:

@@ -6,7 +6,10 @@ reach the accepting sink are pinned to the bottom value first (this is
 what selects the *least* solution), the remainder is a nonsingular linear
 system solved one strongly connected component at a time, in reverse
 topological order: a single state by back substitution, a cyclic
-component by sparse elimination on integer rows.  Weighted products are
+component by sparse elimination on integer rows.  The arithmetic runs on
+plain integers, and each value becomes a ``Fraction`` once, when it is
+known; the one-step updates sum integer numerators over a common
+denominator in the same way.  Weighted products are
 solved by one Dijkstra pass from the accepting sink over the reversed
 product graph, which nonnegative weights make exact.  Each exact answer
 is checked against its update equation before it is returned; a failed
@@ -69,26 +72,31 @@ class SolveReport:
 # one-step value updates
 
 def reach_value_step(successors, accept_mass: Fraction) -> Fraction:
-    """Acceptance probability after one step, given successor values."""
-    total = accept_mass
+    """Acceptance probability after one step, given successor values.
+
+    The sum runs on an integer numerator over the lcm of the terms'
+    denominators, one gcd per term, and is reduced once, into the
+    ``Fraction`` it returns."""
+    num, den = accept_mass.numerator, accept_mass.denominator
     for value, p in successors:
-        total += p * value
-    return total
+        n = p.numerator * value.numerator
+        if n:
+            d = p.denominator * value.denominator
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den * (d // g)
+    return Fraction(num, den)
 
 
 def reward_value_step(successors, accept_mass: Fraction, step_reward: int):
     """Joint (probability, partial reward) update with a per-step reward.
 
-    Accepting immediately earns the step reward; continuing earns it
-    weighted by the successor's acceptance probability, plus whatever the
-    successor already accumulated.
+    Accepting, now or later, earns the step reward weighted by the
+    acceptance probability; continuing adds whatever the successor already
+    accumulated.  Both sums are :func:`reach_value_step`.
     """
-    p_total = accept_mass
-    r_total = step_reward * accept_mass
-    for (p_val, r_val), p in successors:
-        p_total += p * p_val
-        r_total += p * (p_val * step_reward + r_val)
-    return (p_total, r_total)
+    successors = list(successors)
+    prob = reach_value_step(((p_val, p) for (p_val, _), p in successors), accept_mass)
+    return (prob, reach_value_step(((r_val, p) for (_, r_val), p in successors), step_reward * prob))
 
 
 def min_cost_step(successors, accept_weights):
@@ -239,11 +247,17 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
 
     This is state elimination (Daws, ICTAC 2004) written as Gaussian
     elimination.  Each row of (I - coeff) restricted to the component, with
-    the known outside values moved to its right-hand side, is scaled to
-    integers and kept free of a common factor.  Forward elimination takes
-    diagonal pivots in greedy Markowitz order (least (row count - 1) *
-    (column count - 1) first, from a heap of lazily refreshed scores); back
-    substitution then runs in fractions.
+    the known outside values moved to its right-hand side, is scaled by the
+    lcm of its denominators to integers and kept free of a common factor.
+    Forward elimination takes diagonal pivots in greedy Markowitz order
+    (least (row count - 1) * (column count - 1) first, from a heap of
+    lazily refreshed scores).  Back substitution keeps the values found so
+    far as integer numerators over one shared denominator, so a row costs
+    one integer pass and one gcd; the shared denominator is raised to the
+    lcm, and the numerators scaled with it, only when a new value's reduced
+    denominator does not divide it.  Every such denominator divides the
+    determinant of the component's integer matrix, and so does the shared
+    one.
     """
     from heapq import heapify, heappop, heappush  # only cyclic products need it, so not on import
 
@@ -252,15 +266,13 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
     b: dict[int, int] = {}
     cols: dict[int, set[int]] = {k: set() for k in component}
     for i in component:
-        acc = rhs[i]
-        entries = {i: ONE}
-        for j, p in rows[i].items():
-            if j in inside:
-                entries[j] = entries.get(j, ZERO) - p
-            else:
-                acc += p * value[j]
-        scale = lcm(acc.denominator, *(f.denominator for f in entries.values()))
-        mat[i] = {j: f.numerator * (scale // f.denominator) for j, f in entries.items() if f}
+        acc = reach_value_step(((value[j], p) for j, p in rows[i].items() if j not in inside), rhs[i])
+        coeffs = [(j, p) for j, p in rows[i].items() if j in inside]
+        scale = lcm(acc.denominator, *(p.denominator for _, p in coeffs))
+        row = {i: scale}
+        for j, p in coeffs:
+            row[j] = row.get(j, 0) - p.numerator * (scale // p.denominator)
+        mat[i] = {j: a for j, a in row.items() if a}
         b[i] = _divide_content(mat[i], acc.numerator * (scale // acc.denominator))
         for j in mat[i]:
             cols[j].add(i)
@@ -308,12 +320,24 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
         for j in others:
             heappush(heap, score(j))
 
+    shared = 1  # every value found so far is num[k] / shared
+    num: dict[int, int] = {}
     for k in reversed(order):
-        acc = Fraction(b[k])
-        for j, a in mat[k].items():
-            if j != k:
-                acc -= a * value[j]
-        value[k] = acc / mat[k][k]
+        row_k = mat[k]
+        pivot = row_k.pop(k)
+        top = b[k] * shared
+        for j, a in row_k.items():
+            top -= a * num[j]
+        den = pivot * shared
+        g = gcd(top, den)
+        top, den = top // g, den // g
+        if shared % den:  # rare: scale the shared denominator to the lcm
+            grow = den // gcd(shared, den)
+            shared *= grow
+            for j in num:
+                num[j] *= grow
+        num[k] = top * (shared // den)
+        value[k] = Fraction(top, den)
 
 
 def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rhs: dict[str, Fraction]) -> dict[str, Fraction]:
@@ -339,10 +363,7 @@ def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rh
             _eliminate(component, rows, b, value)
             continue
         (i,) = component
-        acc = b[i]
-        for j, p in rows[i].items():
-            if j != i:
-                acc += p * value[j]
+        acc = reach_value_step(((value[j], p) for j, p in rows[i].items() if j != i), b[i])
         pivot = ONE - rows[i].get(i, ZERO)
         if pivot == 0:
             raise SolverError("reduced system is singular; zero-pinning failed")

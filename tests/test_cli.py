@@ -14,7 +14,7 @@ from qtrace.cli import main
 from qtrace.domains import value_str
 from qtrace.lawcheck import random_instance
 from qtrace.modeljson import emit_model
-from qtrace.programs import MAX_NESTING
+from qtrace.programs import MAX_BLOCK_NESTING, MAX_NESTING
 
 ROBOT = fixture_path("robot-mc.json")
 MONITOR = fixture_path("safe-recharge-dfa.json")
@@ -302,6 +302,38 @@ def test_nesting_past_the_limit_is_a_parse_error(opener, closer, tmp_path, capsy
     assert err == f"error: expression nested deeper than {MAX_NESTING} levels (line 3, column {column})\n"
 
 
+def _nested_blocks_program(depth: int, value: str) -> str:
+    """A probabilistic loop whose one assignment sits in ``depth`` nested
+    blocks, all opened on line 7."""
+    return (
+        "var x : 0..3 init 0;\nalphabet a;\nlabel {\n  default: a;\n}\n"
+        "while (x < 2) {\n" + "{ " * depth + f"x <- {value}" + " }" * depth + "\n}\n"
+    )
+
+
+def test_blocks_nested_to_the_limit_compile(tmp_path, capsys):
+    # the deepest blocks around the deepest expression fit the frame budget
+    deep = "max(" * MAX_NESTING + "x + 1" + ", 0)" * MAX_NESTING
+    path = tmp_path / "blocks.qtp"
+    outputs = []
+    for text in (_nested_blocks_program(1, "x + 1"), _nested_blocks_program(MAX_BLOCK_NESTING, deep)):
+        path.write_text(text)
+        outputs.append(run(capsys, "compile", str(path), "--mode", "terminating"))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("depth", [MAX_BLOCK_NESTING + 1, 330])
+def test_blocks_nested_past_the_limit_are_a_parse_error(depth, tmp_path, capsys):
+    # 330 levels used to exit 1 with a RecursionError traceback
+    path = tmp_path / "blocks.qtp"
+    path.write_text(_nested_blocks_program(depth, "x + 1"))
+    code, out, err = run(capsys, "compile", str(path), "--mode", "terminating")
+    column = 2 * MAX_BLOCK_NESTING + 1  # the first brace past the limit
+    assert (code, out) == (2, "")
+    assert err == f"error: statement blocks nested deeper than {MAX_BLOCK_NESTING} levels (line 7, column {column})\n"
+
+
 def test_product_json(capsys):
     code, out, _ = run(capsys, "product", ROBOT, MONITOR, "--pairing", "mc-dfa")
     assert code == 0
@@ -540,6 +572,39 @@ def test_lawcheck_verdicts_do_not_depend_on_assert(argv, expected):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == expected, proc.stderr
+
+
+def test_infer_output_does_not_depend_on_assert(tmp_path, capsys):
+    # the exact answers of a cyclic ntmc-dfa and a cyclic mrm-dfa product,
+    # with every assert stripped by python -O and without
+    patrol = tmp_path / "patrol.json"
+    assert run(capsys, "compile", fixture_path("patrol.qtp"), "--mode", "reactive", "-o", str(patrol))[0] == 0
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "kind": "mrm", "alphabet": ["sand", "recharge", "lake", "arid", "volcano"],
+        "states": ["a", "b", "c"], "initial": "a",
+        "label": {"a": "sand", "b": "lake", "c": "recharge"},
+        "reward": {"a": 2, "b": 5, "c": 1},
+        "trans": {"a": {"b": "1/2", "c": "1/3", "*": "1/6"},
+                  "b": {"a": "2/3", "*": "1/3"},
+                  "c": {"c": "1/4", "a": "1/2", "*": "1/4"}},
+    }))
+    src = os.path.dirname(os.path.dirname(qtrace.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for system, requirement, pairing in (
+        (patrol, MONITOR, "ntmc-dfa"),
+        (chain, fixture_path("reach-recharge-dfa.json"), "mrm-dfa"),
+    ):
+        argv = ["-m", "qtrace", "infer", str(system), requirement, "--pairing", pairing, "--format", "json"]
+        outputs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["method"] == "exact-linear"
 
 
 def _two_state_chain(tmp_path):

@@ -162,6 +162,25 @@ def test_product_systems_match_the_dense_solver(product, solves, monkeypatch):
     assert len(sizes) == solves and sizes[-1] > 1
 
 
+def test_component_values_with_coprime_denominators():
+    # every state of one complete component has the value 1/prime, a
+    # different prime each, so no value's denominator divides the one
+    # shared by the values back substitution found before it, and each
+    # later row reads the scaled numerators of all of them
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    names = [f"s{i}" for i in range(len(primes))]
+    want = {s: F(1, q) for s, q in zip(names, primes)}
+    p = F(1, len(names) + 1)
+    coeff = {s: {t: p for t in names} for s in names}
+    coeff["s0"]["tail"] = p  # a value from outside the component
+    coeff["tail"] = {}
+    rhs = {s: want[s] - sum(p * want[t] for t in names) for s in names}
+    rhs["s0"] -= p * F(1, 23)
+    rhs["tail"] = F(1, 23)
+    got = _same(names + ["tail"], coeff, rhs)
+    assert got == {**want, "tail": F(1, 23)}
+
+
 def test_closed_cycle_is_singular():
     with pytest.raises(SolverError, match="singular"):
         _solve_linear(["a", "b"], {"a": {"b": F(1)}, "b": {"a": F(1)}}, {"a": F(0), "b": F(0)})

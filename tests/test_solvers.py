@@ -35,6 +35,8 @@ from qtrace.products import (
 from qtrace.solvers import (
     SolverError,
     product_transformer,
+    reach_value_step,
+    reward_value_step,
     solve_partial_expected_reward,
     solve_product,
     solve_reach_prob,
@@ -119,6 +121,43 @@ def test_exact_solution_is_a_fixed_point_on_random_models():
         rep = solve_reach_prob(prod)
         phi = product_transformer(prod)
         assert phi(rep.values) == rep.values
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    """A value in [0, 1]: 0 or 1, a small fraction, or, half of the time,
+    one over a 300-bit denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(rng.randint(0, 1))
+    den = rng.randint(1, 12) if kind == 1 else rng.getrandbits(300) | 1 << 299
+    return F(rng.randint(0, den), den)
+
+
+def test_integer_update_steps_match_fraction_arithmetic():
+    rng = random.Random("update steps")
+    seen = set()
+    for _ in range(500):
+        masses = [_random_fraction(rng) for _ in range(rng.choice((0, 0, 1, 3, 6)))]
+        goal = _random_fraction(rng) if rng.random() < 0.7 else F(0)
+        step_reward = rng.randint(0, 9)
+        probs = [_random_fraction(rng) for _ in masses]
+        rewards = [_random_fraction(rng) * rng.randint(0, 40) for _ in masses]
+        want = goal + sum((p * v for v, p in zip(probs, masses)), F(0))
+        got = reach_value_step(zip(probs, masses), goal)  # iterators, as the transformers pass
+        assert (type(got), got) == (Fraction, want)
+        want_reward = step_reward * goal + sum(
+            (p * (v * step_reward + r) for v, r, p in zip(probs, rewards, masses)), F(0)
+        )
+        got = reward_value_step(zip(zip(probs, rewards), masses), goal, step_reward)
+        assert got == (want, want_reward)
+        assert tuple(map(type, got)) == (Fraction, Fraction)
+        seen |= {name for name, hit in (
+            ("empty", not masses),
+            ("zero mass", 0 in masses),
+            ("integer value", any(v.denominator == 1 for v in probs + rewards)),
+            ("300-bit", any(v.denominator.bit_length() == 300 for v in masses + probs + rewards)),
+        ) if hit}
+    assert seen == {"empty", "zero mass", "integer value", "300-bit"}
 
 
 def test_reward_fixture_value(robot, monitor):
