@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable
 
-from .domains import ONE, ZERO
+from .domains import ONE
 
 TARGET = "*"
 ACCEPT = "!accept"
@@ -158,26 +159,42 @@ def _common(model, out: list[str]) -> None:
         out.append(f"initial state {model.initial!r} not in state set")
 
 
+def _check_distribution(
+    row: dict, where: str, allowed: set, out: list[str], target: bool = False
+) -> None:
+    """Append the faults of one probability row at ``where``: successors
+    not in ``allowed`` (with ``target`` set, ``TARGET`` is reported as not
+    allowed rather than unknown), entries that are not a ``Fraction`` in
+    (0, 1], and valid entries that do not sum to 1.  The sum is one
+    integer numerator over the lcm of the denominators, as in
+    ``solvers.reach_value_step``."""
+    num, den = 0, 1
+    for succ, p in row.items():
+        if succ not in allowed:
+            if target and succ == TARGET:
+                out.append(f"target successor not allowed at {where}")
+            else:
+                out.append(f"unknown successor {succ!r} at {where}")
+        if not isinstance(p, Fraction) or not 0 < p.numerator <= p.denominator:
+            out.append(f"probability {p!r} at {where} not in (0, 1]")
+            continue
+        d = p.denominator
+        g = gcd(den, d)
+        num, den = num * (d // g) + p.numerator * (den // g), den * (d // g)
+    if num != den:
+        out.append(f"row sum != 1 at {where} (got {Fraction(num, den)})")
+
+
 def _check_rows(model, out: list[str], allow_target: bool) -> None:
     symbols = set(model.alphabet)
-    states = set(model.states)
+    allowed = set(model.states) - {TARGET}
+    if allow_target:
+        allowed.add(TARGET)
     for x in model.states:
         if x not in model.trans:
             out.append(f"no transition row at state {x!r}")
             continue
-        total = ZERO
-        for succ, p in model.trans[x].items():
-            if succ == TARGET:
-                if not allow_target:
-                    out.append(f"target successor not allowed at state {x!r}")
-            elif succ not in states:
-                out.append(f"unknown successor {succ!r} at state {x!r}")
-            if not isinstance(p, Fraction) or p <= 0 or p > 1:
-                out.append(f"probability {p!r} at state {x!r} not in (0, 1]")
-                continue
-            total += p
-        if total != ONE:
-            out.append(f"row sum != 1 at state {x!r} (got {total})")
+        _check_distribution(model.trans[x], f"state {x!r}", allowed, out, target=True)
     if hasattr(model, "label"):
         for x in model.states:
             a = model.label.get(x)

@@ -35,6 +35,7 @@ from .models import (
     TARGET,
     WeightedMealy,
     WeightedTs,
+    _check_distribution,
     _joined_pairs,
     require_same_alphabet,
 )
@@ -110,16 +111,7 @@ def validate_product(m) -> list[str]:
                 if not isinstance(w, int) or w < 0:
                     out.append(f"weight {w!r} at product state {s!r} is not natural")
         else:
-            total = ZERO
-            for succ, p in row.items():
-                if succ not in allowed:
-                    out.append(f"unknown successor {succ!r} at product state {s!r}")
-                if not isinstance(p, Fraction) or p <= 0 or p > 1:
-                    out.append(f"probability {p!r} at product state {s!r} not in (0, 1]")
-                    continue
-                total += p
-            if total != ONE:
-                out.append(f"row sum != 1 at product state {s!r} (got {total})")
+            _check_distribution(row, f"product state {s!r}", allowed, out)
     if isinstance(m, ProductRewardMc):
         for s in pairs:
             r = m.stepreward.get(s)

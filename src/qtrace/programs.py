@@ -26,8 +26,11 @@ never spliced into the source.
 
 Compilation unrolls the loop over the (finite) valuation space: one loop
 iteration becomes one transition, so the whole body is folded into a
-single distribution over successor valuations.  Valuations violating the
-guard become the terminating target (or are rejected in reactive mode).
+single distribution over successor valuations.  Branch masses are plain
+integers: the common denominator of each statement list is fixed once per
+program, a body run carries integer weights over it, and each row entry
+becomes a ``Fraction`` once.  Valuations violating the guard become the
+terminating target (or are rejected in reactive mode).
 The full grammar ships in ``docs/grammar.ebnf``.
 """
 
@@ -39,9 +42,10 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable
 
-from .domains import ONE, ZERO
+from .domains import ONE
 from .models import LabeledMc, NonTerminatingMc, TARGET, WeightedTs
 
 
@@ -626,23 +630,42 @@ class _Space:
         return table.entries.get(vals, table.default)
 
 
-def _run_block(stmts, vals: tuple, space: _Space) -> dict[tuple, Fraction]:
-    """Distribution over successor valuations after one pass of ``stmts``."""
-    current: dict[tuple, Fraction] = {vals: ONE}
+def _weights(stmts, space: _Space) -> tuple[int, tuple]:
+    """``stmts`` as (common denominator, steps): a step is an assignment's
+    function, or a choice's (integer scale, steps) per branch of positive
+    probability.  A choice's denominator is the lcm over its branches of
+    probability denominator times branch denominator; a sequence
+    multiplies its statements' denominators."""
+    den, steps = 1, []
     for stmt in stmts:
-        nxt: dict[tuple, Fraction] = {}
-        for key, p in current.items():
-            if isinstance(stmt, Assign):
-                succ = space.assigns[stmt.index](key)
-                nxt[succ] = nxt.get(succ, ZERO) + p
-            elif isinstance(stmt, ProbChoice):
-                for branch, q in zip(stmt.branches, stmt.probs):
-                    if q == 0:
-                        continue
-                    for succ, r in _run_block(branch, key, space).items():
-                        nxt[succ] = nxt.get(succ, ZERO) + p * q * r
-            else:
-                raise CompileError("weighted choice inside a probabilistic program")
+        if isinstance(stmt, Assign):
+            steps.append(space.assigns[stmt.index])
+        elif isinstance(stmt, ProbChoice):
+            branches = [(q, _weights(b, space)) for b, q in zip(stmt.branches, stmt.probs) if q]
+            d = lcm(*(q.denominator * bd for q, (bd, _) in branches))
+            steps.append(tuple((q.numerator * d // (q.denominator * bd), b)
+                               for q, (bd, b) in branches))
+            den *= d
+        else:
+            raise CompileError("weighted choice inside a probabilistic program")
+    return den, tuple(steps)
+
+
+def _run_block(steps: tuple, vals: tuple) -> dict[tuple, int]:
+    """Integer weights of the successor valuations after one pass of
+    ``steps``, over the denominator ``_weights`` fixed for them."""
+    current = {vals: 1}
+    for step in steps:
+        nxt: dict[tuple, int] = {}
+        if callable(step):
+            for key, w in current.items():
+                succ = step(key)
+                nxt[succ] = nxt.get(succ, 0) + w
+        else:
+            for key, w in current.items():
+                for scale, body in step:
+                    for succ, r in _run_block(body, key).items():
+                        nxt[succ] = nxt.get(succ, 0) + w * scale * r
         current = nxt
     return current
 
@@ -715,12 +738,14 @@ def compile_probabilistic(
         if sym not in alphabet:
             raise CompileError(f"label {sym!r} not in the declared alphabet")
 
+    den, body = _weights(program.body, space)
+
     def successors(vals: tuple):
-        return list(_run_block(program.body, vals, space).items())
+        return list(_run_block(body, vals).items())
 
     def row(vals: tuple, entries, ids) -> tuple[str, dict[str, Fraction]]:
-        out: dict[str, Fraction] = {}
-        for succ, p in entries:
+        out: dict[str, int] = {}
+        for succ, w in entries:
             row_key = ids.get(succ)
             if row_key is None:
                 if mode == "reactive":
@@ -728,8 +753,8 @@ def compile_probabilistic(
                         f"reactive program can halt: guard fails at {space.state_id(succ)}"
                     )
                 row_key = TARGET
-            out[row_key] = out.get(row_key, ZERO) + p
-        return space.label(vals), out
+            out[row_key] = out.get(row_key, 0) + w
+        return space.label(vals), {t: Fraction(w, den) for t, w in out.items()}
 
     rows, reachable, warnings = _unroll(space, successors, row, restrict_reachable)
     cls = LabeledMc if mode == "terminating" else NonTerminatingMc

@@ -12,12 +12,15 @@ known; the one-step updates sum integer numerators over a common
 denominator in the same way.  Weighted products are
 solved by one Dijkstra pass from the accepting sink over the reversed
 product graph, which nonnegative weights make exact.  Each exact answer
-is checked against its update equation before it is returned; a failed
-check raises ``SolverError`` (never an ``assert``, so the check also runs
-under ``python -O``).  Every product class names its value domain
-(``DOMAIN``), and one solve path serves all of them: ``iterate`` (the
-k-th iterate of the update) is shared, and every other mode, ``epsilon``
-included, returns the domain's exact answer.
+is certified before it is returned, in one pass over the product rows:
+every pair state's update is evaluated straight from ``m.trans`` and must
+give its value back, and for least costs the same pass collects the tight
+edges that prove the costs attained.  A failed check raises
+``SolverError`` (never an ``assert``, so the check also runs under
+``python -O``).  Every product class names its value domain (``DOMAIN``),
+and one solve path serves all of them: ``iterate`` (the k-th iterate of
+the update, the only mode that builds the transformer) is shared, and
+every other mode, ``epsilon`` included, returns the domain's exact answer.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import Callable
 
 from .domains import (
     INF,
-    ONE,
     PROB,
     PROB_REWARD,
     TROPICAL,
@@ -364,10 +366,14 @@ def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rh
             continue
         (i,) = component
         acc = reach_value_step(((value[j], p) for j, p in rows[i].items() if j != i), b[i])
-        pivot = ONE - rows[i].get(i, ZERO)
-        if pivot == 0:
+        loop = rows[i].get(i)
+        if loop is None:
+            value[i] = acc
+        elif loop == 1:
             raise SolverError("reduced system is singular; zero-pinning failed")
-        value[i] = acc / pivot
+        else:  # acc / (1 - loop), in integers
+            d = loop.denominator
+            value[i] = Fraction(acc.numerator * d, acc.denominator * (d - loop.numerator))
     return {s: value[i] for s, i in index.items()}
 
 
@@ -390,28 +396,44 @@ def _linear_solver(m, states: list[str]) -> Callable:
     return solve
 
 
-def _checked(phi, values: dict, domain: str) -> SolveReport:
-    """An exact solution, once it satisfies its update equation."""
-    if phi(values) != values:
+def _checked(m, values: dict, domain: str) -> SolveReport:
+    """An exact solution, once it satisfies its update equation.
+
+    The certificate is one pass over the product rows: the update of each
+    pair state is evaluated straight from ``m.trans`` and must give its
+    value back, and ``values`` must hold exactly the pair states."""
+    states = pair_states(m)
+    if values.keys() != set(states):
         raise SolverError("exact solution does not satisfy the update equation")
+    goal, sinks = m.GOAL, m.SINKS
+    reward = m.stepreward if domain == PROB_REWARD else None
+    for s in states:
+        row = m.trans[s]
+        successors = ((values[t], p) for t, p in row.items() if t not in sinks)
+        if reward is None:
+            value = reach_value_step(successors, row.get(goal, ZERO))
+        else:
+            value = reward_value_step(successors, row.get(goal, ZERO), reward[s])
+        if value != values[s]:
+            raise SolverError("exact solution does not satisfy the update equation")
     return SolveReport(values, "exact-linear", 0, True, domain)
 
 
-def _exact_reach(m: ProductMc, states: list[str], phi) -> SolveReport:
+def _exact_reach(m: ProductMc, states: list[str]) -> SolveReport:
     solve = _linear_solver(m, states)
-    return _checked(phi, solve(lambda s: m.trans[s].get(m.GOAL, ZERO)), PROB)
+    return _checked(m, solve(lambda s: m.trans[s].get(m.GOAL, ZERO)), PROB)
 
 
-def _exact_reward(m: ProductRewardMc, states: list[str], phi) -> SolveReport:
+def _exact_reward(m: ProductRewardMc, states: list[str]) -> SolveReport:
     """The probability system first, then the reward system against it;
     both share one pinned state set, so rewards stay finite."""
     solve = _linear_solver(m, states)
     prob = solve(lambda s: m.trans[s].get(m.GOAL, ZERO))
     reward = solve(lambda s: m.stepreward[s] * prob[s])
-    return _checked(phi, {s: (prob[s], reward[s]) for s in states}, PROB_REWARD)
+    return _checked(m, {s: (prob[s], reward[s]) for s in states}, PROB_REWARD)
 
 
-def _dijkstra(m: ProductWts, states: list[str], phi) -> SolveReport:
+def _dijkstra(m: ProductWts, states: list[str]) -> SolveReport:
     """Least costs by one Dijkstra pass (1959) from the goal over the
     reversed product graph: a goal edge seeds its source at its weight, and
     edges into the other sinks are ignored.  Settled costs are final only
@@ -441,35 +463,50 @@ def _dijkstra(m: ProductWts, states: list[str], phi) -> SolveReport:
                     heappush(heap, (c + w, i))
     del preds, index
     values = dict(zip(states, cost))
-    _check_least_costs(m, values, phi)
+    _check_least_costs(m, values)
     return SolveReport(values, "dijkstra", 0, True, TROPICAL)
 
 
-def _check_least_costs(m: ProductWts, values: dict, phi) -> None:
+def _check_least_costs(m: ProductWts, values: dict) -> None:
     """Raise ``SolverError`` unless ``values`` are the least costs.
 
     A fixed point of the update bounds every cost from below by the weight
     of every path to the goal; a path of tight edges (weight plus successor
-    cost equal to the cost) from each finite cost to the goal attains it."""
-    if phi(values) != values:
+    cost equal to the cost) from each finite cost to the goal attains it.
+    One pass over the product rows tests the fixed point, as
+    :func:`min_cost_step` would, and collects the tight edges; ``values``
+    must hold exactly the pair states."""
+    states = pair_states(m)
+    if values.keys() != set(states):
         raise SolverError("least costs do not satisfy the update equation")
+    goal, sinks = m.GOAL, m.SINKS
     tight: dict[str, list[str]] = {}  # per target: the sources of its tight edges
-    for s, c in values.items():
-        for t, w in m.trans[s] if c != INF else ():
-            if (w if t == m.GOAL else w + values.get(t, INF)) == c:
+    for s in states:
+        c = values[s]
+        best = INF
+        for t, w in m.trans[s]:
+            if t != goal:
+                if t in sinks:
+                    continue
+                w += values[t]
+            if w < best:
+                best = w
+            if w == c != INF:
                 tight.setdefault(t, []).append(s)
-    reached, stack = set(), [m.GOAL]
+        if best != c:
+            raise SolverError("least costs do not satisfy the update equation")
+    reached, stack = set(), [goal]
     while stack:
         for s in tight.pop(stack.pop(), ()):
             if s not in reached:
                 reached.add(s)
                 stack.append(s)
-    if any(c != INF and s not in reached for s, c in values.items()):
+    if any(values[s] != INF and s not in reached for s in states):
         raise SolverError("least costs are not attained by a path to the goal")
 
 
 #: Per value domain: the one-step update, the exact solve
-#: (product, states, update) -> SolveReport, and the modes that ask for it.
+#: (product, states) -> SolveReport, and the modes that ask for it.
 _SOLVERS = {
     PROB: (reach_transformer, _exact_reach, ("exact",)),
     PROB_REWARD: (reward_transformer, _exact_reward, ("exact",)),
@@ -488,12 +525,11 @@ def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
     """The one solve path: ``iterate`` works alike in every domain, every
     other mode gives the domain's own exact answer."""
     transformer, exact, exact_modes = _SOLVERS[domain]
-    phi = transformer(m)
     states = list(pair_states(m))
     if mode == "iterate":
         if steps is None:
             raise ValueError("iterate mode needs steps")
-        values = kleene_iterate(phi, bottom_vector(states, domain), steps)
+        values = kleene_iterate(transformer(m), bottom_vector(states, domain), steps)
         return SolveReport(values, "kleene", steps, False, domain)
     if mode == "epsilon":
         if domain == TROPICAL:  # the least costs are exact already
@@ -504,7 +540,7 @@ def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
     elif mode not in exact_modes:
         raise ValueError(f"unknown mode {mode!r}")
-    return exact(m, states, phi)
+    return exact(m, states)
 
 
 def solve_reach_prob(

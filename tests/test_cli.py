@@ -13,7 +13,9 @@ from qtrace.bundled import fixture_path, fixture_text
 from qtrace.cli import main
 from qtrace.domains import value_str
 from qtrace.lawcheck import random_instance
-from qtrace.modeljson import emit_model
+from qtrace.modeljson import emit_model, parse_model
+from qtrace.models import LabeledMc, validate
+from qtrace.products import ProductMc
 from qtrace.programs import MAX_BLOCK_NESTING, MAX_NESTING
 
 ROBOT = fixture_path("robot-mc.json")
@@ -149,6 +151,83 @@ def test_validate_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "validate", str(bad))
     assert code == 2
     assert "label missing" in out
+
+
+#: A product-mc document whose first row is replaced by each fault below.
+_PRODUCT_DOC = {
+    "kind": "product-mc",
+    "initial": "x0|y0",
+    "states": ["x0|y0", "x1|y0", "x2|y0", "x3|y0", "!accept", "!reject"],
+    "trans": {
+        "x0|y0": {"x1|y0": "1"},
+        "x1|y0": {"!accept": "1"},
+        "x2|y0": {"x3|y0": "1/3", "!reject": "2/3"},
+        "x3|y0": {"!accept": "1"},
+    },
+}
+
+#: Per fault: the two entries of the faulty row, and the messages at a
+#: chain's state 'x0' and a product's state 'x0|y0'.  The full outputs
+#: were captured while row sums were still summed in ``Fraction``s.
+_ROW_FAULTS = {
+    "sum-3/2": (("4/5", "7/10"), ["row sum != 1 at {} (got 3/2)"]),
+    "sum-1-2^-60": (
+        ("1/2", f"{2**59 - 1}/{2**60}"),
+        ["row sum != 1 at {} (got 1152921504606846975/1152921504606846976)"],
+    ),
+    "zero": (("0", "1"), ["probability Fraction(0, 1) at {} not in (0, 1]"]),
+    "negative": (("-1/5", "1"), ["probability Fraction(-1, 5) at {} not in (0, 1]"]),
+    "above-one": (
+        ("3/2", "1/2"),
+        ["probability Fraction(3, 2) at {} not in (0, 1]", "row sum != 1 at {} (got 1/2)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(_ROW_FAULTS))
+@pytest.mark.parametrize("kind", ["mc", "product-mc"])
+def test_validate_prints_row_faults_exactly(kind, fault, tmp_path, capsys):
+    (pa, pb), messages = _ROW_FAULTS[fault]
+    if kind == "mc":
+        doc, state, a, b = json.loads(fixture_text("robot-mc.json")), "x0", "x1", "x2"
+        where = "state 'x0'"
+    else:
+        doc, state, a, b = json.loads(json.dumps(_PRODUCT_DOC)), "x0|y0", "x1|y0", "x2|y0"
+        where = "product state 'x0|y0'"
+    doc["trans"][state] = {a: pa, b: pb}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "".join(f"violation: {m.format(where)}\n" for m in messages)
+
+
+def test_validate_reports_entries_that_are_not_fractions():
+    m = parse_model(fixture_text("robot-mc.json"))
+    p = parse_model(_PRODUCT_DOC)
+
+    def chain(row):
+        return validate(LabeledMc(m.states, m.alphabet, m.label, dict(m.trans, x0=row), m.initial))
+
+    def product(row):
+        return validate(ProductMc(p.states, dict(p.trans, **{"x0|y0": row}), p.initial))
+
+    assert chain({"x1": 1}) == [
+        "probability 1 at state 'x0' not in (0, 1]",
+        "row sum != 1 at state 'x0' (got 0)",
+    ]
+    assert chain({"x1": "4/5", "x2": Fraction(1, 5)}) == [
+        "probability '4/5' at state 'x0' not in (0, 1]",
+        "row sum != 1 at state 'x0' (got 1/5)",
+    ]
+    assert product({"x1|y0": 1}) == [
+        "probability 1 at product state 'x0|y0' not in (0, 1]",
+        "row sum != 1 at product state 'x0|y0' (got 0)",
+    ]
+    assert product({"x1|y0": "4/5", "x2|y0": Fraction(1, 5)}) == [
+        "probability '4/5' at product state 'x0|y0' not in (0, 1]",
+        "row sum != 1 at product state 'x0|y0' (got 1/5)",
+    ]
 
 
 def test_compile_gridworld(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import string
@@ -22,6 +23,7 @@ from qtrace.programs import (
     parse_program,
 )
 from qtrace.solvers import solve_reach_prob
+import fraction_blocks
 from random_programs import random_program
 
 F = Fraction
@@ -240,11 +242,16 @@ def test_loop_body_runs_once_per_state(text, mode, restrict, monkeypatch):
     program = parse_program(text)
     run_block = programs._run_block
     ran = []
+    depth = [0]  # nested calls run the branches of a choice
 
-    def counting(stmts, env, space):
-        if stmts is program.body:
+    def counting(steps, env):
+        if depth[0] == 0:
             ran.append(env)
-        return run_block(stmts, env, space)
+        depth[0] += 1
+        try:
+            return run_block(steps, env)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(programs, "_run_block", counting)
     report = compile_probabilistic(program, mode, restrict_reachable=restrict)
@@ -370,6 +377,70 @@ def test_random_programs_match_golden_digest():
         assert sum(outcome in o for o in outcomes) >= 10, outcome
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "528b08de6e6053a1401328daed369130c063695fa0e2b845ebc812753af984c5"
+
+
+def _body_runs(program):
+    """One body run from each valuation of the declared space, by the
+    ``Fraction`` reference and by the integer weights over the program's
+    denominator: pairs of (successor, mass) lists in order, or the error."""
+    space = programs._Space(program)
+    den, body = programs._weights(program.body, space)
+
+    def outcome(run):
+        try:
+            return list(run().items())
+        except CompileError as exc:
+            return str(exc)
+
+    for vals in itertools.product(*(range(v.lo, v.hi + 1) for v in program.variables)):
+        reference = outcome(lambda: fraction_blocks._run_block(program.body, vals, space))
+        weights = outcome(lambda: programs._run_block(body, vals))
+        if not isinstance(weights, str):
+            assert all(type(w) is int for _, w in weights)
+            weights = [(succ, Fraction(w, den)) for succ, w in weights]
+        yield reference, weights
+
+
+#: Nested coprime denominators, [0] and [1] branches, sequential choices.
+_HAND_PROGRAMS = [
+    "var x : 0..9 init 0;\nlabel { default: a; }\nwhile (x < 9) {\n"
+    "  { { { x <- min(x + 1, 9) } [1/3] { x <- min(x + 2, 9) } } [2/5] { x <- min(x + 3, 9) } }"
+    " [1/7] { x <- max(x - 1, 0) }\n}",
+    "var x : 0..3 init 0;\nvar y : 0..3 init 0;\nlabel { default: a; }\nwhile (x < 3) {\n"
+    "  { x <- min(x + 1, 3) } [0] { x <- 0 }\n  { y <- min(y + 1, 3) } [1] { y <- 0 } [0] { y <- 1 }\n"
+    "  { x <- min(x + 1, 3) } [1] { }\n}",
+    "var x : 0..4 init 0;\nvar y : 0..4 init 0;\nlabel { default: a; }\nwhile (x + y < 8) {\n"
+    "  { x <- min(x + 1, 4) } [1/2] { x <- x }\n"
+    "  { y <- min(y + 1, 4) } [1/3] { y <- 0 } [1/5] { { y <- max(y - 1, 0) } [3/11] { x <- 0 } }\n"
+    "  { x <- min(x + y, 4) } [5/13] { y <- min(x + y, 4) }\n}",
+]
+
+
+def test_integer_weights_match_the_fraction_reference():
+    rng = random.Random(9)
+    texts = [random_program(rng) for _ in range(400)] + _HAND_PROGRAMS
+    compared = nested = 0
+    for text in texts:
+        try:
+            program = parse_program(text)
+        except ParseError:
+            continue
+        if program.mode != "probabilistic":
+            continue
+        nested += _nests_branches(program.body)
+        for reference, weights in _body_runs(program):
+            assert weights == reference, text
+            compared += 1
+    assert nested >= 20 and compared >= 1000
+    # masses whose denominators take every nesting level and every
+    # statement of a sequence
+    denominators = {
+        p.denominator
+        for text in _HAND_PROGRAMS
+        for reference, _ in _body_runs(parse_program(text))
+        for _, p in reference
+    }
+    assert {3 * 5 * 7, 2 * 3 * 5 * 11 * 13} <= denominators
 
 
 # ---------------------------------------------------------------------------

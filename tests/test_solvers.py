@@ -7,7 +7,7 @@ import pytest
 from minplus_solver import least_costs
 
 from qtrace import solvers
-from qtrace.bundled import load_model
+from qtrace.bundled import fixture_text, load_model
 from qtrace.domains import INF, PROB, TROPICAL, bottom_vector, leq
 from qtrace.lawcheck import (
     random_dfa,
@@ -32,6 +32,7 @@ from qtrace.products import (
     product_wts_nfa,
     product_wts_wmm,
 )
+from qtrace.programs import compile_probabilistic, parse_program
 from qtrace.solvers import (
     SolverError,
     product_transformer,
@@ -442,6 +443,71 @@ def test_least_cost_check_rejects_other_fixed_points(trans, wrong, least):
     phi = product_transformer(prod)
     assert phi(wrong) == wrong and phi(least) == least
     with pytest.raises(SolverError, match="least costs are not attained by a path to the goal"):
-        solvers._check_least_costs(prod, wrong, phi)
-    solvers._check_least_costs(prod, least, phi)
+        solvers._check_least_costs(prod, wrong)
+    solvers._check_least_costs(prod, least)
     assert solve_tropical(prod).values == least
+
+
+def _patrol_product():
+    """The shipped patrol program, reactive, paired ntmc-dfa: cyclic."""
+    chain = compile_probabilistic(parse_program(fixture_text("patrol.qtp")), "reactive").model
+    return product_ntmc_dfa(chain, load_model("safe-recharge-dfa.json"))
+
+
+def _gridworld_reward_product():
+    """The shipped gridworld program with a reward per state, paired mrm-dfa."""
+    c = compile_probabilistic(parse_program(fixture_text("gridworld.qtp")), "terminating").model
+    reward = {x: 1 + i % 3 for i, x in enumerate(c.states)}
+    mrm = MarkovRewardModel(c.states, c.alphabet, c.label, reward, c.trans, c.initial)
+    return product_mrm_dfa(mrm, load_model("reach-recharge-dfa.json"))
+
+
+@pytest.mark.parametrize(
+    "build, wrong_call",
+    [(_patrol_product, 0), (_gridworld_reward_product, 0), (_gridworld_reward_product, 1)],
+    ids=["ntmc-dfa", "mrm-dfa-probability", "mrm-dfa-reward"],
+)
+def test_one_wrong_value_fails_the_certificate(build, wrong_call, monkeypatch):
+    # one state on a cycle is off; the reward solve is the second call of
+    # _solve_linear, against the probabilities of the first
+    prod = build()
+    solve_product(prod)
+    calls = []
+    solve_linear = solvers._solve_linear
+
+    def one_value_off(unknowns, coeff, rhs):
+        values = solve_linear(unknowns, coeff, rhs)
+        if len(calls) == wrong_call:
+            index = {s: i for i, s in enumerate(unknowns)}
+            rows = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
+            on_cycle = [i for c in solvers._components(rows) for i in c if len(c) > 1 or i in rows[i]]
+            values[unknowns[on_cycle[0]]] += F(1, 10**6)
+        calls.append(unknowns)
+        return values
+
+    monkeypatch.setattr(solvers, "_solve_linear", one_value_off)
+    with pytest.raises(SolverError, match="exact solution does not satisfy the update equation"):
+        solve_product(prod)
+    assert len(calls) > wrong_call
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_a_vector_over_other_states_fails_the_certificate(change):
+    # the certificates raise SolverError here, never KeyError
+    cases = [
+        (_patrol_product(), "exact solution does not satisfy the update equation"),
+        (_gridworld_reward_product(), "exact solution does not satisfy the update equation"),
+        (product_wts_nfa(load_model("travel-wts.json"), load_model("train-arrival-nfa.json")),
+         "least costs do not satisfy the update equation"),
+    ]
+    for prod, message in cases:
+        values = dict(solve_product(prod).values)
+        if change == "missing":
+            del values[next(s for s in pair_states(prod) if s != prod.initial)]
+        else:
+            values["x|y"] = values[prod.initial]
+        with pytest.raises(SolverError, match=message):
+            if prod.DOMAIN == TROPICAL:
+                solvers._check_least_costs(prod, values)
+            else:
+                solvers._checked(prod, values, prod.DOMAIN)
