@@ -98,8 +98,8 @@ def pair_states(product) -> tuple[str, ...]:
 
 def validate_product(m) -> list[str]:
     out: list[str] = []
-    pairs = set(pair_states(m))
-    allowed = pairs | set(m.SINKS)
+    pairs = dict.fromkeys(pair_states(m))  # unique, in order: faults come in state order
+    allowed = {*pairs, *m.SINKS}
     for s in pairs:
         row = m.trans.get(s)
         if row is None:

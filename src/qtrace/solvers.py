@@ -1,32 +1,34 @@
 """Evaluate product machines: exact linear solving, Dijkstra, and k-step iterates.
 
 The value of a product state is the least solution of a one-step update
-equation.  Probabilistic products are solved exactly: states that cannot
-reach the accepting sink are pinned to the bottom value first (this is
-what selects the *least* solution), the remainder is a nonsingular linear
-system solved one strongly connected component at a time, in reverse
-topological order: a single state by back substitution, a cyclic
-component by sparse elimination on integer rows.  The arithmetic runs on
-plain integers, and each value becomes a ``Fraction`` once, when it is
-known; the one-step updates sum integer numerators over a common
-denominator in the same way.  Weighted products are
-solved by one Dijkstra pass from the accepting sink over the reversed
-product graph, which nonnegative weights make exact.  Each exact answer
-is certified before it is returned, in one pass over the product rows:
-every pair state's update is evaluated straight from ``m.trans`` and must
-give its value back, and for least costs the same pass collects the tight
-edges that prove the costs attained.  A failed check raises
-``SolverError`` (never an ``assert``, so the check also runs under
-``python -O``).  Every product class names its value domain (``DOMAIN``),
-and one solve path serves all of them: ``iterate`` (the k-th iterate of
-the update, the only mode that builds the transformer) is shared, and
-every other mode, ``epsilon`` included, returns the domain's exact answer.
+equation.  Each value domain states that update once, as a kernel applied
+to one row form: a product is read once into per-state rows (successor
+entries without the sinks, plus the kernel's other arguments), and the
+update applies the kernel at every row.  Probabilistic products are solved
+exactly on those rows: states that cannot reach the accepting sink are
+pinned to the bottom value first (this is what selects the *least*
+solution), the remainder is a nonsingular linear system solved one
+strongly connected component at a time, in reverse topological order: a
+single state by back substitution, a cyclic component by sparse
+elimination on integer rows.  The arithmetic runs on plain integers, and
+each value becomes a ``Fraction`` once, when it is known.  Weighted
+products are solved by one Dijkstra pass from the accepting sink over the
+reversed product graph, which nonnegative weights make exact.  Each exact
+answer is certified before it is returned: a probabilistic answer must be
+given back by the update itself, and least costs by one pass over the
+product rows that also collects the tight edges proving the costs
+attained.  A failed check raises ``SolverError`` (never an ``assert``, so
+the check also runs under ``python -O``).  Every product class names its
+value domain (``DOMAIN``), and one solve path serves all of them:
+``iterate`` (the k-th iterate of the update) is shared, and every other
+mode, ``epsilon`` included, returns the domain's exact answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Callable
 
@@ -115,73 +117,39 @@ def min_cost_step(successors, accept_weights):
 
 
 # ---------------------------------------------------------------------------
-# transformers
+# product rows and the update
 
-def _prob_transformer(m, step, extra=lambda s: ()) -> Callable[[dict], dict]:
-    """The update ``step(successor values, goal mass, *extra(s))`` at every
-    state of a probabilistic product; each row is compiled once, so a round
-    makes one ``step`` call per state."""
-    compiled = []
+def _rows(m, domain: str) -> list:
+    """The product read once: per pair state, (state, its successor entries
+    with the sinks dropped, the rest of the domain's one-step kernel
+    arguments).  Those are the goal mass, and for reward products the step
+    reward; for weighted products, the weights of the goal edges."""
+    goal, sinks = m.GOAL, m.SINKS
+    rows = []
     for s in pair_states(m):
         row = m.trans[s]
-        succ = [(t, p) for t, p in row.items() if t not in m.SINKS]
-        compiled.append((s, succ, (row.get(m.GOAL, ZERO), *extra(s))))
-
-    def phi(u: dict) -> dict:
-        return {s: step(((u[t], p) for t, p in succ), *args) for s, succ, args in compiled}
-
-    return phi
-
-
-def reach_transformer(m: ProductMc) -> Callable[[dict], dict]:
-    return _prob_transformer(m, reach_value_step)
+        if domain == TROPICAL:  # the entries are the product's own tuples
+            rows.append((s, [e for e in row if e[0] not in sinks], ([w for t, w in row if t == goal],)))
+        else:
+            args = (row.get(goal, ZERO),) if domain == PROB else (row.get(goal, ZERO), m.stepreward[s])
+            rows.append((s, [e for e in row.items() if e[0] not in sinks], args))
+    return rows
 
 
-def reward_transformer(m: ProductRewardMc) -> Callable[[dict], dict]:
-    return _prob_transformer(m, reward_value_step, lambda s: (m.stepreward[s],))
-
-
-def tropical_transformer(m: ProductWts) -> Callable[[dict], dict]:
-    compiled = []
-    for s in pair_states(m):
-        acc = [w for t, w in m.trans[s] if t == m.GOAL]
-        succ = [edge for edge in m.trans[s] if edge[0] not in m.SINKS]  # shares the product's tuples
-        compiled.append((s, acc, succ))
-
-    def phi(u: dict) -> dict:
-        return {
-            s: min_cost_step(((u[t], w) for t, w in succ), acc)
-            for s, acc, succ in compiled
-        }
-
-    return phi
+def _update(step, rows: list, values: dict) -> dict:
+    """The one-step update: ``step(successor values, *kernel arguments)``
+    at every state of ``rows``, one call per state."""
+    return {s: step(((values[t], x) for t, x in succ), *args) for s, succ, args in rows}
 
 
 def product_transformer(m) -> Callable[[dict], dict]:
     """One-step value update of any product kind."""
-    transformer, _, _ = _SOLVERS[_domain(m)]
-    return transformer(m)
+    domain = _domain(m)
+    return partial(_update, _SOLVERS[domain][0], _rows(m, domain))
 
 
 # ---------------------------------------------------------------------------
 # exact linear solving
-
-def _states_reaching(m, goal: str) -> set[str]:
-    """States with a positive-probability path to ``goal``."""
-    incoming: dict[str, list[str]] = {}
-    for s in pair_states(m):
-        for t in m.trans[s]:
-            incoming.setdefault(t, []).append(s)
-    seen: set[str] = set()
-    queue = list(incoming.get(goal, []))
-    while queue:
-        s = queue.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        queue.extend(incoming.get(s, []))
-    return seen
-
 
 def _components(succ: list) -> list[list[int]]:
     """Strongly connected components of the graph with an edge ``i -> j``
@@ -377,69 +345,49 @@ def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rh
     return {s: value[i] for s, i in index.items()}
 
 
-def _linear_solver(m, states: list[str]) -> Callable:
-    """``solve(rhs)``: the exact solution of v = coeff v + rhs over ``states``.
+def _exact_prob(m, domain: str) -> SolveReport:
+    """The least solution of a probabilistic product, certified.
 
-    States that cannot reach the goal are pinned to 0, which selects the
-    least solution; the rest form a nonsingular system, set up once and
-    solved for every right-hand side ``rhs(state)`` it is given.
-    """
-    live = _states_reaching(m, m.GOAL)
-    unknowns = [s for s in states if s in live]
-    coeff = {s: {t: p for t, p in m.trans[s].items() if t in live} for s in unknowns}
-
-    def solve(rhs: Callable[[str], Fraction]) -> dict[str, Fraction]:
-        values = {s: ZERO for s in states}
-        values.update(_solve_linear(unknowns, coeff, {s: rhs(s) for s in unknowns}))
-        return values
-
-    return solve
-
-
-def _checked(m, values: dict, domain: str) -> SolveReport:
-    """An exact solution, once it satisfies its update equation.
-
-    The certificate is one pass over the product rows: the update of each
-    pair state is evaluated straight from ``m.trans`` and must give its
-    value back, and ``values`` must hold exactly the pair states."""
-    states = pair_states(m)
-    if values.keys() != set(states):
+    States with no path to a goal mass are pinned to 0, which selects the
+    least solution; the rest form a nonsingular system, solved for the
+    probabilities and, for reward products, then for the rewards against
+    them over the same pinned set, so rewards stay finite.  The
+    certificate is the update itself: applied to the answer it must give
+    the answer back."""
+    step = _SOLVERS[domain][0]
+    rows = _rows(m, domain)
+    preds: dict[str, list[str]] = {}
+    for s, succ, _ in rows:
+        for t, _ in succ:
+            preds.setdefault(t, []).append(s)
+    live: set[str] = set()
+    stack = [s for s, _, args in rows if args[0]]
+    while stack:
+        s = stack.pop()
+        if s not in live:
+            live.add(s)
+            stack.extend(preds.get(s, ()))
+    system = [(s, {t: p for t, p in succ if t in live}, args) for s, succ, args in rows if s in live]
+    unknowns = [s for s, _, _ in system]
+    coeff = {s: row for s, row, _ in system}
+    values = dict.fromkeys(pair_states(m), ZERO)
+    values.update(_solve_linear(unknowns, coeff, {s: args[0] for s, _, args in system}))
+    if domain == PROB_REWARD:
+        reward = _solve_linear(unknowns, coeff, {s: args[1] * values[s] for s, _, args in system})
+        values = {s: (p, reward.get(s, ZERO)) for s, p in values.items()}
+    if _update(step, rows, values) != values:
         raise SolverError("exact solution does not satisfy the update equation")
-    goal, sinks = m.GOAL, m.SINKS
-    reward = m.stepreward if domain == PROB_REWARD else None
-    for s in states:
-        row = m.trans[s]
-        successors = ((values[t], p) for t, p in row.items() if t not in sinks)
-        if reward is None:
-            value = reach_value_step(successors, row.get(goal, ZERO))
-        else:
-            value = reward_value_step(successors, row.get(goal, ZERO), reward[s])
-        if value != values[s]:
-            raise SolverError("exact solution does not satisfy the update equation")
     return SolveReport(values, "exact-linear", 0, True, domain)
 
 
-def _exact_reach(m: ProductMc, states: list[str]) -> SolveReport:
-    solve = _linear_solver(m, states)
-    return _checked(m, solve(lambda s: m.trans[s].get(m.GOAL, ZERO)), PROB)
-
-
-def _exact_reward(m: ProductRewardMc, states: list[str]) -> SolveReport:
-    """The probability system first, then the reward system against it;
-    both share one pinned state set, so rewards stay finite."""
-    solve = _linear_solver(m, states)
-    prob = solve(lambda s: m.trans[s].get(m.GOAL, ZERO))
-    reward = solve(lambda s: m.stepreward[s] * prob[s])
-    return _checked(m, {s: (prob[s], reward[s]) for s in states}, PROB_REWARD)
-
-
-def _dijkstra(m: ProductWts, states: list[str]) -> SolveReport:
+def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
     """Least costs by one Dijkstra pass (1959) from the goal over the
     reversed product graph: a goal edge seeds its source at its weight, and
     edges into the other sinks are ignored.  Settled costs are final only
     because weights are nonnegative, so a negative weight raises."""
     from heapq import heapify, heappop, heappush  # not on ``import qtrace``
 
+    states = pair_states(m)
     index = {s: i for i, s in enumerate(states)}
     preds: list[list[int]] = [[] for _ in states]  # per state: source, weight, source, ...
     cost: list = [INF] * len(states)
@@ -464,7 +412,7 @@ def _dijkstra(m: ProductWts, states: list[str]) -> SolveReport:
     del preds, index
     values = dict(zip(states, cost))
     _check_least_costs(m, values)
-    return SolveReport(values, "dijkstra", 0, True, TROPICAL)
+    return SolveReport(values, "dijkstra", 0, True, domain)
 
 
 def _check_least_costs(m: ProductWts, values: dict) -> None:
@@ -505,12 +453,12 @@ def _check_least_costs(m: ProductWts, values: dict) -> None:
         raise SolverError("least costs are not attained by a path to the goal")
 
 
-#: Per value domain: the one-step update, the exact solve
-#: (product, states) -> SolveReport, and the modes that ask for it.
+#: Per value domain: the one-step kernel, the exact solve
+#: (product, domain) -> SolveReport, and the modes that ask for it.
 _SOLVERS = {
-    PROB: (reach_transformer, _exact_reach, ("exact",)),
-    PROB_REWARD: (reward_transformer, _exact_reward, ("exact",)),
-    TROPICAL: (tropical_transformer, _dijkstra, ("bellman", "exact")),
+    PROB: (reach_value_step, _exact_prob, ("exact",)),
+    PROB_REWARD: (reward_value_step, _exact_prob, ("exact",)),
+    TROPICAL: (min_cost_step, _dijkstra, ("bellman", "exact")),
 }
 
 
@@ -524,12 +472,11 @@ def _domain(m) -> str:
 def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
     """The one solve path: ``iterate`` works alike in every domain, every
     other mode gives the domain's own exact answer."""
-    transformer, exact, exact_modes = _SOLVERS[domain]
-    states = list(pair_states(m))
+    _, exact, exact_modes = _SOLVERS[domain]
     if mode == "iterate":
         if steps is None:
             raise ValueError("iterate mode needs steps")
-        values = kleene_iterate(transformer(m), bottom_vector(states, domain), steps)
+        values = kleene_iterate(product_transformer(m), bottom_vector(pair_states(m), domain), steps)
         return SolveReport(values, "kleene", steps, False, domain)
     if mode == "epsilon":
         if domain == TROPICAL:  # the least costs are exact already
@@ -540,7 +487,7 @@ def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
     elif mode not in exact_modes:
         raise ValueError(f"unknown mode {mode!r}")
-    return exact(m, states)
+    return exact(m, domain)
 
 
 def solve_reach_prob(

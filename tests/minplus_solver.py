@@ -9,13 +9,13 @@ product states, so the (n + 1)-th iterate must be a fixed point.
 
 from qtrace.domains import TROPICAL, bottom_vector, kleene_iterate
 from qtrace.products import pair_states
-from qtrace.solvers import tropical_transformer
+from qtrace.solvers import product_transformer
 
 
 def least_costs(prod) -> dict:
     """Least cost of reaching the accepting sink, per product state."""
     states = pair_states(prod)
-    phi = tropical_transformer(prod)
+    phi = product_transformer(prod)
     values = kleene_iterate(phi, bottom_vector(states, TROPICAL), len(states) + 1)
     if phi(values) != values:
         raise AssertionError("min-cost iteration did not stabilize within the state bound")

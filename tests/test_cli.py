@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -228,6 +229,33 @@ def test_validate_reports_entries_that_are_not_fractions():
         "probability '4/5' at product state 'x0|y0' not in (0, 1]",
         "row sum != 1 at product state 'x0|y0' (got 1/5)",
     ]
+
+
+@pytest.mark.parametrize("kind", ["product-mc", "product-mrm"])
+def test_validate_lists_product_faults_in_state_order(kind, tmp_path):
+    # the faults were once listed in set order, which moved with the hash seed
+    states = ["b|y", "d|y", "a|y", "c|y"]
+    doc = {
+        "kind": kind,
+        "initial": "b|y",
+        "states": [*states, "!accept", "!reject"],
+        "trans": {s: {"!accept": "1/2"} for s in states},
+    }
+    want = [f"row sum != 1 at product state {s!r} (got 1/2)" for s in states]
+    if kind == "product-mrm":
+        doc["stepreward"] = {s: -1 for s in states}
+        want += [f"step reward at {s!r} is not a natural number" for s in states]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(qtrace.__file__))
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtrace", "validate", str(path), "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["violations"] == want, seed
 
 
 def test_compile_gridworld(tmp_path, capsys):
@@ -763,3 +791,15 @@ def test_import_qtrace_stays_lean():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_the_package_has_no_assert():
+    # python -O strips asserts, so no check of the package may rest on one
+    src = os.path.dirname(qtrace.__file__)
+    modules = sorted(name for name in os.listdir(src) if name.endswith(".py"))
+    found = []
+    for name in modules:
+        with open(os.path.join(src, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert "solvers.py" in modules and found == []

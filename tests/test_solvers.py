@@ -316,6 +316,63 @@ def test_tropical_values_match_golden_digest():
     assert digest.hexdigest() == TROPICAL_GOLDEN
 
 
+def _iterate_golden_products(name: str):
+    """The bundled pairs and programs, or 10 seeded random instances of a
+    pairing (the only reward chains and Mealy machines), each built with
+    the reachability restriction on and off."""
+    if name in PAIRING_TABLE:
+        build = PAIRING_TABLE[name].build
+        for i in range(10):
+            system, requirement = random_instance(name, random.Random(f"iterate:{name}:{i}"))
+            for restrict in (True, False):
+                yield build(system, requirement, restrict=restrict)
+        return
+    robot, safe = load_model("robot-mc.json"), load_model("safe-recharge-dfa.json")
+    pairing, system, requirement = {
+        "robot*safe": ("mc-dfa", robot, safe),
+        "robot*reach": ("mc-dfa", robot, load_model("reach-recharge-dfa.json")),
+        "travel-wts*nfa": ("wts-nfa", load_model("travel-wts.json"), load_model("train-arrival-nfa.json")),
+        "patrol*safe": ("ntmc-dfa", _compiled("patrol.qtp", "reactive"), safe),
+        "gridworld*safe": ("mc-dfa", _compiled("gridworld.qtp", "terminating"), safe),
+    }[name]
+    for restrict in (True, False):
+        yield PAIRING_TABLE[pairing].build(system, requirement, restrict=restrict)
+
+
+def _compiled(program: str, mode: str):
+    return compile_probabilistic(parse_program(fixture_text(program)), mode).model
+
+
+#: sha256 of the JSON reports of ``solve_product(m, "iterate", steps=6)``
+#: over ``_iterate_golden_products``, as each domain's own transformer
+#: computed them before all three shared one row form.
+ITERATE_GOLDEN = {
+    "robot*safe": "892fb3dc83d5eede2f11397d0b0a50cf8156bc4a19a75770765b4a6b71cde216",
+    "robot*reach": "c4d785cf43ba384f230c21530e73ecdb516929fac9938b64b73f449212b78124",
+    "travel-wts*nfa": "032e4617415116212629bd082f55f6eaf1ebb08c2704b83a67304ebab1af9ebf",
+    "patrol*safe": "1c7e30e273003177c12e5423f9db89aee85c63bc71361bf5d262be9df90d3205",
+    "gridworld*safe": "f2a686db67a4aa935e0f2591dc95db133c438e5e93685e31659177a72516367b",
+    "mc-dfa": "53c152b69bde8872b5c9cf71ab042990a92017b2e2be2d918892d9b6cde0659a",
+    "mrm-dfa": "52fcab8738e9737473dd40772a5a5735240b943c390416b07ed49f9683c2aed5",
+    "mc-costdfa": "c9609d294fce4fd48387aee640c4aeb6de92566633cbcb4c98cb033ac9a0dd8e",
+    "ntmc-dfa": "c0990eef354bfaa0b02f054dece9bfced34d3b69ffaf24a6cf068dc033cecf1b",
+    "wts-nfa": "6bd3a3b201c0b9b1ffc3ea29b56ce8aacd647f4d9d3c2d559bf42252dca8b304",
+    "wts-wmm": "2602ec1e20361796ce33b14e3a35ba1387078d8636862a5b717971a48a56784a",
+}
+
+
+@pytest.mark.parametrize("name", ITERATE_GOLDEN)
+def test_iterate_values_match_golden_digests(name):
+    digest = hashlib.sha256()
+    moved = False  # some iterate leaves the bottom vector
+    for prod in _iterate_golden_products(name):
+        rep = solve_product(prod, "iterate", steps=6)
+        moved |= rep.values != bottom_vector(pair_states(prod), prod.DOMAIN)
+        digest.update(json.dumps(rep.to_json()).encode())
+    assert moved
+    assert digest.hexdigest() == ITERATE_GOLDEN[name]
+
+
 @pytest.mark.parametrize("epsilon", [F(0), F(-1)])
 def test_nonpositive_epsilon_is_rejected(robot, monitor, epsilon):
     # the stopping rule "change < epsilon" could never fire
@@ -492,22 +549,28 @@ def test_one_wrong_value_fails_the_certificate(build, wrong_call, monkeypatch):
 
 
 @pytest.mark.parametrize("change", ["missing", "extra"])
-def test_a_vector_over_other_states_fails_the_certificate(change):
-    # the certificates raise SolverError here, never KeyError
-    cases = [
-        (_patrol_product(), "exact solution does not satisfy the update equation"),
-        (_gridworld_reward_product(), "exact solution does not satisfy the update equation"),
-        (product_wts_nfa(load_model("travel-wts.json"), load_model("train-arrival-nfa.json")),
-         "least costs do not satisfy the update equation"),
-    ]
-    for prod, message in cases:
-        values = dict(solve_product(prod).values)
+def test_a_vector_over_other_states_fails_the_certificate(change, monkeypatch):
+    # the certificates raise SolverError here, never KeyError: the linear
+    # solves miss a live unknown, or add a state the product does not have
+    solve_linear = solvers._solve_linear
+
+    def changed(unknowns, coeff, rhs):
+        values = solve_linear(unknowns, coeff, rhs)
         if change == "missing":
-            del values[next(s for s in pair_states(prod) if s != prod.initial)]
+            del values[unknowns[-1]]
         else:
-            values["x|y"] = values[prod.initial]
-        with pytest.raises(SolverError, match=message):
-            if prod.DOMAIN == TROPICAL:
-                solvers._check_least_costs(prod, values)
-            else:
-                solvers._checked(prod, values, prod.DOMAIN)
+            values["x|y"] = values[unknowns[0]]
+        return values
+
+    monkeypatch.setattr(solvers, "_solve_linear", changed)
+    for prod in (_patrol_product(), _gridworld_reward_product()):
+        with pytest.raises(SolverError, match="exact solution does not satisfy the update equation"):
+            solve_product(prod)
+    prod = product_wts_nfa(load_model("travel-wts.json"), load_model("train-arrival-nfa.json"))
+    values = dict(solve_product(prod).values)
+    if change == "missing":
+        del values[next(s for s in pair_states(prod) if s != prod.initial)]
+    else:
+        values["x|y"] = values[prod.initial]
+    with pytest.raises(SolverError, match="least costs do not satisfy the update equation"):
+        solvers._check_least_costs(prod, values)
