@@ -10,7 +10,9 @@ pinned to the bottom value first (this is what selects the *least*
 solution), the remainder is a nonsingular linear system solved one
 strongly connected component at a time, in reverse topological order: a
 single state by back substitution, a cyclic component by sparse
-elimination on integer rows.  The arithmetic runs on plain integers, and
+elimination on integer rows.  The rewards of a reward product solve the
+same matrix for a second right-hand side, so one elimination of each
+component serves both.  The arithmetic runs on plain integers, and
 each value becomes a ``Fraction`` once, when it is known.  Weighted
 products are solved by one Dijkstra pass from the accepting sink over the
 reversed product graph, which nonnegative weights make exact.  Each exact
@@ -96,11 +98,25 @@ def reward_value_step(successors, accept_mass: Fraction, step_reward: int):
 
     Accepting, now or later, earns the step reward weighted by the
     acceptance probability; continuing adds whatever the successor already
-    accumulated.  Both sums are :func:`reach_value_step`.
+    accumulated.  One pass keeps two sums as in :func:`reach_value_step`,
+    the probability and the successors' rewards, and each becomes a
+    ``Fraction`` at the end.
     """
-    successors = list(successors)
-    prob = reach_value_step(((p_val, p) for (p_val, _), p in successors), accept_mass)
-    return (prob, reach_value_step(((r_val, p) for (_, r_val), p in successors), step_reward * prob))
+    num, den = accept_mass.numerator, accept_mass.denominator
+    rnum, rden = 0, 1
+    for (p_val, r_val), p in successors:
+        pn, pd = p.numerator, p.denominator
+        n = pn * p_val.numerator
+        if n:
+            d = pd * p_val.denominator
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den * (d // g)
+        n = pn * r_val.numerator
+        if n:
+            d = pd * r_val.denominator
+            g = gcd(rden, d)
+            rnum, rden = rnum * (d // g) + n * (rden // g), rden * (d // g)
+    return Fraction(num, den), Fraction(step_reward * num * rden + rnum * den, den * rden)
 
 
 def min_cost_step(successors, accept_weights):
@@ -200,20 +216,53 @@ def _components(succ: list) -> list[list[int]]:
     return found
 
 
-def _divide_content(row: dict[int, int], rhs: int) -> int:
+def _divide_content(row: dict[int, int], rhs: int) -> tuple[int, int]:
     """Divide ``row`` in place by the greatest common divisor of its entries
-    and ``rhs``; returns ``rhs`` divided by it."""
+    and ``rhs``; returns ``rhs`` divided by it, and the divisor."""
     content = gcd(rhs, *row.values())
     if content > 1:
         for j in row:
             row[j] //= content
         rhs //= content
-    return rhs
+    return rhs, content
 
 
-def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], value: list) -> None:
+def _back_substitute(order: list, mat: dict, b: dict, shared: int, value: list) -> tuple[dict, int]:
+    """Solve the upper rows ``mat`` left by forward elimination for the
+    right-hand side ``b / shared``, last pivot first, into ``value``;
+    returns the values as numerators over one denominator.
+
+    ``order`` lists (state, pivot), the pivots already taken out of their
+    rows.  The values found so far are kept as integer numerators over one
+    shared denominator, so a row costs one integer pass and one gcd; the
+    shared denominator is raised to the lcm, and the numerators scaled with
+    it, only when a new value's reduced denominator does not divide it.
+    """
+    lift = 1  # the shared denominator over the right-hand side's own
+    num: dict[int, int] = {}
+    for k, pivot in reversed(order):
+        top = b[k] * lift
+        for j, a in mat[k].items():
+            top -= a * num[j]
+        den = pivot * shared
+        g = gcd(top, den)
+        top, den = top // g, den // g
+        if shared % den:  # rare: scale the shared denominator to the lcm
+            grow = den // gcd(shared, den)
+            shared *= grow
+            lift *= grow
+            for j in num:
+                num[j] *= grow
+        num[k] = top * (shared // den)
+        value[k] = Fraction(top, den)
+    return num, shared
+
+
+def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], value: list,
+               rewards: list | None = None, earned: list | None = None) -> None:
     """Solve one cyclic component into ``value``, given the values of every
-    state it leaves to.
+    state it leaves to, and given step rewards ``rewards``, its rewards
+    into ``earned`` as well.
 
     This is state elimination (Daws, ICTAC 2004) written as Gaussian
     elimination.  Each row of (I - coeff) restricted to the component, with
@@ -221,13 +270,20 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
     lcm of its denominators to integers and kept free of a common factor.
     Forward elimination takes diagonal pivots in greedy Markowitz order
     (least (row count - 1) * (column count - 1) first, from a heap of
-    lazily refreshed scores).  Back substitution keeps the values found so
-    far as integer numerators over one shared denominator, so a row costs
-    one integer pass and one gcd; the shared denominator is raised to the
-    lcm, and the numerators scaled with it, only when a new value's reduced
-    denominator does not divide it.  Every such denominator divides the
-    determinant of the component's integer matrix, and so does the shared
-    one.
+    lazily refreshed scores), and ``_back_substitute`` solves the upper
+    rows it leaves.  Every probability's denominator divides the
+    determinant of the component's integer matrix.
+
+    The reward system has the same matrix, so one forward elimination
+    serves both: its row operations are logged, and once the
+    probabilities are known they are replayed on the reward right-hand
+    side (the step reward times the probability, plus the rewards earned
+    by leaving the component), which is then solved through the same
+    upper rows.  The content a row was divided by was chosen with its
+    probability entry and need not divide its reward entry, so each
+    replayed entry is an integer numerator over the right-hand side's
+    common denominator times a divisor of its own, which is reduced by one
+    gcd per operation where it is not 1.
     """
     from heapq import heapify, heappop, heappush  # only cyclic products need it, so not on import
 
@@ -235,6 +291,8 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
     mat: dict[int, dict[int, int]] = {}
     b: dict[int, int] = {}
     cols: dict[int, set[int]] = {k: set() for k in component}
+    first: dict[int, tuple[int, int]] = {}  # with rewards, per row: (scale, content) of its set-up
+    log = None if rewards is None else []  # with rewards: (row, pivot row, up, down, content) per update
     for i in component:
         acc = reach_value_step(((value[j], p) for j, p in rows[i].items() if j not in inside), rhs[i])
         coeffs = [(j, p) for j, p in rows[i].items() if j in inside]
@@ -243,7 +301,9 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
         for j, p in coeffs:
             row[j] = row.get(j, 0) - p.numerator * (scale // p.denominator)
         mat[i] = {j: a for j, a in row.items() if a}
-        b[i] = _divide_content(mat[i], acc.numerator * (scale // acc.denominator))
+        b[i], content = _divide_content(mat[i], acc.numerator * (scale // acc.denominator))
+        if log is not None:
+            first[i] = scale, content
         for j in mat[i]:
             cols[j].add(i)
 
@@ -252,19 +312,18 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
 
     heap = [score(k) for k in component]
     heapify(heap)
-    order: list[int] = []
+    order: list[tuple[int, int]] = []
     while heap:
         entry = heappop(heap)
         k = entry[1]
         if k not in cols or entry != score(k):  # eliminated already, or a stale score
             continue
-        order.append(k)
         row_k = mat[k]
-        pivot = row_k.get(k, 0)
+        pivot = row_k.pop(k, 0)
         if pivot == 0:
             raise SolverError("reduced system is singular; zero-pinning failed")
-        others = [j for j in row_k if j != k]
-        for j in others:
+        order.append((k, pivot))
+        for j in row_k:
             cols[j].discard(k)
         for i in cols.pop(k):
             if i == k:
@@ -276,8 +335,8 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
             if up != 1:
                 for j in row_i:
                     row_i[j] *= up
-            for j in others:
-                a = row_i.get(j, 0) - down * row_k[j]
+            for j, a_k in row_k.items():
+                a = row_i.get(j, 0) - down * a_k
                 if a:
                     if j not in row_i:
                         cols[j].add(i)
@@ -285,75 +344,108 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
                 elif j in row_i:
                     del row_i[j]
                     cols[j].discard(i)
-            b[i] = _divide_content(row_i, up * b[i] - down * b[k])
+            b[i], content = _divide_content(row_i, up * b[i] - down * b[k])
+            if log is not None:
+                log.append((i, k, up, down, content))
             heappush(heap, score(i))
-        for j in others:
+        for j in row_k:
             heappush(heap, score(j))
+    num, shared = _back_substitute(order, mat, b, 1, value)
+    if log is None:
+        return
 
-    shared = 1  # every value found so far is num[k] / shared
-    num: dict[int, int] = {}
-    for k in reversed(order):
-        row_k = mat[k]
-        pivot = row_k.pop(k)
-        top = b[k] * shared
-        for j, a in row_k.items():
-            top -= a * num[j]
-        den = pivot * shared
-        g = gcd(top, den)
-        top, den = top // g, den // g
-        if shared % den:  # rare: scale the shared denominator to the lcm
-            grow = den // gcd(shared, den)
-            shared *= grow
-            for j in num:
-                num[j] *= grow
-        num[k] = top * (shared // den)
-        value[k] = Fraction(top, den)
+    # the reward right-hand side, numerators over ``common`` times ``den``:
+    # the step reward times the probability num / shared, plus the rewards
+    # earned by leaving the component
+    gains = {}
+    for i in component:
+        leave = [(earned[j], p) for j, p in rows[i].items() if j not in inside]
+        if leave:
+            gains[i] = reach_value_step(leave, ZERO)
+    common = lcm(shared, *(g.denominator for g in gains.values()))
+    lift = common // shared
+    top: dict[int, int] = {}
+    den: dict[int, int] = {}
+    for i, (scale, content) in first.items():
+        t = rewards[i] * num[i] * lift
+        if i in gains:
+            t += gains[i].numerator * (common // gains[i].denominator)
+        top[i], den[i] = _reduced(t * scale, content)
+    for i, k, up, down, content in log:
+        d_i, d_k = den[i], den[k]
+        top[i], den[i] = _reduced(up * top[i] * d_k - down * top[k] * d_i, d_i * d_k * content)
+    extra = lcm(*den.values())
+    _back_substitute(order, mat, {i: t * (extra // den[i]) for i, t in top.items()}, common * extra, earned)
 
 
-def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rhs: dict[str, Fraction]) -> dict[str, Fraction]:
+def _reduced(top: int, den: int) -> tuple[int, int]:
+    """``top / den`` in lowest terms, without a gcd when ``den`` is 1."""
+    if den == 1:
+        return top, 1
+    g = gcd(top, den)
+    return top // g, den // g
+
+
+def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rhs: dict[str, Fraction],
+                  reward: dict[str, int] | None = None):
     """Solve (I - coeff) v = rhs exactly, one strongly connected component
-    at a time.
+    at a time.  Given step rewards ``reward``, also solve
+    (I - coeff) r = reward * v on the same factorization, and return
+    ``(v, r)``.
 
     The states are numbered, split into components, and the components
     solved so that every value a component reads from outside it is
     already known.  A single state is back substitution, divided by
-    1 - p when it has a self-loop of probability p; a larger component is
-    eliminated by ``_eliminate``.  Diagonal pivots suffice because on
-    states that all reach the goal I - coeff is a nonsingular M-matrix,
-    and so is every matrix elimination leaves; a zero pivot therefore
-    means the zero-pinning failed.  Entries of ``coeff`` that name no
-    unknown are ignored: those states are pinned to 0.
+    1 - p when it has a self-loop of probability p, for both values in
+    the same visit; a larger component is eliminated once by
+    ``_eliminate``.  Diagonal pivots suffice because on states that all
+    reach the goal I - coeff is a nonsingular M-matrix, and so is every
+    matrix elimination leaves; a zero pivot therefore means the
+    zero-pinning failed.  Entries of ``coeff`` that name no unknown are
+    ignored: those states are pinned to 0.
     """
     index = {s: i for i, s in enumerate(unknowns)}
     rows = [{index[t]: p for t, p in coeff[s].items() if t in index} for s in unknowns]
     b = [rhs[s] for s in unknowns]
     value: list = [None] * len(unknowns)
+    rewards = earned = None
+    if reward is not None:
+        rewards = [reward[s] for s in unknowns]
+        earned = [None] * len(unknowns)
     for component in _components(rows):
         if len(component) > 1:
-            _eliminate(component, rows, b, value)
+            _eliminate(component, rows, b, value, rewards, earned)
             continue
         (i,) = component
-        acc = reach_value_step(((value[j], p) for j, p in rows[i].items() if j != i), b[i])
         loop = rows[i].get(i)
-        if loop is None:
-            value[i] = acc
-        elif loop == 1:
+        if loop == 1:
             raise SolverError("reduced system is singular; zero-pinning failed")
-        else:  # acc / (1 - loop), in integers
-            d = loop.denominator
-            value[i] = Fraction(acc.numerator * d, acc.denominator * (d - loop.numerator))
-    return {s: value[i] for s, i in index.items()}
+        acc = reach_value_step(((value[j], p) for j, p in rows[i].items() if j != i), b[i])
+        value[i] = _over_one_minus(acc, loop)
+        if rewards is not None:
+            acc = reach_value_step(((earned[j], p) for j, p in rows[i].items() if j != i), rewards[i] * value[i])
+            earned[i] = _over_one_minus(acc, loop)
+    values = {s: value[i] for s, i in index.items()}
+    return values if reward is None else (values, {s: earned[i] for s, i in index.items()})
+
+
+def _over_one_minus(acc: Fraction, loop: Fraction | None) -> Fraction:
+    """``acc / (1 - loop)`` in integers; ``acc`` when there is no loop."""
+    if loop is None:
+        return acc
+    d = loop.denominator
+    return Fraction(acc.numerator * d, acc.denominator * (d - loop.numerator))
 
 
 def _exact_prob(m, domain: str) -> SolveReport:
     """The least solution of a probabilistic product, certified.
 
     States with no path to a goal mass are pinned to 0, which selects the
-    least solution; the rest form a nonsingular system, solved for the
-    probabilities and, for reward products, then for the rewards against
-    them over the same pinned set, so rewards stay finite.  The
-    certificate is the update itself: applied to the answer it must give
-    the answer back."""
+    least solution; the rest form a nonsingular system.  For reward
+    products one factorization of it serves both the probabilities and
+    the rewards against them, over the same pinned set, so rewards stay
+    finite.  The certificate is the update itself: applied to the answer
+    it must give the answer back."""
     step = _SOLVERS[domain][0]
     rows = _rows(m, domain)
     preds: dict[str, list[str]] = {}
@@ -370,11 +462,14 @@ def _exact_prob(m, domain: str) -> SolveReport:
     system = [(s, {t: p for t, p in succ if t in live}, args) for s, succ, args in rows if s in live]
     unknowns = [s for s, _, _ in system]
     coeff = {s: row for s, row, _ in system}
+    rhs = {s: args[0] for s, _, args in system}
     values = dict.fromkeys(pair_states(m), ZERO)
-    values.update(_solve_linear(unknowns, coeff, {s: args[0] for s, _, args in system}))
     if domain == PROB_REWARD:
-        reward = _solve_linear(unknowns, coeff, {s: args[1] * values[s] for s, _, args in system})
+        prob, reward = _solve_linear(unknowns, coeff, rhs, {s: args[1] for s, _, args in system})
+        values.update(prob)
         values = {s: (p, reward.get(s, ZERO)) for s, p in values.items()}
+    else:
+        values.update(_solve_linear(unknowns, coeff, rhs))
     if _update(step, rows, values) != values:
         raise SolverError("exact solution does not satisfy the update equation")
     return SolveReport(values, "exact-linear", 0, True, domain)
@@ -517,8 +612,9 @@ def solve_partial_expected_reward(
     """(acceptance probability, partial expected reward) per product state.
 
     Modes as in :func:`solve_reach_prob`.  Exact mode solves the
-    probability system and then the reward system against it, over the
-    same pinned state set.
+    probability system and the reward system against it, over the same
+    pinned state set; the two share their matrix, so one elimination of
+    each cyclic component serves both.
     """
     return _solve(m, PROB_REWARD, mode, steps, epsilon)
 

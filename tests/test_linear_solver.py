@@ -24,11 +24,16 @@ F = Fraction
 SYMBOLS = ("recharge", "lake", "arid", "volcano")
 
 
-def _same(unknowns, coeff, rhs):
-    got = _solve_linear(unknowns, coeff, rhs)
+def _same(unknowns, coeff, rhs, reward=None):
+    """The sparse solve against the dense one; given step rewards, against
+    two dense solves, the second for ``reward * probability``."""
+    got = _solve_linear(unknowns, coeff, rhs, reward)
     want = dense_solve_linear(unknowns, coeff, rhs)
+    if reward is not None:
+        want = (want, dense_solve_linear(unknowns, coeff, {s: reward[s] * want[s] for s in unknowns}))
     assert got == want
-    assert list(got) == list(want)
+    for g, w in zip(got, want) if reward is not None else [(got, want)]:
+        assert list(g) == list(w)
     return got
 
 
@@ -80,12 +85,40 @@ def _random_system(rng: random.Random):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_systems_match_the_dense_solver(seed):
+    # alone, and with random step rewards (zeros included) for a second
+    # vector on the same elimination
     rng = random.Random(seed)
     unknowns, coeff, rhs, sizes = _random_system(rng)
     _same(unknowns, coeff, rhs)
+    _same(unknowns, coeff, rhs, {s: rng.choice((0, 0, 1, 2, 5, 9, 40)) for s in unknowns})
     index = {s: i for i, s in enumerate(unknowns)}
     succ = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
     assert sorted(map(len, _components(succ))) == sorted(sizes)
+
+
+def test_reward_solve_where_a_row_content_does_not_divide_the_reward(monkeypatch):
+    # one cyclic component in which only a reaches the goal directly, so
+    # every other probability right-hand side is 0; eliminating it divides
+    # a row by a content of 5 that does not divide the row's reward entry,
+    # which then keeps a denominator of its own
+    denominators = []
+    reduced = solvers._reduced
+
+    def record(top, den):
+        top, den = reduced(top, den)
+        denominators.append(den)
+        return top, den
+
+    monkeypatch.setattr(solvers, "_reduced", record)
+    coeff = {
+        "a": {"b": F(1, 4)},
+        "b": {"c": F(2, 3)},
+        "c": {"d": F(1, 2), "a": F(1, 3)},
+        "d": {"a": F(1, 6), "b": F(1, 2)},
+    }
+    rhs = {"a": F(3, 4), "b": F(0), "c": F(0), "d": F(0)}
+    _same(list(coeff), coeff, rhs, {"a": 0, "b": 0, "c": 3, "d": 3})
+    assert max(denominators) == 5
 
 
 def test_random_systems_cover_every_component_shape():
@@ -136,30 +169,71 @@ def _products():
     safe = load_model("safe-recharge-dfa.json")
     reach = load_model("reach-recharge-dfa.json")
     robot = load_model("robot-mc.json")
-    yield pytest.param(product_mc_dfa(robot, safe), 1, id="robot/mc-dfa")
-    yield pytest.param(product_mrm_dfa(_with_reward(robot), reach), 2, id="robot/mrm-dfa")
+    yield pytest.param(product_mc_dfa(robot, safe), False, id="robot/mc-dfa")
+    yield pytest.param(product_mrm_dfa(_with_reward(robot), reach), True, id="robot/mrm-dfa")
     for w, h in ((4, 3), (6, 4), (9, 7)):
         text = _patrol(w, h, random.Random(f"patrol {w}x{h}"))
         chain = compile_probabilistic(parse_program(text), "reactive").model
-        yield pytest.param(product_ntmc_dfa(chain, safe), 1, id=f"patrol-{w}x{h}/ntmc-dfa")
+        yield pytest.param(product_ntmc_dfa(chain, safe), False, id=f"patrol-{w}x{h}/ntmc-dfa")
     for w, h in ((5, 3), (8, 6), (12, 9)):
         text = _gridworld(w, h, random.Random(f"gridworld {w}x{h}"))
         chain = compile_probabilistic(parse_program(text), "terminating").model
-        yield pytest.param(product_mc_dfa(chain, reach), 1, id=f"gridworld-{w}x{h}/mc-dfa")
-        yield pytest.param(product_mrm_dfa(_with_reward(chain), reach), 2, id=f"gridworld-{w}x{h}/mrm-dfa")
+        yield pytest.param(product_mc_dfa(chain, reach), False, id=f"gridworld-{w}x{h}/mc-dfa")
+        yield pytest.param(product_mrm_dfa(_with_reward(chain), reach), True, id=f"gridworld-{w}x{h}/mrm-dfa")
 
 
-@pytest.mark.parametrize("product, solves", list(_products()))
-def test_product_systems_match_the_dense_solver(product, solves, monkeypatch):
-    sizes = []
+@pytest.mark.parametrize("product, rewards", list(_products()))
+def test_product_systems_match_the_dense_solver(product, rewards, monkeypatch):
+    # one solve per product: a reward product's passes its step rewards,
+    # and both vectors must match the dense solver
+    calls = []
 
-    def compare(unknowns, coeff, rhs):
-        sizes.append(len(unknowns))
-        return _same(unknowns, coeff, rhs)
+    def compare(unknowns, coeff, rhs, reward=None):
+        calls.append((len(unknowns), reward is not None))
+        return _same(unknowns, coeff, rhs, reward)
 
     monkeypatch.setattr(solvers, "_solve_linear", compare)
     solve_product(product)
-    assert len(sizes) == solves and sizes[-1] > 1
+    assert len(calls) == 1 and calls[0][0] > 1 and calls[0][1] == rewards
+
+
+def test_reward_products_eliminate_each_cyclic_component_once(monkeypatch):
+    # the rewards reuse the probabilities' forward elimination: every
+    # cyclic component is eliminated in one call, and the solve takes as
+    # many row operations (each row's set-up, then one per row update) as
+    # solving for the probabilities alone
+    text = _patrol(6, 4, random.Random("patrol 6x4")).replace("while (true)", "while (x > 0 or y > 0)")
+    chain = compile_probabilistic(parse_program(text), "terminating").model
+    prod = product_mrm_dfa(_with_reward(chain), load_model("reach-recharge-dfa.json"))
+    systems, eliminated, row_operations = [], [], []
+    solve_linear, eliminate, divide_content = solvers._solve_linear, solvers._eliminate, solvers._divide_content
+
+    def record_system(unknowns, coeff, rhs, reward=None):
+        systems.append((unknowns, coeff, rhs, reward))
+        return solve_linear(unknowns, coeff, rhs, reward)
+
+    def record_component(component, *args):
+        eliminated.append(sorted(component))
+        return eliminate(component, *args)
+
+    def count(row, rhs):
+        row_operations.append(rhs)
+        return divide_content(row, rhs)
+
+    monkeypatch.setattr(solvers, "_solve_linear", record_system)
+    monkeypatch.setattr(solvers, "_eliminate", record_component)
+    monkeypatch.setattr(solvers, "_divide_content", count)
+    solve_product(prod)
+    ((unknowns, coeff, rhs, reward),) = systems
+    assert reward is not None
+    index = {s: i for i, s in enumerate(unknowns)}
+    succ = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
+    cyclic = [sorted(c) for c in _components(succ) if len(c) > 1]
+    assert cyclic and eliminated == cyclic
+    with_rewards = len(row_operations)
+    row_operations.clear()
+    solve_linear(unknowns, coeff, rhs)
+    assert len(row_operations) == with_rewards
 
 
 def test_component_values_with_coprime_denominators():
@@ -186,6 +260,10 @@ def test_closed_cycle_is_singular():
         _solve_linear(["a", "b"], {"a": {"b": F(1)}, "b": {"a": F(1)}}, {"a": F(0), "b": F(0)})
     with pytest.raises(SolverError, match="singular"):
         _solve_linear(["a"], {"a": {"a": F(1)}}, {"a": F(1, 2)})
+    with pytest.raises(SolverError, match="singular"):
+        _solve_linear(["a", "b"], {"a": {"b": F(1)}, "b": {"a": F(1)}}, {"a": F(0), "b": F(0)}, {"a": 1, "b": 2})
+    with pytest.raises(SolverError, match="singular"):
+        _solve_linear(["a"], {"a": {"a": F(1)}}, {"a": F(1, 2)}, {"a": 1})
 
 
 def test_long_acyclic_chain_solves_without_recursion():

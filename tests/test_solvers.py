@@ -8,7 +8,7 @@ from minplus_solver import least_costs
 
 from qtrace import solvers
 from qtrace.bundled import fixture_text, load_model
-from qtrace.domains import INF, PROB, TROPICAL, bottom_vector, leq
+from qtrace.domains import INF, PROB, PROB_REWARD, TROPICAL, bottom_vector, leq
 from qtrace.lawcheck import (
     random_dfa,
     random_instance,
@@ -520,47 +520,49 @@ def _gridworld_reward_product():
 
 
 @pytest.mark.parametrize(
-    "build, wrong_call",
+    "build, wrong_vector",
     [(_patrol_product, 0), (_gridworld_reward_product, 0), (_gridworld_reward_product, 1)],
     ids=["ntmc-dfa", "mrm-dfa-probability", "mrm-dfa-reward"],
 )
-def test_one_wrong_value_fails_the_certificate(build, wrong_call, monkeypatch):
-    # one state on a cycle is off; the reward solve is the second call of
-    # _solve_linear, against the probabilities of the first
+def test_one_wrong_value_fails_the_certificate(build, wrong_vector, monkeypatch):
+    # one state on a cycle is off; a reward product's one _solve_linear
+    # call returns the probabilities and the rewards, and either is wrong
     prod = build()
     solve_product(prod)
-    calls = []
+    changed = []
     solve_linear = solvers._solve_linear
 
-    def one_value_off(unknowns, coeff, rhs):
-        values = solve_linear(unknowns, coeff, rhs)
-        if len(calls) == wrong_call:
-            index = {s: i for i, s in enumerate(unknowns)}
-            rows = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
-            on_cycle = [i for c in solvers._components(rows) for i in c if len(c) > 1 or i in rows[i]]
-            values[unknowns[on_cycle[0]]] += F(1, 10**6)
-        calls.append(unknowns)
-        return values
+    def one_value_off(unknowns, coeff, rhs, reward=None):
+        got = solve_linear(unknowns, coeff, rhs, reward)
+        values = got if reward is None else got[wrong_vector]
+        index = {s: i for i, s in enumerate(unknowns)}
+        rows = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
+        on_cycle = [i for c in solvers._components(rows) for i in c if len(c) > 1 or i in rows[i]]
+        values[unknowns[on_cycle[0]]] += F(1, 10**6)
+        changed.append(reward is not None)
+        return got
 
     monkeypatch.setattr(solvers, "_solve_linear", one_value_off)
     with pytest.raises(SolverError, match="exact solution does not satisfy the update equation"):
         solve_product(prod)
-    assert len(calls) > wrong_call
+    assert changed == [prod.DOMAIN == PROB_REWARD]
 
 
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_a_vector_over_other_states_fails_the_certificate(change, monkeypatch):
     # the certificates raise SolverError here, never KeyError: the linear
-    # solves miss a live unknown, or add a state the product does not have
+    # solve misses a live unknown, or adds a state the product does not
+    # have, in every vector it returns
     solve_linear = solvers._solve_linear
 
-    def changed(unknowns, coeff, rhs):
-        values = solve_linear(unknowns, coeff, rhs)
-        if change == "missing":
-            del values[unknowns[-1]]
-        else:
-            values["x|y"] = values[unknowns[0]]
-        return values
+    def changed(unknowns, coeff, rhs, reward=None):
+        got = solve_linear(unknowns, coeff, rhs, reward)
+        for values in (got,) if reward is None else got:
+            if change == "missing":
+                del values[unknowns[-1]]
+            else:
+                values["x|y"] = values[unknowns[0]]
+        return got
 
     monkeypatch.setattr(solvers, "_solve_linear", changed)
     for prod in (_patrol_product(), _gridworld_reward_product()):
