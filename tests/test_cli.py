@@ -13,7 +13,7 @@ import qtrace
 from qtrace.bundled import fixture_path, fixture_text
 from qtrace.cli import main
 from qtrace.domains import value_str
-from qtrace.lawcheck import random_instance
+from qtrace.lawcheck import MUTATIONS, random_instance
 from qtrace.modeljson import emit_model, parse_model
 from qtrace.models import LabeledMc, validate
 from qtrace.products import ProductMc
@@ -466,6 +466,27 @@ def test_lawcheck_mutation_fails(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+#: sha256 of the stderr then stdout of ``lawcheck mc-dfa --mutate <name>
+#: --kmax 10 --format json``, taken before the oracle moved to integer
+#: masses: the first mismatch each mutant reports must not change.
+MUTANT_GOLDEN = {
+    "flag-swapped": "4541fbe13e9a9b52993dbdeda48425fb7e81d863a1f9ea81f662754eccae6032",
+    "halt-mass-dropped": "2ab07db9b51a7e8d5a3ea79219440962a08920f10c6f05d2081e9f01f37c2d0c",
+    "pair-broadcast": "38a8a6fdfb2f3ac1b96dd9a6ed440926fb35e9ffea2f4cc05b1e3b8ba1fd0e96",
+    "requirement-frozen": "52acbdeeae5408c5b9ff3fb4187e580bb9cf1de34e1c217611a53e0253d559a1",
+    "symbol-ignored": "b33ebaa547f13fea469073d6066f370825d2ca5b9edc698d0b9672a9e341a32e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutant_counterexamples_match_golden_digests(name, capsys):
+    code, out, err = run(
+        capsys, "lawcheck", "mc-dfa", "--mutate", name, "--kmax", "10", "--format", "json"
+    )
+    assert code == 1
+    assert hashlib.sha256((err + out).encode()).hexdigest() == MUTANT_GOLDEN[name]
 
 
 @pytest.mark.parametrize("pairing", ["wts-nfa", "mrm-dfa", "all"])
