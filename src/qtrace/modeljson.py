@@ -147,7 +147,7 @@ def parse_model(text: str | dict):
     if not isinstance(doc, dict):
         raise SchemaError("model document must be a JSON object")
     kind = doc.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
     fields = _FIELDS[kind]
     _need(doc, *fields)

@@ -9,16 +9,20 @@ query of each pairing, as ``products.PAIRING_TABLE`` lists them.
 
 The ``*_step`` functions fold the semantic values of the successor states
 one transition backwards; iterating them from the empty value yields the
-depth-``k`` semantics.  They are also reused on raw sampled values by the
-commutation checks in :mod:`qtrace.lawcheck`.
+depth-``k`` semantics.  The chains' semantics are unfolded instead on
+integer masses over a power of one common denominator, folding as
+:func:`mc_trace_step` and :func:`mrm_trace_step` do, and each value
+becomes a ``Fraction`` once.  The steps are also reused on raw sampled
+values by the commutation checks in :mod:`qtrace.lawcheck`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping
 
-from .domains import INF, ONE, ZERO
+from .domains import INF, ZERO
 from .models import (
     Dfa,
     LabeledMc,
@@ -156,15 +160,65 @@ def _unfold(states, start: Callable, step: Callable, depth: int) -> list[dict]:
     return levels
 
 
+def _mass_levels(c, depth: int) -> tuple[int, list[dict[str, dict]]]:
+    """Levels 0..depth of a chain's trace masses as integer numerators.
+
+    With D the lcm of the chain's transition denominators, every mass at
+    level k is a numerator over D**k: a step multiplies by the integer row
+    weights and halting mass enters as its weight times D**(k-1).  Keys
+    are traces, or (trace, accumulated reward) for a reward model; a
+    never-terminating chain starts from the empty word.  Returns D and
+    the levels, keyed and ordered as the ``Fraction`` folds of
+    :func:`mc_trace_step` and :func:`mrm_trace_step` order them.
+    """
+    den = lcm(*(p.denominator for row in c.trans.values() for p in row.values()))
+    reward = getattr(c, "reward", None)
+    rows = {}
+    for x, row in c.trans.items():
+        weights = {s: p.numerator * (den // p.denominator) for s, p in row.items()}
+        halt = weights.pop(TARGET, 0)
+        rows[x] = ((c.label[x],), None if reward is None else reward[x], halt, list(weights.items()))
+    start = {(): 1} if isinstance(c, NonTerminatingMc) else {}
+    levels = [{x: dict(start) for x in c.states}]
+    scale = 1  # D**(k-1) at level k
+    for _ in range(depth):
+        prev = levels[-1]
+        level = {}
+        for x in c.states:
+            head, r, halt, succ = rows[x]
+            out = {}
+            if r is None:
+                if halt:
+                    out[head] = halt * scale
+                for s, p in succ:
+                    for w, q in prev[s].items():
+                        t = head + w
+                        out[t] = out.get(t, 0) + p * q
+            else:
+                if halt:
+                    out[head, r] = halt * scale
+                for s, p in succ:
+                    for (w, m), q in prev[s].items():
+                        t = (head + w, r + m)
+                        out[t] = out.get(t, 0) + p * q
+            level[x] = out
+        levels.append(level)
+        scale *= den
+    return den, levels
+
+
+def _fraction_levels(c, depth: int) -> list[dict]:
+    """:func:`_mass_levels` with each numerator over D**k as a ``Fraction``."""
+    den, levels = _mass_levels(c, depth)
+    return [
+        {x: {t: Fraction(q, den**k) for t, q in dist.items()} for x, dist in level.items()}
+        for k, level in enumerate(levels)
+    ]
+
+
 def mc_semantics_levels(c: LabeledMc, depth: int) -> list[dict[str, TraceDist]]:
     """Depth 0..depth trace distributions for every state."""
-
-    def step(prev, x):
-        row = c.trans[x]
-        succ = [(prev[s], p) for s, p in row.items() if s != TARGET]
-        return mc_trace_step(succ, row.get(TARGET, ZERO), c.label[x])
-
-    return _unfold(c.states, dict, step, depth)
+    return _fraction_levels(c, depth)
 
 
 def mc_semantics(c: LabeledMc, state: str, depth: int) -> TraceDist:
@@ -173,12 +227,7 @@ def mc_semantics(c: LabeledMc, state: str, depth: int) -> TraceDist:
 
 
 def mrm_semantics_levels(c: MarkovRewardModel, depth: int) -> list[dict[str, TraceRewardDist]]:
-    def step(prev, x):
-        row = c.trans[x]
-        succ = [(prev[s], p) for s, p in row.items() if s != TARGET]
-        return mrm_trace_step(succ, row.get(TARGET, ZERO), c.reward[x], c.label[x])
-
-    return _unfold(c.states, dict, step, depth)
+    return _fraction_levels(c, depth)
 
 
 def mrm_semantics(c: MarkovRewardModel, state: str, depth: int) -> TraceRewardDist:
@@ -261,11 +310,7 @@ def rm_weights(d: RewardMachine, state: str, word: Trace) -> tuple[int, ...]:
 def ntmc_marginal_levels(c: NonTerminatingMc, depth: int) -> list[dict[str, TraceDist]]:
     """Depth 0..depth marginals: the chain step without halting mass,
     unfolded from the empty word of mass 1."""
-
-    def step(prev, x):
-        return mc_trace_step([(prev[s], p) for s, p in c.trans[x].items()], ZERO, c.label[x])
-
-    return _unfold(c.states, lambda: {(): ONE}, step, depth)
+    return _fraction_levels(c, depth)
 
 
 def ntmc_marginal(c: NonTerminatingMc, state: str, depth: int) -> TraceDist:
@@ -362,22 +407,6 @@ def wmm_min_weight(d: WeightedMealy, state: str, word: Trace):
             if flag and c + m < best:
                 best = c + m
     return best
-
-
-def prefix_minimal_accept(d: Dfa, state: str, word: Trace) -> bool:
-    """True when ``word`` is accepted and no proper prefix already was.
-
-    These prefix-minimal words stratify a language into disjoint layers so
-    that summing their masses never counts a continuation twice.
-    """
-    cur = state
-    seen = False
-    minimal = False
-    for a in word:
-        cur, flag = d.delta[cur][a]
-        minimal = flag and not seen
-        seen = seen or minimal
-    return minimal
 
 
 # ---------------------------------------------------------------------------
@@ -485,56 +514,119 @@ def query_safety(
 # the direct query of each pairing: the lookup value(x, y, k), k <= depth,
 # over semantics unfolded once and shared by all lookups
 
-def _views(view, d, depth: int) -> dict:
-    """Lazy accepted-word views of ``d`` per (state, depth)."""
-    return {(y, k): view(d, y, k) for y in d.states for k in range(depth + 1)}
+class _Flags(dict):
+    """Acceptance of each word from every state of a DFA, as a bit mask over
+    its states, memoised per word: ``flags[w]``.
+
+    The unfolding prepends symbols, so a word's flags follow from its
+    tail's.  With (t, f) = delta[y][a], acceptance of a.w from y is f when
+    w is empty and that of w from t otherwise.  With ``minimal`` (accepted,
+    and no proper prefix accepted) it is f when w is empty, and ``not f``
+    and that of w from t otherwise.  Walking the levels in order of depth
+    finds every tail already memoised, so a new word costs one step per
+    requirement state.
+    """
+
+    def __init__(self, d: Dfa, minimal: bool):
+        super().__init__()
+        index = {y: i for i, y in enumerate(d.states)}
+        self.moves = {
+            a: [(1 << i, index[d.delta[y][a][0]], d.delta[y][a][1]) for i, y in enumerate(d.states)]
+            for a in d.alphabet
+        }
+        self.minimal = minimal
+        self.n = len(d.states)
+
+    def __missing__(self, w: Trace) -> int:
+        mask = 0
+        if len(w) == 1:
+            for bit, _, f in self.moves[w[0]]:
+                if f:
+                    mask |= bit
+        else:
+            tail = self[w[1:]]
+            for bit, t, f in self.moves[w[0]]:
+                if tail >> t & 1 and not (self.minimal and f):
+                    mask |= bit
+        self[w] = mask
+        return mask
+
+    def totals(self, masses: Mapping[int, int]) -> list[int]:
+        """Per requirement state i, the total of the masses whose mask has bit i."""
+        totals = [0] * self.n
+        for mask, q in masses.items():
+            for i in range(self.n):
+                if mask >> i & 1:
+                    totals[i] += q
+        return totals
+
+    def accepted(self, dist: Mapping[Trace, int]) -> list[int]:
+        """Per requirement state, the total mass of the words it accepts."""
+        masses: dict[int, int] = {}
+        for w, q in dist.items():
+            mask = self[w]
+            masses[mask] = masses.get(mask, 0) + q
+        return self.totals(masses)
+
+
+def _ratio(total: int, scale: int) -> Fraction:
+    # most totals are 0, and a shared ZERO skips the gcd of a new Fraction
+    return Fraction(total, scale) if total else ZERO
 
 
 def direct_mc_dfa(c: LabeledMc, d: Dfa, depth: int) -> Callable:
     """Acceptance probability of the depth-k traces (also ``mc-costdfa``)."""
-    sys_levels = mc_semantics_levels(c, depth)
-    views = _views(DfaLanguage, d, depth)
-    return lambda x, y, k: query_prob(sys_levels[k][x], views[(y, k)])
+    den, levels = _mass_levels(c, depth)
+    flags = _Flags(d, minimal=False)
+    table = {}
+    for k, level in enumerate(levels):
+        scale = den**k
+        for x, dist in level.items():
+            for y, total in zip(d.states, flags.accepted(dist)):
+                table[x, y, k] = _ratio(total, scale)
+    return lambda x, y, k: table[x, y, k]
 
 
 def direct_mrm_dfa(c: MarkovRewardModel, d: Dfa, depth: int) -> Callable:
     """(acceptance probability, partial expected reward) of the depth-k traces."""
-    sys_levels = mrm_semantics_levels(c, depth)
-    views = _views(DfaLanguage, d, depth)
-    return lambda x, y, k: query_reward(sys_levels[k][x], views[(y, k)])
+    den, levels = _mass_levels(c, depth)
+    flags = _Flags(d, minimal=False)
+    table = {}
+    for k, level in enumerate(levels):
+        scale = den**k
+        for x, dist in level.items():
+            masses: dict[int, int] = {}
+            rewards: dict[int, int] = {}
+            for (w, m), q in dist.items():
+                mask = flags[w]
+                masses[mask] = masses.get(mask, 0) + q
+                rewards[mask] = rewards.get(mask, 0) + m * q
+            for y, p, r in zip(d.states, flags.totals(masses), flags.totals(rewards)):
+                table[x, y, k] = (_ratio(p, scale), _ratio(r, scale))
+    return lambda x, y, k: table[x, y, k]
 
 
 def direct_ntmc_dfa(c: NonTerminatingMc, d: Dfa, depth: int) -> Callable:
     """Mass of the prefix-minimal accepted words of length 1..k."""
-    marginals = ntmc_marginal_levels(c, depth)
-    minimal: dict[Trace, dict[str, bool]] = {}
-
-    def minimal_flags(w) -> dict[str, bool]:
-        got = minimal.get(w)
-        if got is None:
-            got = {y: prefix_minimal_accept(d, y, w) for y in d.states}
-            minimal[w] = got
-        return got
-
-    # query value at depth k = value at k-1 plus the mass of the
-    # prefix-minimal accepted words of length exactly k
-    acc: dict[tuple[str, str], Fraction] = {(x, y): ZERO for x in c.states for y in d.states}
-    per_depth: list[dict[tuple[str, str], Fraction]] = [dict(acc)]
+    den, levels = _mass_levels(c, depth)
+    flags = _Flags(d, minimal=True)
+    # the value at depth k is the value at k-1 plus the mass of the
+    # prefix-minimal accepted words of length exactly k, all over D**k
+    acc = {x: [0] * len(d.states) for x in c.states}
+    table = {(x, y, 0): ZERO for x in c.states for y in d.states}
     for k in range(1, depth + 1):
-        for x in c.states:
-            for w, p in marginals[k][x].items():
-                flags = minimal_flags(w)
-                for y in d.states:
-                    if flags[y]:
-                        acc[(x, y)] += p
-        per_depth.append(dict(acc))
-    return lambda x, y, k: per_depth[k][(x, y)]
+        scale = den**k
+        for x, dist in levels[k].items():
+            acc[x] = [s * den + t for s, t in zip(acc[x], flags.accepted(dist))]
+            for y, total in zip(d.states, acc[x]):
+                table[x, y, k] = _ratio(total, scale)
+    return lambda x, y, k: table[x, y, k]
 
 
 def direct_wts_nfa(c: WeightedTs, d: Nfa, depth: int) -> Callable:
     """Least cost of an accepted depth-k trace."""
     sys_levels = wts_semantics_levels(c, depth)
-    views = _views(NfaLanguage, d, depth)
+    views = {(y, k): NfaLanguage(d, y, k) for y in d.states for k in range(depth + 1)}
     return lambda x, y, k: query_tropical(sys_levels[k][x], views[(y, k)])
 
 

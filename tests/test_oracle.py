@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -6,10 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fraction_direct
 import qtrace.oracle as oracle
 from qtrace.bundled import load_model
 from qtrace.lawcheck import (
+    PAIRINGS,
+    check_step_equality,
     random_dfa,
+    random_instance,
     random_mc,
     random_mrm,
     random_nfa,
@@ -19,12 +24,15 @@ from qtrace.lawcheck import (
     random_wts,
 )
 from qtrace.models import (
+    TARGET,
     Dfa,
+    LabeledMc,
     MarkovRewardModel,
     NonTerminatingMc,
     RewardMachine,
     WeightedMealy,
     WeightedTs,
+    validate,
 )
 
 F = Fraction
@@ -441,3 +449,62 @@ def semantics_digest(kind: str) -> str:
 @pytest.mark.parametrize("kind", SEMANTICS_GOLDEN)
 def test_semantics_match_golden_digests(kind):
     assert semantics_digest(kind) == SEMANTICS_GOLDEN[kind]
+
+
+# ---------------------------------------------------------------------------
+# integer direct queries against the ``Fraction`` reference
+
+def _assert_direct_matches_reference(pairing, system, requirement, depth=10):
+    fast = getattr(oracle, f"direct_{pairing.replace('-', '_')}")(system, requirement, depth)
+    slow = getattr(fraction_direct, f"direct_{pairing.replace('-', '_')}")(system, requirement, depth)
+    for k in range(depth + 1):
+        for x in system.states:
+            for y in requirement.states:
+                assert fast(x, y, k) == slow(x, y, k), (x, y, k)
+
+
+@pytest.mark.parametrize("pairing", ["mc-dfa", "mrm-dfa", "mc-costdfa", "ntmc-dfa"])
+def test_direct_queries_match_the_fraction_reference(pairing):
+    direct = "mc-dfa" if pairing == "mc-costdfa" else pairing
+    for i in range(50):
+        system, requirement = random_instance(pairing, random.Random(f"direct:{pairing}:{i}"))
+        _assert_direct_matches_reference(direct, system, requirement)
+
+
+def test_direct_queries_on_rows_with_different_denominators():
+    # row denominators 3, 5 and 16: the common scale is 240, no row's own
+    trans = {
+        "s0": {"s1": F(1, 3), "s2": F(2, 3)},
+        "s1": {"s0": F(2, 5), "s2": F(1, 5), TARGET: F(2, 5)},
+        "s2": {"s0": F(5, 16), "s1": F(3, 16), TARGET: F(1, 2)},
+    }
+    states, alphabet = ("s0", "s1", "s2"), ("a", "b", "c")
+    label = {"s0": "a", "s1": "b", "s2": "a"}
+    looping = {x: {s: p for s, p in row.items() if s != TARGET} for x, row in trans.items()}
+    looping["s1"]["s1"] = F(2, 5)
+    looping["s2"]["s2"] = F(1, 2)
+    chains = {
+        "mc-dfa": LabeledMc(states, alphabet, label, trans, "s0"),
+        "mrm-dfa": MarkovRewardModel(states, alphabet, label, {"s0": 1, "s1": 0, "s2": 4}, trans, "s0"),
+        "ntmc-dfa": NonTerminatingMc(states, alphabet, label, looping, "s0"),
+    }
+    rng = random.Random("denominators")
+    for pairing, chain in chains.items():
+        assert validate(chain) == []
+        for _ in range(5):
+            _assert_direct_matches_reference(pairing, chain, random_dfa(rng))
+
+
+def test_direct_queries_leave_no_reference_cycles():
+    # a memo that reaches itself would live until a full collection; each
+    # check's garbage must be freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for pairing in PAIRINGS:
+            for i in range(20):
+                system, requirement = random_instance(pairing, random.Random(f"gc:{pairing}:{i}"))
+                assert check_step_equality(pairing, system, requirement, 10).passed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
