@@ -172,7 +172,7 @@ def _mass_levels(c, depth: int) -> tuple[int, list[dict[str, dict]]]:
     :func:`mc_trace_step` and :func:`mrm_trace_step` order them.
     """
     den = lcm(*(p.denominator for row in c.trans.values() for p in row.values()))
-    reward = getattr(c, "reward", None)
+    reward = c.reward if isinstance(c, MarkovRewardModel) else None
     rows = {}
     for x, row in c.trans.items():
         weights = {s: p.numerator * (den // p.denominator) for s, p in row.items()}

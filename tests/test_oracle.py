@@ -455,8 +455,9 @@ def test_semantics_match_golden_digests(kind):
 # integer direct queries against the ``Fraction`` reference
 
 def _assert_direct_matches_reference(pairing, system, requirement, depth=10):
-    fast = getattr(oracle, f"direct_{pairing.replace('-', '_')}")(system, requirement, depth)
-    slow = getattr(fraction_direct, f"direct_{pairing.replace('-', '_')}")(system, requirement, depth)
+    name = f"direct_{pairing.replace('-', '_')}"
+    fast = getattr(oracle, name)(system, requirement, depth)
+    slow = getattr(fraction_direct, name)(system, requirement, depth)
     for k in range(depth + 1):
         for x in system.states:
             for y in requirement.states:
