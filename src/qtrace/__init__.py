@@ -14,7 +14,6 @@ from .domains import (
     Rational,
     TROPICAL,
     bottom_vector,
-    kleene_iterate,
     rational,
     rational_str,
 )
@@ -52,12 +51,23 @@ from .products import (
     product_wts_nfa,
     product_wts_wmm,
 )
-from .solvers import (
-    SolveReport,
-    solve_partial_expected_reward,
-    solve_product,
-    solve_reach_prob,
-    solve_tropical,
-)
 
 __version__ = "0.1.0"
+
+_SOLVER_NAMES = (
+    "SolveReport",
+    "solve_partial_expected_reward",
+    "solve_product",
+    "solve_reach_prob",
+    "solve_tropical",
+)
+
+
+def __getattr__(name: str):
+    """The solver names, imported from :mod:`qtrace.solvers` when first
+    asked for: ``import qtrace`` does not load the solvers (PEP 562)."""
+    if name in _SOLVER_NAMES:
+        from . import solvers
+
+        return getattr(solvers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

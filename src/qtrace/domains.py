@@ -1,4 +1,4 @@
-"""Exact value domains, their rendering, and the k-step iteration of an update.
+"""Exact value domains and their rendering.
 
 Three ordered domains are supported:
 
@@ -8,16 +8,17 @@ Three ordered domains are supported:
                      is the bottom: "no finite cost found yet");
 * ``prob-reward`` -- pairs (probability, expected reward), componentwise.
 
-All probabilities and rewards are ``fractions.Fraction`` values, so the
-k-th iterate of a product's update (``--mode iterate``, and the iterates
-``lawcheck`` compares) and the direct semantics agree bit for bit.
+All probabilities and rewards are exact: ``fractions.Fraction`` values,
+or, in the k-th iterate of a product's update and in the direct semantics
+that ``lawcheck`` compares it with, integer numerators over the k-th
+power of one denominator, which :func:`_value_over` turns into values.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 Rational = Fraction
 
@@ -126,9 +127,12 @@ def leq(domain: str, a, b) -> bool:
     raise ConfigError(f"unknown domain tag: {domain!r}")
 
 
-def kleene_iterate(transformer: Callable[[dict], dict], start: dict, steps: int) -> dict:
-    """Apply ``transformer`` exactly ``steps`` times to ``start``."""
-    current = start
-    for _ in range(steps):
-        current = transformer(current)
-    return current
+def _value_over(domain: str, n, scale: int):
+    """The value whose numerator over ``scale`` is ``n``: a ``Fraction``,
+    a pair of them for a pair of numerators, and for ``tropical`` the cost
+    ``n`` itself."""
+    if domain == TROPICAL:
+        return n
+    if domain == PROB_REWARD:
+        return Fraction(n[0], scale), Fraction(n[1], scale)
+    return Fraction(n, scale)

@@ -6,7 +6,10 @@ Two families of checks are provided:
   joint state, the k-th iterate of the product's value update must equal
   the query evaluated on the depth-k direct semantics of the two
   machines.  This is exact (rational / min-plus) equality and is the
-  repository's core guarantee.
+  repository's core guarantee.  Both sides are compared as integers: the
+  product's iterate (``solvers.integer_iterates``) and the oracle's
+  lookup (``oracle.Lookup``) each hold numerators over the k-th power of
+  their own denominator, cross multiplied when the two differ.
 
 * ``check_diagram`` -- the one-step commutation property behind that
   equality, tested on randomly sampled semantic values: folding the two
@@ -32,7 +35,7 @@ from functools import partial
 from typing import Callable
 
 from . import oracle
-from .domains import ONE, ZERO, bottom_vector, value_str
+from .domains import ONE, PROB, ZERO, _value_over, value_str
 from .models import (
     ACCEPT,
     Dfa,
@@ -60,8 +63,8 @@ from .products import (
     wts_wmm_row,
 )
 from .solvers import (
+    integer_iterates,
     min_cost_step,
-    product_transformer,
     reach_value_step,
     reward_value_step,
     solve_reach_prob,
@@ -108,8 +111,13 @@ def _fail(name: str, *, x, y, k, lhs, rhs, details) -> CheckResult:
 # ---------------------------------------------------------------------------
 # step-indexed equality
 
+def _times(n, c: int):
+    """A numerator, or a pair of them, times ``c``."""
+    return (n[0] * c, n[1] * c) if isinstance(n, tuple) else n * c
+
+
 def _compare_iterates(
-    name: str, product, points, direct: Callable, depth: int, details: dict, exact: bool = False
+    name: str, product, points, direct: oracle.Lookup, depth: int, details: dict, exact: bool = False
 ) -> CheckResult:
     """Compare the iterates of ``product``'s value update with ``direct``.
 
@@ -118,17 +126,22 @@ def _compare_iterates(
     ``exact`` the exact solve must also equal ``direct(x, y, depth)``
     (reported at depth ``"exact"``).  The first mismatch is the
     counterexample.
+
+    Both sides are integer numerators: the iterate's over D**k, D the
+    product's denominator, and the lookup's over its own ``den**k``.  They
+    are compared as they are when the two denominators agree, and cross
+    multiplied when they differ, so every comparison is exact; a value
+    becomes a ``Fraction`` only for the counterexample.
     """
-    phi = product_transformer(product)
-    values = bottom_vector(list(product.trans), product.DOMAIN)
-    for k in range(depth + 1):
-        if k > 0:
-            values = phi(values)
+    den, levels = integer_iterates(product)
+    table, same = direct.table, den == direct.den
+    for k, level in zip(range(depth + 1), levels):
+        scale, direct_scale = den**k, direct.den**k
         for x, y, s in points:
-            lhs = values[s]
-            rhs = direct(x, y, k)
-            if lhs != rhs:
-                return _fail(name, x=x, y=y, k=k, lhs=lhs, rhs=rhs, details=details)
+            n, o = level[s], table[x, y, k]
+            if (n != o) if same else (_times(n, direct_scale) != _times(o, scale)):
+                lhs = _value_over(product.DOMAIN, n, scale)
+                return _fail(name, x=x, y=y, k=k, lhs=lhs, rhs=direct(x, y, k), details=details)
     if exact:
         values = solve_reach_prob(product).values
         for x, y, s in points:
@@ -334,6 +347,19 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
 # ---------------------------------------------------------------------------
 # composite constructions
 
+def _mass_lookup(c: LabeledMc, depth: int, states, admits: Callable) -> oracle.Lookup:
+    """The direct side of a cost check: at (x, y, k), the mass of the
+    depth-k traces w from x with ``admits(y, w)``, summed on the chain's
+    integer unfold."""
+    den, levels = oracle._mass_levels(c, depth)
+    table = {}
+    for k, level in enumerate(levels):
+        for x, dist in level.items():
+            for y in states:
+                table[x, y, k] = sum(q for w, q in dist.items() if admits(y, w))
+    return oracle.Lookup(PROB, den, table)
+
+
 def check_cost_bounded(c: LabeledMc, budget: int, kmax: int) -> CheckResult:
     """Bounded-budget acceptance: product pipeline vs direct weight sums.
 
@@ -345,13 +371,12 @@ def check_cost_bounded(c: LabeledMc, budget: int, kmax: int) -> CheckResult:
     weight_bound = max(int(a) for a in c.alphabet)
     product = product_mc_dfa(c, make_cost_bound_dfa(budget, weight_bound), restrict=False)
     depth = max(kmax, budget)
-    sys_levels = oracle.mc_semantics_levels(c, depth)
     y = str(budget)
     return _compare_iterates(
         f"cost-bounded[N={budget}]",
         product,
         [(x, y, joined(x, y)) for x in c.states],
-        lambda x, y, k: oracle.query_cost_bounded(sys_levels[k][x], budget),
+        _mass_lookup(c, depth, (y,), lambda y, w: sum(int(a) for a in w) < budget),
         depth,
         {"budget": budget, "kmax": kmax},
         exact=True,
@@ -368,18 +393,11 @@ def check_cost_induced(c: LabeledMc, rm: RewardMachine, budget: int, kmax: int) 
     composed = product_rm_costdfa(rm, make_cost_bound_dfa(budget, rm.bound))
     product = product_mc_dfa(c, composed, restrict=False)
     depth = max(kmax, budget)
-    sys_levels = oracle.mc_semantics_levels(c, depth)
-
-    def direct(x, y, k):
-        return oracle.query_cost_induced(
-            sys_levels[k][x], lambda w: oracle.rm_weights(rm, y, w), budget
-        )
-
     return _compare_iterates(
         f"cost-induced[N={budget}]",
         product,
         [(x, y, joined(x, y, str(budget))) for x in c.states for y in rm.states],
-        direct,
+        _mass_lookup(c, depth, rm.states, lambda y, w: sum(oracle.rm_weights(rm, y, w)) < budget),
         depth,
         {"budget": budget, "kmax": kmax, "bound": rm.bound},
         exact=True,

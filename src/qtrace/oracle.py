@@ -5,24 +5,29 @@ unfolds each machine for a bounded number of steps, materializing the
 trace distribution / language / weighted trace set it denotes, and then
 evaluates the requested query on those values directly.  Nothing here
 ever looks at a synchronized product.  The ``direct_*`` functions are the
-query of each pairing, as ``products.PAIRING_TABLE`` lists them.
+query of each pairing, as ``products.PAIRING_TABLE`` lists them; each
+returns a :class:`Lookup` of its values at every state pair and depth.
 
 The ``*_step`` functions fold the semantic values of the successor states
 one transition backwards; iterating them from the empty value yields the
 depth-``k`` semantics.  The chains' semantics are unfolded instead on
 integer masses over a power of one common denominator, folding as
-:func:`mc_trace_step` and :func:`mrm_trace_step` do, and each value
-becomes a ``Fraction`` once.  The steps are also reused on raw sampled
-values by the commutation checks in :mod:`qtrace.lawcheck`.
+:func:`mc_trace_step` and :func:`mrm_trace_step` do.  Their direct
+queries keep the totals as integer numerators, which ``lawcheck``
+compares with the product's integer iterates; a value becomes a
+``Fraction`` only when the lookup is called.  Acceptance of a word, by a
+DFA or an NFA, is read from bit masks memoised per word (``_Flags``).
+The steps are also reused on raw sampled values by the commutation checks
+in :mod:`qtrace.lawcheck`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .domains import INF, ZERO
+from .domains import INF, PROB, PROB_REWARD, TROPICAL, ZERO, _value_over
 from .models import (
     Dfa,
     LabeledMc,
@@ -160,7 +165,7 @@ def _unfold(states, start: Callable, step: Callable, depth: int) -> list[dict]:
     return levels
 
 
-def _mass_levels(c, depth: int) -> tuple[int, list[dict[str, dict]]]:
+def _mass_levels(c, depth: int) -> tuple[int, Iterator[dict[str, dict]]]:
     """Levels 0..depth of a chain's trace masses as integer numerators.
 
     With D the lcm of the chain's transition denominators, every mass at
@@ -168,24 +173,28 @@ def _mass_levels(c, depth: int) -> tuple[int, list[dict[str, dict]]]:
     weights and halting mass enters as its weight times D**(k-1).  Keys
     are traces, or (trace, accumulated reward) for a reward model; a
     never-terminating chain starts from the empty word.  Returns D and
-    the levels, keyed and ordered as the ``Fraction`` folds of
-    :func:`mc_trace_step` and :func:`mrm_trace_step` order them.
+    the levels, one at a time, keyed and ordered as the ``Fraction`` folds
+    of :func:`mc_trace_step` and :func:`mrm_trace_step` order them.
     """
     den = lcm(*(p.denominator for row in c.trans.values() for p in row.values()))
     reward = c.reward if isinstance(c, MarkovRewardModel) else None
-    rows = {}
-    for x, row in c.trans.items():
-        weights = {s: p.numerator * (den // p.denominator) for s, p in row.items()}
+    rows = []
+    for x in c.states:
+        weights = {s: p.numerator * (den // p.denominator) for s, p in c.trans[x].items()}
         halt = weights.pop(TARGET, 0)
-        rows[x] = ((c.label[x],), None if reward is None else reward[x], halt, list(weights.items()))
+        rows.append((x, (c.label[x],), None if reward is None else reward[x], halt, list(weights.items())))
     start = {(): 1} if isinstance(c, NonTerminatingMc) else {}
-    levels = [{x: dict(start) for x in c.states}]
+    return den, _unfold_masses(rows, start, den, depth)
+
+
+def _unfold_masses(rows: list, start: dict, den: int, depth: int) -> Iterator[dict[str, dict]]:
+    """The levels of :func:`_mass_levels`, each made from the one before."""
+    level = {x: dict(start) for x, *_ in rows}
     scale = 1  # D**(k-1) at level k
+    yield level
     for _ in range(depth):
-        prev = levels[-1]
-        level = {}
-        for x in c.states:
-            head, r, halt, succ = rows[x]
+        prev, level = level, {}
+        for x, head, r, halt, succ in rows:
             out = {}
             if r is None:
                 if halt:
@@ -202,9 +211,8 @@ def _mass_levels(c, depth: int) -> tuple[int, list[dict[str, dict]]]:
                         t = (head + w, r + m)
                         out[t] = out.get(t, 0) + p * q
             level[x] = out
-        levels.append(level)
+        yield level
         scale *= den
-    return den, levels
 
 
 def _fraction_levels(c, depth: int) -> list[dict]:
@@ -514,40 +522,85 @@ def query_safety(
 # the direct query of each pairing: the lookup value(x, y, k), k <= depth,
 # over semantics unfolded once and shared by all lookups
 
-class _Flags(dict):
-    """Acceptance of each word from every state of a DFA, as a bit mask over
-    its states, memoised per word: ``flags[w]``.
+class Lookup:
+    """A pairing's direct query at every (x, y, k) with k <= depth.
 
-    The unfolding prepends symbols, so a word's flags follow from its
-    tail's.  With (t, f) = delta[y][a], acceptance of a.w from y is f when
-    w is empty and that of w from t otherwise.  With ``minimal`` (accepted,
-    and no proper prefix accepted) it is f when w is empty, and ``not f``
-    and that of w from t otherwise.  Walking the levels in order of depth
-    finds every tail already memoised, so a new word costs one step per
-    requirement state.
+    ``table[x, y, k]`` is the numerator of the value over ``den**k``: an
+    integer, or for ``mrm-dfa`` a (probability, reward) pair of them.  The
+    weighted pairings have ``den`` 1 and hold the least costs themselves,
+    each computed when first looked up.  Calling the lookup gives the
+    value: ``lookup(x, y, k)``.
     """
 
-    def __init__(self, d: Dfa, minimal: bool):
+    __slots__ = ("domain", "den", "table")
+
+    def __init__(self, domain: str, den: int, table: Mapping):
+        self.domain = domain
+        self.den = den
+        self.table = table
+
+    def __call__(self, x: str, y: str, k: int):
+        return _value_over(self.domain, self.table[x, y, k], self.den**k)
+
+
+class _Lazy(dict):
+    """A table whose entries are computed when first looked up:
+    ``fill(x, y, k)`` returns that entry, and any computed along with it,
+    as a dict."""
+
+    def __init__(self, fill: Callable[[str, str, int], dict]):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self.update(self.fill(*key))
+        return self[key]
+
+
+class _Flags(dict):
+    """Acceptance of each word from every state of a DFA or an NFA, as a
+    bit mask over its states, memoised per word: ``flags[w]``.
+
+    Each move of a state y on a symbol a carries the bit mask of its
+    successors and whether some edge of it accepts; a DFA's move has one
+    successor.  The unfolding prepends symbols, so a word's flags follow
+    from its tail's: a.w is accepted from y when w is empty and the move
+    accepts, or when w is not empty and the successor mask meets the flags
+    of w.  With ``minimal`` (accepted, and no proper prefix accepted; used
+    on DFAs) a non-empty w also needs the move not to accept.  Walking
+    the levels in order of depth finds every tail already memoised, so a
+    new word costs one step per requirement state.
+    """
+
+    def __init__(self, d: Dfa | Nfa, minimal: bool = False):
         super().__init__()
         index = {y: i for i, y in enumerate(d.states)}
-        self.moves = {
-            a: [(1 << i, index[d.delta[y][a][0]], d.delta[y][a][1]) for i, y in enumerate(d.states)]
-            for a in d.alphabet
-        }
+        nfa = isinstance(d, Nfa)
+        self.moves = {}
+        for a in d.alphabet:
+            moves = []
+            for i, y in enumerate(d.states):
+                succ, accept = 0, False
+                for t, f in nfa_row(d, y, a) if nfa else (d.delta[y][a],):
+                    succ |= 1 << index[t]
+                    accept = accept or f
+                moves.append((1 << i, succ, accept))
+            self.moves[a] = moves
         self.minimal = minimal
         self.n = len(d.states)
 
     def __missing__(self, w: Trace) -> int:
         mask = 0
         if len(w) == 1:
-            for bit, _, f in self.moves[w[0]]:
-                if f:
+            for bit, _, accept in self.moves.get(w[0], ()):
+                if accept:
                     mask |= bit
         else:
             tail = self[w[1:]]
-            for bit, t, f in self.moves[w[0]]:
-                if tail >> t & 1 and not (self.minimal and f):
-                    mask |= bit
+            if tail:
+                for bit, succ, accept in self.moves.get(w[0], ()):
+                    if succ & tail and not (self.minimal and accept):
+                        mask |= bit
         self[w] = mask
         return mask
 
@@ -568,32 +621,40 @@ class _Flags(dict):
             masses[mask] = masses.get(mask, 0) + q
         return self.totals(masses)
 
+    def least(self, pairs: Iterable[tuple[Trace, int]]) -> list:
+        """Per requirement state, the least cost of the words it accepts
+        (infinity when it accepts none)."""
+        cheapest: dict[int, int] = {}
+        for w, m in pairs:
+            mask = self[w]
+            if mask and m < cheapest.get(mask, INF):
+                cheapest[mask] = m
+        least = [INF] * self.n
+        for mask, m in cheapest.items():
+            for i in range(self.n):
+                if mask >> i & 1 and m < least[i]:
+                    least[i] = m
+        return least
 
-def _ratio(total: int, scale: int) -> Fraction:
-    # most totals are 0, and a shared ZERO skips the gcd of a new Fraction
-    return Fraction(total, scale) if total else ZERO
 
-
-def direct_mc_dfa(c: LabeledMc, d: Dfa, depth: int) -> Callable:
+def direct_mc_dfa(c: LabeledMc, d: Dfa, depth: int) -> Lookup:
     """Acceptance probability of the depth-k traces (also ``mc-costdfa``)."""
     den, levels = _mass_levels(c, depth)
-    flags = _Flags(d, minimal=False)
+    flags = _Flags(d)
     table = {}
     for k, level in enumerate(levels):
-        scale = den**k
         for x, dist in level.items():
             for y, total in zip(d.states, flags.accepted(dist)):
-                table[x, y, k] = _ratio(total, scale)
-    return lambda x, y, k: table[x, y, k]
+                table[x, y, k] = total
+    return Lookup(PROB, den, table)
 
 
-def direct_mrm_dfa(c: MarkovRewardModel, d: Dfa, depth: int) -> Callable:
+def direct_mrm_dfa(c: MarkovRewardModel, d: Dfa, depth: int) -> Lookup:
     """(acceptance probability, partial expected reward) of the depth-k traces."""
     den, levels = _mass_levels(c, depth)
-    flags = _Flags(d, minimal=False)
+    flags = _Flags(d)
     table = {}
     for k, level in enumerate(levels):
-        scale = den**k
         for x, dist in level.items():
             masses: dict[int, int] = {}
             rewards: dict[int, int] = {}
@@ -602,35 +663,41 @@ def direct_mrm_dfa(c: MarkovRewardModel, d: Dfa, depth: int) -> Callable:
                 masses[mask] = masses.get(mask, 0) + q
                 rewards[mask] = rewards.get(mask, 0) + m * q
             for y, p, r in zip(d.states, flags.totals(masses), flags.totals(rewards)):
-                table[x, y, k] = (_ratio(p, scale), _ratio(r, scale))
-    return lambda x, y, k: table[x, y, k]
+                table[x, y, k] = (p, r)
+    return Lookup(PROB_REWARD, den, table)
 
 
-def direct_ntmc_dfa(c: NonTerminatingMc, d: Dfa, depth: int) -> Callable:
+def direct_ntmc_dfa(c: NonTerminatingMc, d: Dfa, depth: int) -> Lookup:
     """Mass of the prefix-minimal accepted words of length 1..k."""
     den, levels = _mass_levels(c, depth)
     flags = _Flags(d, minimal=True)
     # the value at depth k is the value at k-1 plus the mass of the
-    # prefix-minimal accepted words of length exactly k, all over D**k
+    # prefix-minimal accepted words of length exactly k, all over D**k;
+    # level 0 holds only the empty word, which no monitor accepts
     acc = {x: [0] * len(d.states) for x in c.states}
-    table = {(x, y, 0): ZERO for x in c.states for y in d.states}
-    for k in range(1, depth + 1):
-        scale = den**k
-        for x, dist in levels[k].items():
-            acc[x] = [s * den + t for s, t in zip(acc[x], flags.accepted(dist))]
+    table = {}
+    for k, level in enumerate(levels):
+        for x, dist in level.items():
+            if k:
+                acc[x] = [s * den + t for s, t in zip(acc[x], flags.accepted(dist))]
             for y, total in zip(d.states, acc[x]):
-                table[x, y, k] = _ratio(total, scale)
-    return lambda x, y, k: table[x, y, k]
+                table[x, y, k] = total
+    return Lookup(PROB, den, table)
 
 
-def direct_wts_nfa(c: WeightedTs, d: Nfa, depth: int) -> Callable:
+def direct_wts_nfa(c: WeightedTs, d: Nfa, depth: int) -> Lookup:
     """Least cost of an accepted depth-k trace."""
     sys_levels = wts_semantics_levels(c, depth)
-    views = {(y, k): NfaLanguage(d, y, k) for y in d.states for k in range(depth + 1)}
-    return lambda x, y, k: query_tropical(sys_levels[k][x], views[(y, k)])
+    flags = _Flags(d)
+
+    def fill(x: str, _y: str, k: int) -> dict:
+        # one pass over the traces gives every requirement state's cost
+        return {(x, y, k): m for y, m in zip(d.states, flags.least(sys_levels[k][x]))}
+
+    return Lookup(TROPICAL, 1, _Lazy(fill))
 
 
-def direct_wts_wmm(c: WeightedTs, d: WeightedMealy, depth: int) -> Callable:
+def direct_wts_wmm(c: WeightedTs, d: WeightedMealy, depth: int) -> Lookup:
     """Least system plus requirement weight of a depth-k trace."""
     sys_levels = wts_semantics_levels(c, depth)
     # the query only needs the cheapest accepting run per trace, so the
@@ -644,12 +711,12 @@ def direct_wts_wmm(c: WeightedTs, d: WeightedMealy, depth: int) -> Callable:
             weight_memo[(y, w)] = got
         return got
 
-    def value(x, y, k):
+    def fill(x: str, y: str, k: int) -> dict:
         best = INF
         for w, m in sys_levels[k][x]:
             n = cheapest(y, w)
             if m + n < best:
                 best = m + n
-        return best
+        return {(x, y, k): best}
 
-    return value
+    return Lookup(TROPICAL, 1, _Lazy(fill))

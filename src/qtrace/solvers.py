@@ -23,27 +23,23 @@ attained.  A failed check raises ``SolverError`` (never an ``assert``, so
 the check also runs under ``python -O``).  Every product class names its
 value domain (``DOMAIN``), and one solve path serves all of them:
 ``iterate`` (the k-th iterate of the update) is shared, and every other
-mode, ``epsilon`` included, returns the domain's exact answer.
+mode, ``epsilon`` included, returns the domain's exact answer.  The
+iterates are computed on integers (:func:`integer_iterates`): the k-th
+holds numerators over the k-th power of the lcm of the row denominators,
+level by level, and ``iterate`` mode turns the last one into
+``Fraction`` values once; ``lawcheck`` compares the numerators with the
+oracle's as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import islice
 from math import gcd, lcm
-from typing import Callable
+from typing import Iterator
 
-from .domains import (
-    INF,
-    PROB,
-    PROB_REWARD,
-    TROPICAL,
-    ZERO,
-    _json_value,
-    bottom_vector,
-    kleene_iterate,
-)
+from .domains import INF, PROB, PROB_REWARD, TROPICAL, ZERO, _json_value, _value_over
 from .products import ProductMc, ProductRewardMc, ProductWts, pair_states
 
 
@@ -158,10 +154,67 @@ def _update(step, rows: list, values: dict) -> dict:
     return {s: step(((values[t], x) for t, x in succ), *args) for s, succ, args in rows}
 
 
-def product_transformer(m) -> Callable[[dict], dict]:
-    """One-step value update of any product kind."""
+def integer_iterates(m) -> tuple[int, Iterator[dict]]:
+    """The iterates of ``m``'s update from the bottom vector, on integers.
+
+    Returns D, the lcm of the denominators in the product's rows, and the
+    levels k = 0, 1, 2, ... one at a time, so no level is kept once the
+    caller drops it.  Level k holds per pair state the numerator of the
+    k-th iterate over D**k.  With the row masses scaled by D to integers,
+    goal mass g and successor masses p, it is
+    P_k = g D**(k-1) + sum p P_(k-1); for a reward product it is the pair
+    (P_k, R_k) with R_k = r P_k + sum p R_(k-1), r the step reward.  A
+    weighted product's levels hold the costs themselves, and D is 1.
+    ``domains._value_over(domain, n, D**k)`` gives a value back.
+    """
     domain = _domain(m)
-    return partial(_update, _SOLVERS[domain][0], _rows(m, domain))
+    rows = _rows(m, domain)
+    if domain == TROPICAL:
+        return 1, _cost_levels(rows)
+    den = 1
+    for _, succ, args in rows:
+        den = lcm(den, args[0].denominator, *(p.denominator for _, p in succ))
+
+    def times_den(p: Fraction) -> int:
+        return p.numerator * (den // p.denominator)
+
+    scaled = []
+    for s, succ, args in rows:
+        reward = args[1] if domain == PROB_REWARD else None
+        scaled.append((s, times_den(args[0]), reward, [(t, times_den(p)) for t, p in succ]))
+    return den, _numerator_levels(scaled, den)
+
+
+def _numerator_levels(rows: list, den: int) -> Iterator[dict]:
+    """Levels of :func:`integer_iterates` from integer rows
+    (state, goal mass, step reward or None, successor masses)."""
+    level = {s: 0 if r is None else (0, 0) for s, _, r, _ in rows}
+    scale = 1  # D**(k-1) at level k
+    while True:
+        yield level
+        prev, level = level, {}
+        for s, goal, r, succ in rows:
+            n = goal * scale
+            if r is None:
+                for t, p in succ:
+                    n += p * prev[t]
+                level[s] = n
+            else:
+                earned = 0
+                for t, p in succ:
+                    q, e = prev[t]
+                    n += p * q
+                    earned += p * e
+                level[s] = n, r * n + earned
+        scale *= den
+
+
+def _cost_levels(rows: list) -> Iterator[dict]:
+    """Levels of :func:`integer_iterates` for a weighted product."""
+    level = {s: INF for s, _, _ in rows}
+    while True:
+        yield level
+        level = _update(min_cost_step, rows, level)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +624,10 @@ def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
     if mode == "iterate":
         if steps is None:
             raise ValueError("iterate mode needs steps")
-        values = kleene_iterate(product_transformer(m), bottom_vector(pair_states(m), domain), steps)
+        k = max(steps, 0)  # a negative count applies no step
+        den, levels = integer_iterates(m)
+        scale = den**k
+        values = {s: _value_over(domain, n, scale) for s, n in next(islice(levels, k, None)).items()}
         return SolveReport(values, "kleene", steps, False, domain)
     if mode == "epsilon":
         if domain == TROPICAL:  # the least costs are exact already

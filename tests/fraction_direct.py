@@ -1,21 +1,24 @@
-"""The ``Fraction`` direct queries that ``qtrace.oracle`` replaced with
-integer masses and memoised automaton flags, kept as the reference the
-integer versions are compared with.
+"""The direct queries that ``qtrace.oracle`` replaced with integer masses
+and memoised automaton flags, kept as the reference the faster versions
+are compared with.
 
-Each level is folded with ``Fraction`` arithmetic by the one-step updates,
-and every word is run through the automaton from its start, so it is only
-fit for the small machines of the tests.
+Each level of a chain is folded with ``Fraction`` arithmetic by the
+one-step updates, and every word is run through the automaton from its
+start, so it is only fit for the small machines of the tests.
 """
 
 from qtrace.domains import ONE, ZERO
 from qtrace.models import TARGET
 from qtrace.oracle import (
     DfaLanguage,
+    NfaLanguage,
     Trace,
     mc_trace_step,
     mrm_trace_step,
     query_prob,
     query_reward,
+    query_tropical,
+    wts_semantics_levels,
 )
 
 
@@ -92,3 +95,9 @@ def direct_ntmc_dfa(c, d, depth: int):
                         acc[(x, y)] += p
         per_depth.append(dict(acc))
     return lambda x, y, k: per_depth[k][(x, y)]
+
+
+def direct_wts_nfa(c, d, depth: int):
+    sys_levels = wts_semantics_levels(c, depth)
+    views = {(y, k): NfaLanguage(d, y, k) for y in d.states for k in range(depth + 1)}
+    return lambda x, y, k: query_tropical(sys_levels[k][x], views[(y, k)])

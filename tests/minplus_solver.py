@@ -7,9 +7,9 @@ nonnegative weights the iterates stop changing within n + 1 rounds for n
 product states, so the (n + 1)-th iterate must be a fixed point.
 """
 
-from qtrace.domains import TROPICAL, bottom_vector, kleene_iterate
+from fraction_iterate import kleene_iterate, product_transformer
+from qtrace.domains import TROPICAL, bottom_vector
 from qtrace.products import pair_states
-from qtrace.solvers import product_transformer
 
 
 def least_costs(prod) -> dict:

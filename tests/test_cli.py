@@ -806,7 +806,7 @@ def test_import_qtrace_stays_lean():
     # each of these once slowed every start-up when it was imported eagerly
     src = os.path.dirname(os.path.dirname(qtrace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    heavy = ["qtrace.oracle", "qtrace.lawcheck", "qtrace.cli", "qtrace.programs", "heapq"]
+    heavy = ["qtrace.oracle", "qtrace.lawcheck", "qtrace.cli", "qtrace.programs", "qtrace.solvers", "heapq"]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, qtrace; print([m for m in {heavy!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60,

@@ -10,8 +10,8 @@ from qtrace.domains import (
     PROB_REWARD,
     TROPICAL,
     ConfigError,
+    _value_over,
     bottom_vector,
-    kleene_iterate,
     leq,
     rational,
     rational_str,
@@ -74,11 +74,14 @@ def test_tropical_order_is_reversed():
     assert not leq(TROPICAL, 3, 7)
 
 
-def test_kleene_iterate_identity_and_steps():
-    v = {"a": Fraction(1, 3)}
-    assert kleene_iterate(lambda u: u, v, 17) == v
-    assert kleene_iterate(lambda u: {"a": u["a"] + 1}, {"a": Fraction(0)}, 0) == {"a": 0}
-    assert kleene_iterate(lambda u: {"a": u["a"] + 1}, {"a": Fraction(0)}, 4) == {"a": 4}
+def test_value_over_reads_numerators_per_domain():
+    # the integer iterates and the oracle's tables hold numerators over a
+    # power of one denominator; a tropical value is its own numerator
+    assert _value_over(PROB, 6, 8) == Fraction(3, 4)
+    assert type(_value_over(PROB, 0, 1)) is Fraction
+    assert _value_over(PROB_REWARD, (2, 10), 4) == (Fraction(1, 2), Fraction(5, 2))
+    assert _value_over(TROPICAL, 7, 1) == 7 and type(_value_over(TROPICAL, 7, 1)) is int
+    assert _value_over(TROPICAL, INF, 1) == INF
 
 
 @given(rationals, rationals)

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 
+import fraction_direct
 import pytest
+from fraction_iterate import fraction_iterates
 
-from qtrace import lawcheck
+from qtrace import lawcheck, oracle
 from qtrace.bundled import load_model
-from qtrace.models import Dfa, validate
-from qtrace.solvers import solve_reach_prob
-from qtrace.products import product_mc_dfa
+from qtrace.domains import value_str
+from qtrace.models import Dfa, NonTerminatingMc, joined, validate
+from qtrace.solvers import integer_iterates, solve_reach_prob
+from qtrace.products import product_mc_dfa, product_ntmc_dfa
 
 F = Fraction
 
@@ -143,3 +146,65 @@ def test_check_result_serializes():
     doc = res.to_json()
     assert doc["passed"] is True
     assert doc["name"] == "step-equality[mc-dfa]"
+
+
+def _looping_chain(s1_row) -> NonTerminatingMc:
+    """Three states labelled a, b, c; ``s1_row`` is the row of s1."""
+    states = ("s0", "s1", "s2")
+    trans = {
+        "s0": {"s1": F(1, 3), "s2": F(2, 3)},
+        "s1": s1_row,
+        "s2": {"s2": F(1, 2), "s0": F(1, 2)},
+    }
+    return NonTerminatingMc(states, ("a", "b", "c"), dict(zip(states, "abc")), trans, "s0")
+
+
+def _monitor(accepts) -> Dfa:
+    """One state; a step on a symbol in ``accepts`` accepts."""
+    alphabet = ("a", "b", "c")
+    return Dfa(("q",), alphabet, {"q": {a: ("q", a in accepts) for a in alphabet}}, "q")
+
+
+def _reference_counterexample(product, system, requirement, kmax):
+    """The first mismatch of the Fraction iterates with the Fraction direct
+    query, in the order step equality compares them."""
+    direct = fraction_direct.direct_ntmc_dfa(system, requirement, kmax)
+    for k, values in enumerate(fraction_iterates(product, kmax)):
+        for x in system.states:
+            for y in requirement.states:
+                lhs, rhs = values[joined(x, y)], direct(x, y, k)
+                if lhs != rhs:
+                    return {"system_state": x, "requirement_state": y, "depth": k,
+                            "product_value": value_str(lhs), "direct_value": value_str(rhs)}
+    return None
+
+
+def test_step_equality_across_different_denominators():
+    # a monitor that accepts on every symbol sends each product row whole
+    # to the goal, so the product's denominator is 1 and the chain's is 30
+    chain = _looping_chain({"s0": F(2, 5), "s1": F(3, 5)})
+    accept_all = _monitor("abc")
+    den, _ = integer_iterates(product_ntmc_dfa(chain, accept_all, restrict=False))
+    assert (den, oracle.direct_ntmc_dfa(chain, accept_all, 10).den) == (1, 30)
+    assert lawcheck.check_step_equality("ntmc-dfa", chain, accept_all, 10).passed
+
+
+def test_mismatch_across_different_denominators_names_the_reference_counterexample():
+    # the product is built from a chain whose s1 row differs: its
+    # denominator is 2 against the chain's 30, so the mismatch is found by
+    # cross multiplying, and reported as the Fraction comparison reports it
+    chain = _looping_chain({"s0": F(2, 5), "s1": F(3, 5)})
+    other = _looping_chain({"s0": F(1, 2), "s1": F(1, 2)})
+    monitor = _monitor("a")
+
+    def build(c, d, restrict):
+        return product_ntmc_dfa(other, d, restrict)
+
+    product = build(chain, monitor, False)
+    den, _ = integer_iterates(product)
+    assert (den, oracle.direct_ntmc_dfa(chain, monitor, 10).den) == (2, 30)
+    res = lawcheck.check_step_equality("ntmc-dfa", chain, monitor, 10, product_fn=build)
+    assert not res.passed
+    expected = _reference_counterexample(product, chain, monitor, 10)
+    assert res.counterexample == expected
+    assert (expected["product_value"], expected["direct_value"]) == ("1/2", "2/5")

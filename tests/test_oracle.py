@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,10 @@ import qtrace.oracle as oracle
 from qtrace.bundled import load_model
 from qtrace.lawcheck import (
     PAIRINGS,
+    check_cost_bounded,
+    check_cost_induced,
     check_step_equality,
+    random_cost_mc,
     random_dfa,
     random_instance,
     random_mc,
@@ -28,12 +32,15 @@ from qtrace.models import (
     Dfa,
     LabeledMc,
     MarkovRewardModel,
+    Nfa,
     NonTerminatingMc,
     RewardMachine,
     WeightedMealy,
     WeightedTs,
+    nfa_row,
     validate,
 )
+from qtrace.products import PAIRING_TABLE
 
 F = Fraction
 
@@ -464,7 +471,7 @@ def _assert_direct_matches_reference(pairing, system, requirement, depth=10):
                 assert fast(x, y, k) == slow(x, y, k), (x, y, k)
 
 
-@pytest.mark.parametrize("pairing", ["mc-dfa", "mrm-dfa", "mc-costdfa", "ntmc-dfa"])
+@pytest.mark.parametrize("pairing", ["mc-dfa", "mrm-dfa", "mc-costdfa", "ntmc-dfa", "wts-nfa"])
 def test_direct_queries_match_the_fraction_reference(pairing):
     direct = "mc-dfa" if pairing == "mc-costdfa" else pairing
     for i in range(50):
@@ -498,7 +505,8 @@ def test_direct_queries_on_rows_with_different_denominators():
 
 def test_direct_queries_leave_no_reference_cycles():
     # a memo that reaches itself would live until a full collection; each
-    # check's garbage must be freed by reference counting alone
+    # check's garbage must be freed by reference counting alone, and so
+    # must each lookup, called as ``qtrace oracle`` calls it
     gc.collect()
     gc.disable()
     try:
@@ -506,6 +514,50 @@ def test_direct_queries_leave_no_reference_cycles():
             for i in range(20):
                 system, requirement = random_instance(pairing, random.Random(f"gc:{pairing}:{i}"))
                 assert check_step_equality(pairing, system, requirement, 10).passed
+                lookup = PAIRING_TABLE[pairing].direct(system, requirement, 10)
+                assert isinstance(lookup, oracle.Lookup)
+                lookup(system.initial, requirement.initial, 10)
+                del lookup
+        rng = random.Random("gc:cost")
+        for _ in range(5):
+            assert check_cost_bounded(random_cost_mc(rng), budget=3, kmax=6).passed
+            assert check_cost_induced(random_mc(rng), random_rm(rng), budget=3, kmax=6).passed
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _nfa_with_every_kind_of_row(rng: random.Random) -> Nfa:
+    """A random NFA, plus a state without any row, a move with several
+    accepting edges and a symbol on which the start state has no edge."""
+    d = random_nfa(rng)
+    first, second, last = d.states[0], d.states[1], d.states[-1]
+    delta = {y: dict(row) for y, row in d.delta.items() if y != last}
+    delta[first]["a"] = ((first, True), (second, True), (last, False))
+    delta[first].pop("c", None)
+    return Nfa(d.states, d.alphabet, delta, d.initial)
+
+
+def test_nfa_flags_match_running_each_word():
+    # every word of length <= 6 from every state: missing rows, runs that
+    # die early and moves with several accepting edges included
+    words = [w for n in range(1, 7) for w in itertools.product("abc", repeat=n)]
+    died = 0
+    for i in range(12):
+        d = _nfa_with_every_kind_of_row(random.Random(f"flags:{i}"))
+        flags = oracle._Flags(d)
+        for w in words:
+            mask = flags[w]
+            for bit, y in enumerate(d.states):
+                accepted = oracle.nfa_accepts(d, y, w)
+                assert bool(mask >> bit & 1) == accepted, (i, y, w)
+                died += not accepted and not _runs_to_the_end(d, y, w)
+    assert died
+    assert len(flags) == len(words)
+
+
+def _runs_to_the_end(d: Nfa, y: str, w) -> bool:
+    current = {y}
+    for a in w[:-1]:
+        current = {t for s in current for t, _ in nfa_row(d, s, a)}
+    return bool(current)

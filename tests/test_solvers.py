@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_iterate import fraction_iterates, product_transformer
 from minplus_solver import least_costs
 
 from qtrace import solvers
 from qtrace.bundled import fixture_text, load_model
-from qtrace.domains import INF, PROB, PROB_REWARD, TROPICAL, bottom_vector, leq
+from qtrace.domains import INF, PROB, PROB_REWARD, TROPICAL, _value_over, bottom_vector, leq
 from qtrace.lawcheck import (
+    PAIRINGS,
     random_dfa,
     random_instance,
     random_mc,
@@ -35,7 +37,6 @@ from qtrace.products import (
 from qtrace.programs import compile_probabilistic, parse_program
 from qtrace.solvers import (
     SolverError,
-    product_transformer,
     reach_value_step,
     reward_value_step,
     solve_partial_expected_reward,
@@ -420,6 +421,20 @@ def _random_product(rng):
     from qtrace.lawcheck import random_wmm
 
     return product_wts_wmm(random_wts(rng), random_wmm(rng), restrict=False)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_integer_iterates_match_the_fraction_reference(pairing):
+    # every level k <= 10 of the integer iterates, read over D**k, is the
+    # k-th iterate of the Fraction update
+    for i in range(50):
+        system, requirement = random_instance(pairing, random.Random(f"iterates:{pairing}:{i}"))
+        prod = PAIRING_TABLE[pairing].build(system, requirement, restrict=False)
+        den, levels = solvers.integer_iterates(prod)
+        assert den == 1 or prod.DOMAIN != TROPICAL
+        for k, (level, reference) in enumerate(zip(levels, fraction_iterates(prod, 10))):
+            assert {s: _value_over(prod.DOMAIN, n, den**k) for s, n in level.items()} == reference, (i, k)
+        assert k == 10
 
 
 def test_transformers_are_monotone():
