@@ -16,9 +16,10 @@ integer masses over a power of one common denominator, folding as
 queries keep the totals as integer numerators, which ``lawcheck``
 compares with the product's integer iterates; a value becomes a
 ``Fraction`` only when the lookup is called.  Acceptance of a word, by a
-DFA or an NFA, is read from bit masks memoised per word (``_Flags``).
-The steps are also reused on raw sampled values by the commutation checks
-in :mod:`qtrace.lawcheck`.
+DFA or an NFA, is read from bit masks memoised per word (``_Flags``), and
+its least accepting weight in a weighted Mealy machine from tuples
+memoised the same way (``_Weights``).  The steps are also reused on raw
+sampled values by the commutation checks in :mod:`qtrace.lawcheck`.
 """
 
 from __future__ import annotations
@@ -527,9 +528,8 @@ class Lookup:
 
     ``table[x, y, k]`` is the numerator of the value over ``den**k``: an
     integer, or for ``mrm-dfa`` a (probability, reward) pair of them.  The
-    weighted pairings have ``den`` 1 and hold the least costs themselves,
-    each computed when first looked up.  Calling the lookup gives the
-    value: ``lookup(x, y, k)``.
+    weighted pairings have ``den`` 1 and hold the least costs themselves.
+    Calling the lookup gives the value: ``lookup(x, y, k)``.
     """
 
     __slots__ = ("domain", "den", "table")
@@ -541,20 +541,6 @@ class Lookup:
 
     def __call__(self, x: str, y: str, k: int):
         return _value_over(self.domain, self.table[x, y, k], self.den**k)
-
-
-class _Lazy(dict):
-    """A table whose entries are computed when first looked up:
-    ``fill(x, y, k)`` returns that entry, and any computed along with it,
-    as a dict."""
-
-    def __init__(self, fill: Callable[[str, str, int], dict]):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        self.update(self.fill(*key))
-        return self[key]
 
 
 class _Flags(dict):
@@ -637,6 +623,36 @@ class _Flags(dict):
         return least
 
 
+class _Weights(dict):
+    """The least weight of an accepting run of each word from every state
+    of a weighted Mealy machine, as a tuple over its states (infinity where
+    no run accepts), memoised per word: ``weights[w]``.
+
+    As in :class:`_Flags`, a word's weights follow from its tail's: a run
+    of a.w from y takes an edge (t, flag, m) on a, and weighs m when w is
+    empty and the edge accepts, or m plus the weight of w from t when w is
+    not empty.  This is :func:`wmm_min_weight` run backwards.
+    """
+
+    def __init__(self, d: WeightedMealy):
+        super().__init__()
+        index = {y: i for i, y in enumerate(d.states)}
+        self.moves = {
+            a: [[(index[t], f, m) for t, f, m in wmm_row(d, y, a)] for y in d.states] for a in d.alphabet
+        }
+        self.nowhere = [()] * len(d.states)  # the moves on a symbol outside the alphabet
+
+    def __missing__(self, w: Trace) -> tuple:
+        rows = self.moves.get(w[0], self.nowhere)
+        if len(w) == 1:
+            weights = tuple(min((m for _, f, m in row if f), default=INF) for row in rows)
+        else:
+            tail = self[w[1:]]
+            weights = tuple(min((m + tail[t] for t, _, m in row), default=INF) for row in rows)
+        self[w] = weights
+        return weights
+
+
 def direct_mc_dfa(c: LabeledMc, d: Dfa, depth: int) -> Lookup:
     """Acceptance probability of the depth-k traces (also ``mc-costdfa``)."""
     den, levels = _mass_levels(c, depth)
@@ -687,36 +703,26 @@ def direct_ntmc_dfa(c: NonTerminatingMc, d: Dfa, depth: int) -> Lookup:
 
 def direct_wts_nfa(c: WeightedTs, d: Nfa, depth: int) -> Lookup:
     """Least cost of an accepted depth-k trace."""
-    sys_levels = wts_semantics_levels(c, depth)
     flags = _Flags(d)
-
-    def fill(x: str, _y: str, k: int) -> dict:
-        # one pass over the traces gives every requirement state's cost
-        return {(x, y, k): m for y, m in zip(d.states, flags.least(sys_levels[k][x]))}
-
-    return Lookup(TROPICAL, 1, _Lazy(fill))
+    table = {}
+    for k, level in enumerate(wts_semantics_levels(c, depth)):
+        for x, pairs in level.items():
+            for y, m in zip(d.states, flags.least(pairs)):
+                table[x, y, k] = m
+    return Lookup(TROPICAL, 1, table)
 
 
 def direct_wts_wmm(c: WeightedTs, d: WeightedMealy, depth: int) -> Lookup:
     """Least system plus requirement weight of a depth-k trace."""
-    sys_levels = wts_semantics_levels(c, depth)
-    # the query only needs the cheapest accepting run per trace, so the
-    # requirement side is evaluated lazily instead of materialized
-    weight_memo: dict[tuple[str, Trace], object] = {}
-
-    def cheapest(y: str, w) -> object:
-        got = weight_memo.get((y, w))
-        if got is None:
-            got = wmm_min_weight(d, y, w)
-            weight_memo[(y, w)] = got
-        return got
-
-    def fill(x: str, y: str, k: int) -> dict:
-        best = INF
-        for w, m in sys_levels[k][x]:
-            n = cheapest(y, w)
-            if m + n < best:
-                best = m + n
-        return {(x, y, k): best}
-
-    return Lookup(TROPICAL, 1, _Lazy(fill))
+    weights = _Weights(d)
+    table = {}
+    for k, level in enumerate(wts_semantics_levels(c, depth)):
+        for x, pairs in level.items():
+            least = [INF] * len(d.states)
+            for w, m in pairs:
+                for i, n in enumerate(weights[w]):
+                    if m + n < least[i]:
+                        least[i] = m + n
+            for y, total in zip(d.states, least):
+                table[x, y, k] = total
+    return Lookup(TROPICAL, 1, table)

@@ -3,11 +3,12 @@ and memoised automaton flags, kept as the reference the faster versions
 are compared with.
 
 Each level of a chain is folded with ``Fraction`` arithmetic by the
-one-step updates, and every word is run through the automaton from its
-start, so it is only fit for the small machines of the tests.
+one-step updates, and every word is run through the automaton (or the
+weighted Mealy machine) from its start, so it is only fit for the small
+machines of the tests.
 """
 
-from qtrace.domains import ONE, ZERO
+from qtrace.domains import INF, ONE, ZERO
 from qtrace.models import TARGET
 from qtrace.oracle import (
     DfaLanguage,
@@ -18,6 +19,7 @@ from qtrace.oracle import (
     query_prob,
     query_reward,
     query_tropical,
+    wmm_min_weight,
     wts_semantics_levels,
 )
 
@@ -101,3 +103,12 @@ def direct_wts_nfa(c, d, depth: int):
     sys_levels = wts_semantics_levels(c, depth)
     views = {(y, k): NfaLanguage(d, y, k) for y in d.states for k in range(depth + 1)}
     return lambda x, y, k: query_tropical(sys_levels[k][x], views[(y, k)])
+
+
+def direct_wts_wmm(c, d, depth: int):
+    sys_levels = wts_semantics_levels(c, depth)
+
+    def value(x, y, k):
+        return min((m + wmm_min_weight(d, y, w) for w, m in sys_levels[k][x]), default=INF)
+
+    return value

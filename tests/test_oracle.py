@@ -32,12 +32,10 @@ from qtrace.models import (
     Dfa,
     LabeledMc,
     MarkovRewardModel,
-    Nfa,
     NonTerminatingMc,
     RewardMachine,
     WeightedMealy,
     WeightedTs,
-    nfa_row,
     validate,
 )
 from qtrace.products import PAIRING_TABLE
@@ -471,7 +469,7 @@ def _assert_direct_matches_reference(pairing, system, requirement, depth=10):
                 assert fast(x, y, k) == slow(x, y, k), (x, y, k)
 
 
-@pytest.mark.parametrize("pairing", ["mc-dfa", "mrm-dfa", "mc-costdfa", "ntmc-dfa", "wts-nfa"])
+@pytest.mark.parametrize("pairing", ["mc-dfa", "mrm-dfa", "mc-costdfa", "ntmc-dfa", "wts-nfa", "wts-wmm"])
 def test_direct_queries_match_the_fraction_reference(pairing):
     direct = "mc-dfa" if pairing == "mc-costdfa" else pairing
     for i in range(50):
@@ -527,37 +525,46 @@ def test_direct_queries_leave_no_reference_cycles():
         gc.enable()
 
 
-def _nfa_with_every_kind_of_row(rng: random.Random) -> Nfa:
-    """A random NFA, plus a state without any row, a move with several
-    accepting edges and a symbol on which the start state has no edge."""
-    d = random_nfa(rng)
+def _with_every_kind_of_row(d):
+    """A copy of a random NFA or weighted Mealy machine, plus a state
+    without any row, a move with several accepting edges and a symbol on
+    which the start state has no edge."""
     first, second, last = d.states[0], d.states[1], d.states[-1]
     delta = {y: dict(row) for y, row in d.delta.items() if y != last}
-    delta[first]["a"] = ((first, True), (second, True), (last, False))
+    edges = ((first, True), (second, True), (last, False))
+    if isinstance(d, WeightedMealy):  # weights 0, 2 and 4
+        edges = tuple((*e, 2 * i) for i, e in enumerate(edges))
+    delta[first]["a"] = edges
     delta[first].pop("c", None)
-    return Nfa(d.states, d.alphabet, delta, d.initial)
+    return type(d)(d.states, d.alphabet, delta, d.initial)
 
 
-def test_nfa_flags_match_running_each_word():
-    # every word of length <= 6 from every state: missing rows, runs that
-    # die early and moves with several accepting edges included
+def _runs_to_the_end(d, y: str, w) -> bool:
+    current = {y}
+    for a in w[:-1]:
+        current = {e[0] for s in current for e in d.delta.get(s, {}).get(a, ())}
+    return bool(current)
+
+
+@pytest.mark.parametrize("kind", ["nfa", "wmm"])
+def test_word_memos_match_running_each_word(kind):
+    # ``_Flags`` on an NFA and ``_Weights`` on a weighted Mealy machine,
+    # against running every word of length <= 6 from every state: missing
+    # rows, runs that die early and moves with several accepting edges
+    # included
     words = [w for n in range(1, 7) for w in itertools.product("abc", repeat=n)]
     died = 0
     for i in range(12):
-        d = _nfa_with_every_kind_of_row(random.Random(f"flags:{i}"))
-        flags = oracle._Flags(d)
+        rng = random.Random(f"memo:{kind}:{i}")
+        d = _with_every_kind_of_row(random_nfa(rng) if kind == "nfa" else random_wmm(rng))
+        memo = oracle._Flags(d) if kind == "nfa" else oracle._Weights(d)
         for w in words:
-            mask = flags[w]
+            got = memo[w]
             for bit, y in enumerate(d.states):
-                accepted = oracle.nfa_accepts(d, y, w)
-                assert bool(mask >> bit & 1) == accepted, (i, y, w)
-                died += not accepted and not _runs_to_the_end(d, y, w)
+                if kind == "nfa":
+                    assert bool(got >> bit & 1) == oracle.nfa_accepts(d, y, w), (i, y, w)
+                else:
+                    assert got[bit] == oracle.wmm_min_weight(d, y, w), (i, y, w)
+                died += not _runs_to_the_end(d, y, w)
     assert died
-    assert len(flags) == len(words)
-
-
-def _runs_to_the_end(d: Nfa, y: str, w) -> bool:
-    current = {y}
-    for a in w[:-1]:
-        current = {t for s in current for t, _ in nfa_row(d, s, a)}
-    return bool(current)
+    assert len(memo) == len(words)
