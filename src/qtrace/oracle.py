@@ -175,7 +175,9 @@ def _mass_levels(c, depth: int) -> tuple[int, Iterator[dict[str, dict]]]:
     are traces, or (trace, accumulated reward) for a reward model; a
     never-terminating chain starts from the empty word.  Returns D and
     the levels, one at a time, keyed and ordered as the ``Fraction`` folds
-    of :func:`mc_trace_step` and :func:`mrm_trace_step` order them.
+    of :func:`mc_trace_step` and :func:`mrm_trace_step` order them.  The
+    next level is made from the dicts of the last one as the caller left
+    them, so a trace the caller deletes is not extended.
     """
     den = lcm(*(p.denominator for row in c.trans.values() for p in row.values()))
     reward = c.reward if isinstance(c, MarkovRewardModel) else None
@@ -599,12 +601,22 @@ class _Flags(dict):
                     totals[i] += q
         return totals
 
-    def accepted(self, dist: Mapping[Trace, int]) -> list[int]:
-        """Per requirement state, the total mass of the words it accepts."""
+    def accepted(self, dist: dict[Trace, int]) -> list[int]:
+        """Per requirement state, the total mass of the words it accepts.
+
+        Deletes from ``dist`` the words that no state accepts: no word that
+        ends with one of them is accepted either, so the unfold of
+        :func:`_mass_levels` need not extend them."""
         masses: dict[int, int] = {}
+        dead = []
         for w, q in dist.items():
             mask = self[w]
-            masses[mask] = masses.get(mask, 0) + q
+            if mask:
+                masses[mask] = masses.get(mask, 0) + q
+            else:
+                dead.append(w)
+        for w in dead:
+            del dist[w]
         return self.totals(masses)
 
     def least(self, pairs: Iterable[tuple[Trace, int]]) -> list:
@@ -674,10 +686,16 @@ def direct_mrm_dfa(c: MarkovRewardModel, d: Dfa, depth: int) -> Lookup:
         for x, dist in level.items():
             masses: dict[int, int] = {}
             rewards: dict[int, int] = {}
-            for (w, m), q in dist.items():
-                mask = flags[w]
-                masses[mask] = masses.get(mask, 0) + q
-                rewards[mask] = rewards.get(mask, 0) + m * q
+            dead = []
+            for key, q in dist.items():
+                mask = flags[key[0]]
+                if mask:
+                    masses[mask] = masses.get(mask, 0) + q
+                    rewards[mask] = rewards.get(mask, 0) + key[1] * q
+                else:
+                    dead.append(key)
+            for key in dead:  # as in _Flags.accepted
+                del dist[key]
             for y, p, r in zip(d.states, flags.totals(masses), flags.totals(rewards)):
                 table[x, y, k] = (p, r)
     return Lookup(PROB_REWARD, den, table)
