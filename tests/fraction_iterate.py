@@ -20,14 +20,6 @@ def product_transformer(m):
     return partial(_update, _SOLVERS[domain][0], _rows(m, domain))
 
 
-def kleene_iterate(transformer, start: dict, steps: int) -> dict:
-    """Apply ``transformer`` exactly ``steps`` times to ``start``."""
-    current = start
-    for _ in range(steps):
-        current = transformer(current)
-    return current
-
-
 def fraction_iterates(m, depth: int) -> list[dict]:
     """Iterates 0..depth of ``m``'s update from the bottom vector."""
     phi = product_transformer(m)

@@ -7,16 +7,13 @@ nonnegative weights the iterates stop changing within n + 1 rounds for n
 product states, so the (n + 1)-th iterate must be a fixed point.
 """
 
-from fraction_iterate import kleene_iterate, product_transformer
-from qtrace.domains import TROPICAL, bottom_vector
+from fraction_iterate import fraction_iterates, product_transformer
 from qtrace.products import pair_states
 
 
 def least_costs(prod) -> dict:
     """Least cost of reaching the accepting sink, per product state."""
-    states = pair_states(prod)
-    phi = product_transformer(prod)
-    values = kleene_iterate(phi, bottom_vector(states, TROPICAL), len(states) + 1)
-    if phi(values) != values:
+    values = fraction_iterates(prod, len(pair_states(prod)) + 1)[-1]
+    if product_transformer(prod)(values) != values:
         raise AssertionError("min-cost iteration did not stabilize within the state bound")
     return values
