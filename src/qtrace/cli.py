@@ -176,8 +176,9 @@ def cmd_oracle(args) -> int:
             dist = oracle.ntmc_marginal(system, system.initial, depth)
             doc = {_trace_str(w): str(p) for w, p in sorted(dist.items())}
         else:
-            pairs = oracle.wts_semantics(system, system.initial, depth)
-            doc = {_trace_str(w): m for w, m in sorted(pairs)}
+            doc = {}
+            for w, m in sorted(oracle.wts_semantics(system, system.initial, depth)):
+                doc.setdefault(_trace_str(w), m)  # a trace's least cost sorts first
         if args.format == "json":
             _emit(doc, None)
         else:
@@ -189,11 +190,7 @@ def cmd_oracle(args) -> int:
     if args.condition:
         cond_dfa = _load_checked(args.condition, Dfa)
         require_same_alphabet(system, cond_dfa)
-        value = oracle.query_cond(
-            oracle.mc_semantics(system, system.initial, depth),
-            oracle.DfaLanguage(requirement, requirement.initial, depth),
-            oracle.DfaLanguage(cond_dfa, cond_dfa.initial, depth),
-        )
+        value = oracle.cond_prob(system, requirement, cond_dfa, depth)
         if value is None:
             print("undefined (condition has probability 0)")
             return 0

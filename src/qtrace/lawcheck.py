@@ -352,12 +352,11 @@ def _mass_lookup(c: LabeledMc, depth: int, states, admits: Callable) -> oracle.L
     depth-k traces w from x with ``admits(y, w)``, summed on the chain's
     integer unfold."""
     den, levels = oracle._mass_levels(c, depth)
-    table = {}
-    for k, level in enumerate(levels):
-        for x, dist in level.items():
-            for y in states:
-                table[x, y, k] = sum(q for w, q in dist.items() if admits(y, w))
-    return oracle.Lookup(PROB, den, table)
+
+    def read(x, dist):
+        return [sum(q for w, q in dist.items() if admits(y, w)) for y in states]
+
+    return oracle._lookup(PROB, den, levels, states, read)
 
 
 def check_cost_bounded(c: LabeledMc, budget: int, kmax: int) -> CheckResult:

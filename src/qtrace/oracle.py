@@ -6,7 +6,8 @@ trace distribution / language / weighted trace set it denotes, and then
 evaluates the requested query on those values directly.  Nothing here
 ever looks at a synchronized product.  The ``direct_*`` functions are the
 query of each pairing, as ``products.PAIRING_TABLE`` lists them; each
-returns a :class:`Lookup` of its values at every state pair and depth.
+returns a :class:`Lookup` of its values at every state pair and depth,
+and one loop (``_lookup``) fills all of them.
 
 The ``*_step`` functions fold the semantic values of the successor states
 one transition backwards; iterating them from the empty value yields the
@@ -15,11 +16,12 @@ integer masses over a power of one common denominator, folding as
 :func:`mc_trace_step` and :func:`mrm_trace_step` do.  Their direct
 queries keep the totals as integer numerators, which ``lawcheck``
 compares with the product's integer iterates; a value becomes a
-``Fraction`` only when the lookup is called.  Acceptance of a word, by a
-DFA or an NFA, is read from bit masks memoised per word (``_Flags``), and
-its least accepting weight in a weighted Mealy machine from tuples
-memoised the same way (``_Weights``).  The steps are also reused on raw
-sampled values by the commutation checks in :mod:`qtrace.lawcheck`.
+``Fraction`` only when the lookup is called.  Each requirement kind has
+one reader of a word, filled from the word's tail: acceptance by a DFA
+or an NFA from every state as one bit mask (``_Flags``), and the least
+accepting weight in a weighted Mealy machine from every state as one
+tuple (``_Weights``).  The steps are also reused on raw sampled values by
+the commutation checks in :mod:`qtrace.lawcheck`.
 """
 
 from __future__ import annotations
@@ -331,125 +333,12 @@ def ntmc_marginal(c: NonTerminatingMc, state: str, depth: int) -> TraceDist:
     return ntmc_marginal_levels(c, depth)[depth][state]
 
 
-def marginalize(dist: TraceDist, depth: int) -> TraceDist:
-    """Project a fixed-length trace distribution onto its first ``depth`` symbols."""
-    out: TraceDist = {}
-    for w, p in dist.items():
-        key = w[:depth]
-        out[key] = out.get(key, ZERO) + p
-    return out
-
-
 # ---------------------------------------------------------------------------
-# word membership without materializing whole languages
-
-def dfa_accepts(d: Dfa, state: str, word: Trace) -> bool:
-    """True when the run over ``word`` ends with an accepting transition."""
-    if not word:
-        return False
-    cur = state
-    flag = False
-    for a in word:
-        cur, flag = d.delta[cur][a]
-    return flag
-
-
-def nfa_accepts(d: Nfa, state: str, word: Trace) -> bool:
-    if not word:
-        return False
-    current = {state}
-    for a in word[:-1]:
-        current = {t for y in current for t, _ in nfa_row(d, y, a)}
-        if not current:
-            return False
-    return any(f for y in current for _, f in nfa_row(d, y, word[-1]))
-
-
-class DfaLanguage:
-    """Lazy view of the depth-bounded accepted word set (supports ``in``)."""
-
-    accepts = staticmethod(dfa_accepts)
-
-    def __init__(self, d: Dfa | Nfa, state: str, max_len: int):
-        self.d = d
-        self.state = state
-        self.max_len = max_len
-        self._memo: dict[Trace, bool] = {}
-
-    def __contains__(self, word: Trace) -> bool:
-        if not 1 <= len(word) <= self.max_len:
-            return False
-        got = self._memo.get(word)
-        if got is None:
-            got = self.accepts(self.d, self.state, word)
-            self._memo[word] = got
-        return got
-
-
-class NfaLanguage(DfaLanguage):
-    """Lazy view of the depth-bounded accepted word set of an NFA."""
-
-    accepts = staticmethod(nfa_accepts)
-
-
-def wmm_min_weight(d: WeightedMealy, state: str, word: Trace):
-    """Least accumulated weight over the accepting runs of ``word``.
-
-    Equals the smallest ``n`` with ``(word, n)`` in the depth-``k``
-    semantics from ``state``, for any ``k >= len(word)``; infinity when no
-    run accepts.  Computed by a forward min-cost sweep instead of
-    materializing the whole weighted trace set.
-    """
-    if not word:
-        return INF
-    costs = {state: 0}
-    for a in word[:-1]:
-        nxt: dict[str, int] = {}
-        for s, c in costs.items():
-            for t, _, m in wmm_row(d, s, a):
-                if t not in nxt or c + m < nxt[t]:
-                    nxt[t] = c + m
-        if not nxt:
-            return INF
-        costs = nxt
-    best = INF
-    for s, c in costs.items():
-        for _, flag, m in wmm_row(d, s, word[-1]):
-            if flag and c + m < best:
-                best = c + m
-    return best
-
-
-# ---------------------------------------------------------------------------
-# partition and queries
-
-def partition(words: LangSet, depth: int) -> list[LangSet]:
-    """Stratify ``words`` into prefix-minimal layers by length 1..depth."""
-    minimal: LangSet = set()
-    layers: list[LangSet] = []
-    for i in range(1, depth + 1):
-        layer = {
-            w
-            for w in words
-            if len(w) == i and not any(w[:j] in minimal for j in range(1, i))
-        }
-        minimal |= layer
-        layers.append(layer)
-    return layers
-
+# queries on materialized semantics
 
 def query_prob(dist: TraceDist, lang) -> Fraction:
     """Probability mass of the traces that belong to ``lang``."""
     return sum((p for w, p in dist.items() if w in lang), ZERO)
-
-
-def query_cond(dist: TraceDist, lang, condition) -> Fraction | None:
-    """Conditional acceptance probability; None when the condition has mass 0."""
-    den = sum((p for w, p in dist.items() if w in condition), ZERO)
-    if den == 0:
-        return None
-    num = sum((p for w, p in dist.items() if w in lang and w in condition), ZERO)
-    return num / den
 
 
 def query_reward(dist: TraceRewardDist, lang) -> tuple[Fraction, Fraction]:
@@ -484,41 +373,6 @@ def query_wmm(pairs: TraceWeightSet, accepted: TraceWeightSet):
         if n is not None and m + n < best:
             best = m + n
     return best
-
-
-def query_cost_bounded(dist: TraceDist, budget: int) -> Fraction:
-    """Mass of the weight words whose sum stays strictly below ``budget``."""
-    total = ZERO
-    for w, p in dist.items():
-        if sum(int(a) for a in w) < budget:
-            total += p
-    return total
-
-
-def query_cost_induced(
-    dist: TraceDist,
-    weights: Callable[[Trace], tuple[int, ...]] | Mapping[Trace, tuple[int, ...]],
-    budget: int,
-) -> Fraction:
-    """Mass of the traces whose induced weight sequence sums below ``budget``."""
-    lookup = weights if callable(weights) else weights.__getitem__
-    total = ZERO
-    for w, p in dist.items():
-        if sum(lookup(w)) < budget:
-            total += p
-    return total
-
-
-def query_safety(
-    c: NonTerminatingMc, state: str, d: Dfa, monitor_state: str, depth: int
-) -> Fraction:
-    """Probability that a run is accepted within ``depth`` steps.
-
-    Sums, per length i <= depth, the marginal mass of the prefix-minimal
-    accepted words of length i; this is a lower bound of the unbounded
-    acceptance probability and is nondecreasing in ``depth``.
-    """
-    return direct_ntmc_dfa(c, d, depth)(state, monitor_state, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +473,24 @@ class _Flags(dict):
             del dist[w]
         return self.totals(masses)
 
+    def rewarded(self, dist: dict[tuple[Trace, int], int]) -> list[tuple[int, int]]:
+        """:meth:`accepted` on the (word, reward) keys of a reward model:
+        per requirement state, the accepted mass and the sum of reward times
+        mass, as a pair."""
+        masses: dict[int, int] = {}
+        rewards: dict[int, int] = {}
+        dead = []
+        for key, q in dist.items():
+            mask = self[key[0]]
+            if mask:
+                masses[mask] = masses.get(mask, 0) + q
+                rewards[mask] = rewards.get(mask, 0) + key[1] * q
+            else:
+                dead.append(key)
+        for key in dead:
+            del dist[key]
+        return list(zip(self.totals(masses), self.totals(rewards)))
+
     def least(self, pairs: Iterable[tuple[Trace, int]]) -> list:
         """Per requirement state, the least cost of the words it accepts
         (infinity when it accepts none)."""
@@ -643,7 +515,7 @@ class _Weights(dict):
     As in :class:`_Flags`, a word's weights follow from its tail's: a run
     of a.w from y takes an edge (t, flag, m) on a, and weighs m when w is
     empty and the edge accepts, or m plus the weight of w from t when w is
-    not empty.  This is :func:`wmm_min_weight` run backwards.
+    not empty: a forward min-cost sweep over the word, run backwards.
     """
 
     def __init__(self, d: WeightedMealy):
@@ -664,83 +536,93 @@ class _Weights(dict):
         self[w] = weights
         return weights
 
+    def least(self, pairs: Iterable[tuple[Trace, int]]) -> list:
+        """Per Mealy state, the least cost of a word plus its weight there
+        (infinity when no run of any word accepts)."""
+        least = [INF] * len(self.nowhere)
+        for w, m in pairs:
+            for i, n in enumerate(self[w]):
+                if m + n < least[i]:
+                    least[i] = m + n
+        return least
+
+
+def _lookup(domain: str, den: int, levels: Iterable[dict], states, read: Callable) -> Lookup:
+    """The one loop that fills a :class:`Lookup`: ``read(x, value)`` gives
+    the query on the level-k value of system state x at every requirement
+    state, in the order of ``states``.  It is called once per (x, k), in
+    order of depth."""
+    table = {}
+    for k, level in enumerate(levels):
+        for x, value in level.items():
+            for y, v in zip(states, read(x, value)):
+                table[x, y, k] = v
+    return Lookup(domain, den, table)
+
 
 def direct_mc_dfa(c: LabeledMc, d: Dfa, depth: int) -> Lookup:
     """Acceptance probability of the depth-k traces (also ``mc-costdfa``)."""
     den, levels = _mass_levels(c, depth)
     flags = _Flags(d)
-    table = {}
-    for k, level in enumerate(levels):
-        for x, dist in level.items():
-            for y, total in zip(d.states, flags.accepted(dist)):
-                table[x, y, k] = total
-    return Lookup(PROB, den, table)
+    return _lookup(PROB, den, levels, d.states, lambda x, dist: flags.accepted(dist))
 
 
 def direct_mrm_dfa(c: MarkovRewardModel, d: Dfa, depth: int) -> Lookup:
     """(acceptance probability, partial expected reward) of the depth-k traces."""
     den, levels = _mass_levels(c, depth)
     flags = _Flags(d)
-    table = {}
-    for k, level in enumerate(levels):
-        for x, dist in level.items():
-            masses: dict[int, int] = {}
-            rewards: dict[int, int] = {}
-            dead = []
-            for key, q in dist.items():
-                mask = flags[key[0]]
-                if mask:
-                    masses[mask] = masses.get(mask, 0) + q
-                    rewards[mask] = rewards.get(mask, 0) + key[1] * q
-                else:
-                    dead.append(key)
-            for key in dead:  # as in _Flags.accepted
-                del dist[key]
-            for y, p, r in zip(d.states, flags.totals(masses), flags.totals(rewards)):
-                table[x, y, k] = (p, r)
-    return Lookup(PROB_REWARD, den, table)
+    return _lookup(PROB_REWARD, den, levels, d.states, lambda x, dist: flags.rewarded(dist))
 
 
 def direct_ntmc_dfa(c: NonTerminatingMc, d: Dfa, depth: int) -> Lookup:
     """Mass of the prefix-minimal accepted words of length 1..k."""
     den, levels = _mass_levels(c, depth)
     flags = _Flags(d, minimal=True)
-    # the value at depth k is the value at k-1 plus the mass of the
-    # prefix-minimal accepted words of length exactly k, all over D**k;
-    # level 0 holds only the empty word, which no monitor accepts
-    acc = {x: [0] * len(d.states) for x in c.states}
-    table = {}
-    for k, level in enumerate(levels):
-        for x, dist in level.items():
-            if k:
-                acc[x] = [s * den + t for s, t in zip(acc[x], flags.accepted(dist))]
-            for y, total in zip(d.states, acc[x]):
-                table[x, y, k] = total
-    return Lookup(PROB, den, table)
+    sums: dict[str, list[int]] = {}
+
+    def read(x, dist):
+        # the value at depth k is the value at k-1 times D plus the mass of
+        # the prefix-minimal accepted words of length exactly k; level 0,
+        # read first, holds only the empty word, which no monitor accepts
+        prev = sums.get(x)
+        if prev is None:
+            sums[x] = [0] * len(d.states)
+        else:
+            sums[x] = [s * den + t for s, t in zip(prev, flags.accepted(dist))]
+        return sums[x]
+
+    return _lookup(PROB, den, levels, d.states, read)
 
 
 def direct_wts_nfa(c: WeightedTs, d: Nfa, depth: int) -> Lookup:
     """Least cost of an accepted depth-k trace."""
     flags = _Flags(d)
-    table = {}
-    for k, level in enumerate(wts_semantics_levels(c, depth)):
-        for x, pairs in level.items():
-            for y, m in zip(d.states, flags.least(pairs)):
-                table[x, y, k] = m
-    return Lookup(TROPICAL, 1, table)
+    levels = wts_semantics_levels(c, depth)
+    return _lookup(TROPICAL, 1, levels, d.states, lambda x, pairs: flags.least(pairs))
 
 
 def direct_wts_wmm(c: WeightedTs, d: WeightedMealy, depth: int) -> Lookup:
     """Least system plus requirement weight of a depth-k trace."""
     weights = _Weights(d)
-    table = {}
-    for k, level in enumerate(wts_semantics_levels(c, depth)):
-        for x, pairs in level.items():
-            least = [INF] * len(d.states)
-            for w, m in pairs:
-                for i, n in enumerate(weights[w]):
-                    if m + n < least[i]:
-                        least[i] = m + n
-            for y, total in zip(d.states, least):
-                table[x, y, k] = total
-    return Lookup(TROPICAL, 1, table)
+    levels = wts_semantics_levels(c, depth)
+    return _lookup(TROPICAL, 1, levels, d.states, lambda x, pairs: weights.least(pairs))
+
+
+def cond_prob(c: LabeledMc, d: Dfa, condition: Dfa, depth: int) -> Fraction | None:
+    """Probability that ``d`` accepts a depth-bounded trace of the chain,
+    given that ``condition`` accepts it, all from their initial states;
+    None when the condition has mass 0."""
+    _, levels = _mass_levels(c, depth)
+    flags, given = _Flags(d), _Flags(condition)
+    for level in levels:
+        for dist in level.values():
+            for w in dist:  # in order of depth, so every tail is memoised first
+                flags[w], given[w]
+    y, z = 1 << d.states.index(d.initial), 1 << condition.states.index(condition.initial)
+    both = total = 0
+    for w, q in level[c.initial].items():
+        if given[w] & z:
+            total += q
+            if flags[w] & y:
+                both += q
+    return Fraction(both, total) if total else None

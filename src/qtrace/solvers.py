@@ -620,6 +620,9 @@ def _domain(m) -> str:
 def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
     """The one solve path: ``iterate`` works alike in every domain, every
     other mode gives the domain's own exact answer."""
+    held = _domain(m)
+    if held != domain:
+        raise TypeError(f"{type(m).__name__} holds {held} values, not {domain}")
     _, exact, exact_modes = _SOLVERS[domain]
     if mode == "iterate":
         if steps is None:

@@ -5,23 +5,113 @@ are compared with.
 Each level of a chain is folded with ``Fraction`` arithmetic by the
 one-step updates, and every word is run through the automaton (or the
 weighted Mealy machine) from its start, so it is only fit for the small
-machines of the tests.
+machines of the tests.  The run-from-start readers of a word and the lazy
+language views over them live here too.
 """
 
 from qtrace.domains import INF, ONE, ZERO
-from qtrace.models import TARGET
+from qtrace.models import TARGET, nfa_row, wmm_row
 from qtrace.oracle import (
-    DfaLanguage,
-    NfaLanguage,
+    LangSet,
     Trace,
     mc_trace_step,
     mrm_trace_step,
     query_prob,
     query_reward,
     query_tropical,
-    wmm_min_weight,
     wts_semantics_levels,
 )
+
+
+def dfa_accepts(d, state: str, word: Trace) -> bool:
+    """True when the run over ``word`` ends with an accepting transition."""
+    if not word:
+        return False
+    cur = state
+    flag = False
+    for a in word:
+        cur, flag = d.delta[cur][a]
+    return flag
+
+
+def nfa_accepts(d, state: str, word: Trace) -> bool:
+    if not word:
+        return False
+    current = {state}
+    for a in word[:-1]:
+        current = {t for y in current for t, _ in nfa_row(d, y, a)}
+        if not current:
+            return False
+    return any(f for y in current for _, f in nfa_row(d, y, word[-1]))
+
+
+class DfaLanguage:
+    """Lazy view of the depth-bounded accepted word set (supports ``in``)."""
+
+    accepts = staticmethod(dfa_accepts)
+
+    def __init__(self, d, state: str, max_len: int):
+        self.d = d
+        self.state = state
+        self.max_len = max_len
+        self._memo: dict[Trace, bool] = {}
+
+    def __contains__(self, word: Trace) -> bool:
+        if not 1 <= len(word) <= self.max_len:
+            return False
+        got = self._memo.get(word)
+        if got is None:
+            got = self.accepts(self.d, self.state, word)
+            self._memo[word] = got
+        return got
+
+
+class NfaLanguage(DfaLanguage):
+    """Lazy view of the depth-bounded accepted word set of an NFA."""
+
+    accepts = staticmethod(nfa_accepts)
+
+
+def wmm_min_weight(d, state: str, word: Trace):
+    """Least accumulated weight over the accepting runs of ``word``.
+
+    Equals the smallest ``n`` with ``(word, n)`` in the depth-``k``
+    semantics from ``state``, for any ``k >= len(word)``; infinity when no
+    run accepts.  Computed by a forward min-cost sweep.
+    """
+    if not word:
+        return INF
+    costs = {state: 0}
+    for a in word[:-1]:
+        nxt: dict[str, int] = {}
+        for s, c in costs.items():
+            for t, _, m in wmm_row(d, s, a):
+                if t not in nxt or c + m < nxt[t]:
+                    nxt[t] = c + m
+        if not nxt:
+            return INF
+        costs = nxt
+    best = INF
+    for s, c in costs.items():
+        for _, flag, m in wmm_row(d, s, word[-1]):
+            if flag and c + m < best:
+                best = c + m
+    return best
+
+
+def partition(words: LangSet, depth: int) -> list[LangSet]:
+    """Stratify ``words`` into prefix-minimal layers by length 1..depth."""
+    minimal: LangSet = set()
+    layers: list[LangSet] = []
+    for i in range(1, depth + 1):
+        layer = {
+            w
+            for w in words
+            if len(w) == i and not any(w[:j] in minimal for j in range(1, i))
+        }
+        minimal |= layer
+        layers.append(layer)
+    return layers
 
 
 def _unfold(states, start, step, depth: int) -> list[dict]:

@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 
+import fraction_direct
 import pytest
 from minplus_solver import least_costs
 
@@ -68,7 +69,7 @@ def test_criterion_01_fixture_inference_value(robot, monitor, capsys):
     )
     out = capsys.readouterr().out
     oracle_value = oracle.query_prob(
-        oracle.mc_semantics(robot, "x0", 4), oracle.DfaLanguage(monitor, "y0", 4)
+        oracle.mc_semantics(robot, "x0", 4), fraction_direct.DfaLanguage(monitor, "y0", 4)
     )
     ok = code == 0 and "= 4/25" in out and oracle_value == F(4, 25)
     with capsys.disabled():
@@ -210,7 +211,7 @@ def test_criterion_08_tropical_optimality():
         sys_sem = oracle.wts_semantics(wts, wts.initial, depth)
         if i % 2 == 0:
             direct = oracle.query_tropical(
-                sys_sem, oracle.NfaLanguage(req, req.initial, depth)
+                sys_sem, fraction_direct.NfaLanguage(req, req.initial, depth)
             )
         else:
             direct = oracle.query_wmm(
@@ -258,7 +259,7 @@ def test_criterion_10_partial_expected_reward(robot, monitor):
     )
     # the oracle pins the fixture value before the solver is trusted
     pinned = oracle.query_reward(
-        oracle.mrm_semantics(unit, "x0", 4), oracle.DfaLanguage(monitor, "y0", 4)
+        oracle.mrm_semantics(unit, "x0", 4), fraction_direct.DfaLanguage(monitor, "y0", 4)
     )
     prod = product_mrm_dfa(unit, monitor)
     solved = solve_partial_expected_reward(prod).value_at(prod.initial)
@@ -282,7 +283,7 @@ def test_criterion_11_gridworld_end_to_end(monitor):
     exact = solve_reach_prob(prod).value_at(prod.initial)
     depth8 = oracle.query_prob(
         oracle.mc_semantics(mc, mc.initial, 8),
-        oracle.DfaLanguage(monitor, monitor.initial, 8),
+        fraction_direct.DfaLanguage(monitor, monitor.initial, 8),
     )
     ok = states_ok and exact == depth8
     _report(

@@ -13,7 +13,7 @@ import qtrace
 from qtrace.bundled import fixture_path, fixture_text
 from qtrace.cli import main
 from qtrace.domains import value_str
-from qtrace.lawcheck import MUTATIONS, random_instance
+from qtrace.lawcheck import MUTATIONS, random_dfa, random_instance, random_mc
 from qtrace.modeljson import emit_model, parse_model
 from qtrace.models import LabeledMc, validate
 from qtrace.products import ProductMc
@@ -93,6 +93,20 @@ def test_oracle_distribution(capsys):
     assert code == 0
     assert "sand·lake·recharge -> 4/5" in out
     assert "sand·sand·recharge -> 4/25" in out
+
+
+def test_oracle_prints_the_least_cost_of_each_weighted_trace(tmp_path, capsys):
+    # a·a costs 2 (s -a,1-> t -a,1-> *) or 4 (s -a,3-> t -a,1-> *); every
+    # tropical query uses 2, so the semantics must print 2
+    doc = {
+        "kind": "wts", "alphabet": ["a"], "states": ["s", "t"], "initial": "s",
+        "trans": {"s": [["*", "a", 1], ["t", "a", 1], ["t", "a", 3]], "t": [["*", "a", 1]]},
+    }
+    path = tmp_path / "wts.json"
+    path.write_text(json.dumps(doc))
+    base = ["oracle", str(path), "--pairing", "wts-nfa", "--depth", "3"]
+    assert run(capsys, *base) == (0, "a -> 1\na·a -> 2\n", "")
+    assert run(capsys, *base, "--format", "json") == (0, '{\n  "a": 1,\n  "a\\u00b7a": 2\n}\n', "")
 
 
 def test_oracle_query_value(capsys):
@@ -545,6 +559,30 @@ def test_oracle_conditional_query(tmp_path, capsys):
     assert "4/5" in out
 
 
+#: sha256 of ``oracle SYS REQ --pairing mc-dfa --depth k --condition COND``,
+#: text then ``--format json``, over 120 seeded (chain, requirement,
+#: condition) triples at depths 1..6, taken while the conditional query
+#: still ran each word through both automata from their start.  About a
+#: third of the triples have a defined value; the rest print "undefined".
+CONDITION_GOLDEN = "80fce68414b4fda4f74172ddff2a40f1f80bd5239b5a150088dc92790f76baa0"
+
+
+def test_oracle_condition_matches_golden_digest(tmp_path, capsys):
+    paths = [str(tmp_path / f"{name}.json") for name in ("system", "requirement", "condition")]
+    outputs = []
+    for i in range(120):
+        rng = random.Random(f"condition:{i}")
+        for path, model in zip(paths, (random_mc(rng), random_dfa(rng), random_dfa(rng))):
+            with open(path, "w") as handle:
+                handle.write(emit_model(model))
+        base = ["oracle", paths[0], paths[1], "--pairing", "mc-dfa", "--depth", str(1 + i % 6)]
+        for fmt in ([], ["--format", "json"]):
+            code, out, err = run(capsys, *base, "--condition", paths[2], *fmt)
+            outputs.append(f"{code}:{out}{err}")
+    assert 0 < sum("undefined" in out for out in outputs) < len(outputs)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == CONDITION_GOLDEN
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -812,6 +850,23 @@ def test_import_qtrace_stays_lean():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_the_oracle_imports_no_product_or_solver():
+    # the oracle is the ground truth the products are checked against, so
+    # it must not reach them, not even through a deferred import
+    src = os.path.dirname(qtrace.__file__)
+    with open(os.path.join(src, "oracle.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), "oracle.py")
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported |= {base} if node.module else {base + alias.name for alias in node.names}
+    assert ".domains" in imported
+    assert not {name for name in imported if name.split(".")[-1] in ("products", "solvers")}
 
 
 def test_the_package_has_no_assert():

@@ -36,9 +36,13 @@ from qtrace.models import (
     RewardMachine,
     WeightedMealy,
     WeightedTs,
+    joined,
+    make_cost_bound_dfa,
+    product_rm_costdfa,
     validate,
 )
-from qtrace.products import PAIRING_TABLE
+from qtrace.products import PAIRING_TABLE, product_mc_dfa
+from qtrace.solvers import solve_reach_prob
 
 F = Fraction
 
@@ -129,12 +133,12 @@ def test_nfa_language_depth2(travel_nfa):
 
 
 def test_language_views_agree_with_materialized(monitor, travel_nfa):
-    view = oracle.DfaLanguage(monitor, "y0", 4)
+    view = fraction_direct.DfaLanguage(monitor, "y0", 4)
     lang = oracle.dfa_language(monitor, "y0", 4)
     words = lang | {("sand",), ("volcano", "sand"), ("sand",) * 5}
     for w in words:
         assert (w in view) == (w in lang)
-    nview = oracle.NfaLanguage(travel_nfa, "y0", 3)
+    nview = fraction_direct.NfaLanguage(travel_nfa, "y0", 3)
     nlang = oracle.nfa_language(travel_nfa, "y0", 3)
     for w in nlang | {("P",), ("B", "B"), ("T",) * 4}:
         assert (w in nview) == (w in nlang)
@@ -233,7 +237,10 @@ def test_marginal_consistency():
         c = random_ntmc(rng, max_states=4)
         deep = oracle.ntmc_marginal(c, c.initial, 6)
         for m in (1, 2, 4):
-            assert oracle.marginalize(deep, m) == oracle.ntmc_marginal(c, c.initial, m)
+            projected = {}
+            for w, p in deep.items():
+                projected[w[:m]] = projected.get(w[:m], 0) + p
+            assert projected == oracle.ntmc_marginal(c, c.initial, m)
 
 
 def test_marginal_sums_to_one():
@@ -244,9 +251,9 @@ def test_marginal_sums_to_one():
 
 def test_partition_examples():
     a, ab, b = ("a",), ("a", "b"), ("b",)
-    assert oracle.partition({a, ab, b}, 2) == [{a, b}, set()]
-    assert oracle.partition({ab}, 2) == [set(), {ab}]
-    assert oracle.partition(set(), 3) == [set(), set(), set()]
+    assert fraction_direct.partition({a, ab, b}, 2) == [{a, b}, set()]
+    assert fraction_direct.partition({ab}, 2) == [set(), {ab}]
+    assert fraction_direct.partition(set(), 3) == [set(), set(), set()]
 
 
 @given(
@@ -256,7 +263,7 @@ def test_partition_examples():
     )
 )
 def test_partition_is_prefix_free(words):
-    layers = oracle.partition(words, 4)
+    layers = fraction_direct.partition(words, 4)
     flat = [w for layer in layers for w in layer]
     assert set(flat) <= words
     for w in flat:
@@ -276,6 +283,7 @@ def test_query_prob_robot(robot, monitor):
 
 
 def test_query_cond(robot, monitor):
+    # the conditional query of ``qtrace oracle --condition``
     # condition: the trace contains two consecutive sand cells
     cond = Dfa(
         states=("c0", "c1", "c2"),
@@ -287,13 +295,12 @@ def test_query_cond(robot, monitor):
         },
         initial="c0",
     )
-    dist = oracle.mc_semantics(robot, "x0", 4)
-    lang = oracle.DfaLanguage(monitor, "y0", 4)
-    cview = oracle.DfaLanguage(cond, "c0", 4)
-    assert oracle.query_cond(dist, lang, cview) == F(4, 25) / F(1, 5)
-    assert oracle.query_cond(dist, lang, lang) == 1
-    assert oracle.query_cond(dist, set(), cview) == 0
-    assert oracle.query_cond(dist, lang, set()) is None
+    nothing = Dfa(("n",), robot.alphabet, {"n": {a: ("n", False) for a in robot.alphabet}}, "n")
+    assert oracle.cond_prob(robot, monitor, cond, 4) == F(4, 25) / F(1, 5)
+    assert oracle.cond_prob(robot, monitor, monitor, 4) == 1
+    assert oracle.cond_prob(robot, nothing, cond, 4) == 0
+    assert oracle.cond_prob(robot, monitor, nothing, 4) is None
+    assert oracle.cond_prob(robot, monitor, cond, 0) is None
 
 
 def test_query_reward(robot, monitor):
@@ -306,7 +313,7 @@ def test_query_reward(robot, monitor):
         robot.initial,
     )
     dist = oracle.mrm_semantics(mrm, "x0", 4)
-    lang = oracle.DfaLanguage(monitor, "y0", 4)
+    lang = fraction_direct.DfaLanguage(monitor, "y0", 4)
     assert oracle.query_reward(dist, lang) == (F(4, 25), F(12, 25))
     assert oracle.query_reward(dist, set()) == (0, 0)
 
@@ -332,40 +339,62 @@ def test_wmm_min_weight_matches_materialized_semantics():
             pairs = oracle.wts_semantics(wts, wts.initial, k)
             full = oracle.query_wmm(pairs, oracle.wmm_semantics(wmm, wmm.initial, k))
             lazy = min(
-                (m + oracle.wmm_min_weight(wmm, wmm.initial, w) for w, m in pairs),
+                (m + fraction_direct.wmm_min_weight(wmm, wmm.initial, w) for w, m in pairs),
                 default=float("inf"),
             )
             assert full == lazy
 
 
+def _cost_value(chain, requirement, x, y):
+    product = product_mc_dfa(chain, requirement, restrict=False)
+    return solve_reach_prob(product).values[joined(x, y)]
+
+
 def test_query_cost_bounded():
-    dist = {("1", "2"): F(1, 2), ("3",): F(1, 4), ("1",): F(1, 4)}
-    assert oracle.query_cost_bounded(dist, 4) == 1
-    assert oracle.query_cost_bounded(dist, 3) == F(1, 4)
-    assert oracle.query_cost_bounded(dist, 1) == 0
+    # the cost-bounded query, as check_cost_bounded reads it: from x1 the
+    # weight words 1 (mass 1/3) and 1·2 (mass 2/3), from x3 the word 3
+    c = LabeledMc(
+        ("x1", "x2", "x3"), ("1", "2", "3"), {"x1": "1", "x2": "2", "x3": "3"},
+        {"x1": {"x2": F(2, 3), TARGET: F(1, 3)}, "x2": {TARGET: F(1)}, "x3": {TARGET: F(1)}},
+        "x1",
+    )
+    for budget, at_x1, at_x3 in ((4, 1, 1), (3, F(1, 3), 0), (1, 0, 0)):
+        assert check_cost_bounded(c, budget, kmax=2).passed
+        requirement = make_cost_bound_dfa(budget, 3)
+        assert _cost_value(c, requirement, "x1", str(budget)) == at_x1
+        assert _cost_value(c, requirement, "x3", str(budget)) == at_x3
 
 
 def test_query_cost_induced():
+    # the requirement-induced cost query, as check_cost_induced reads it:
+    # from x0 the words a·a (weight 2, mass 2/3) and a·b (weight 3, mass 1/3)
     rm = RewardMachine(
         ("r",), ("a", "b"), 2, {"r": {"a": ("r", 1), "b": ("r", 2)}}, "r"
     )
-    dist = {("a", "a"): F(1, 2), ("a", "b"): F(1, 4), ("b", "b"): F(1, 4)}
-    weights = lambda w: oracle.rm_weights(rm, "r", w)
+    c = LabeledMc(
+        ("x0", "xa", "xb"), ("a", "b"), {"x0": "a", "xa": "a", "xb": "b"},
+        {"x0": {"xa": F(2, 3), "xb": F(1, 3)}, "xa": {TARGET: F(1)}, "xb": {TARGET: F(1)}},
+        "x0",
+    )
     # transducer weights are at least 1, so budget 1 admits nothing
-    assert oracle.query_cost_induced(dist, weights, 1) == 0
-    assert oracle.query_cost_induced(dist, weights, 3) == F(1, 2)
-    assert oracle.query_cost_induced(dist, weights, 4) == F(3, 4)
-    table = oracle.rm_semantics(rm, "r", 2)
-    assert oracle.query_cost_induced(dist, table, 3) == F(1, 2)
+    for budget, want in ((1, 0), (3, F(2, 3)), (4, 1)):
+        assert check_cost_induced(c, rm, budget, kmax=2).passed
+        requirement = product_rm_costdfa(rm, make_cost_bound_dfa(budget, rm.bound))
+        assert _cost_value(c, requirement, "x0", joined("r", str(budget))) == want
+
+
+def _safety(c, d, k):
+    """The safety query of ``ntmc-dfa`` from the initial states at depth k."""
+    return oracle.direct_ntmc_dfa(c, d, k)(c.initial, d.initial, k)
 
 
 def test_query_safety_examples():
     loop = NonTerminatingMc(("s",), ("a",), {"s": "a"}, {"s": {"s": F(1)}}, "s")
     accept_first = Dfa(("q0", "q1"), ("a",), {"q0": {"a": ("q1", True)}, "q1": {"a": ("q1", True)}}, "q0")
-    assert oracle.query_safety(loop, "s", accept_first, "q0", 1) == 1
+    assert _safety(loop, accept_first, 1) == 1
     nothing = Dfa(("q",), ("a",), {"q": {"a": ("q", False)}}, "q")
     for k in (1, 2, 5):
-        assert oracle.query_safety(loop, "s", nothing, "q", k) == 0
+        assert _safety(loop, nothing, k) == 0
 
 
 def test_query_safety_matches_partition_route():
@@ -374,8 +403,8 @@ def test_query_safety_matches_partition_route():
         c = random_ntmc(rng, max_states=4)
         d = random_dfa(rng, max_states=3)
         for k in (1, 3, 5):
-            fast = oracle.query_safety(c, c.initial, d, d.initial, k)
-            layers = oracle.partition(oracle.dfa_language(d, d.initial, k), k)
+            fast = _safety(c, d, k)
+            layers = fraction_direct.partition(oracle.dfa_language(d, d.initial, k), k)
             slow = sum(
                 (
                     oracle.query_prob(oracle.ntmc_marginal(c, c.initial, i + 1), layers[i])
@@ -390,7 +419,7 @@ def test_query_safety_monotone_in_depth():
     rng = random.Random(17)
     c = random_ntmc(rng, max_states=4)
     d = random_dfa(rng, max_states=3)
-    values = [oracle.query_safety(c, c.initial, d, d.initial, k) for k in range(1, 7)]
+    values = [_safety(c, d, k) for k in range(1, 7)]
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -562,9 +591,9 @@ def test_word_memos_match_running_each_word(kind):
             got = memo[w]
             for bit, y in enumerate(d.states):
                 if kind == "nfa":
-                    assert bool(got >> bit & 1) == oracle.nfa_accepts(d, y, w), (i, y, w)
+                    assert bool(got >> bit & 1) == fraction_direct.nfa_accepts(d, y, w), (i, y, w)
                 else:
-                    assert got[bit] == oracle.wmm_min_weight(d, y, w), (i, y, w)
+                    assert got[bit] == fraction_direct.wmm_min_weight(d, y, w), (i, y, w)
                 died += not _runs_to_the_end(d, y, w)
     assert died
     assert len(memo) == len(words)

@@ -391,6 +391,27 @@ def test_solve_product_dispatch(robot, monitor):
         solve_product(robot)
 
 
+@pytest.mark.parametrize(
+    "solve, pairing, held",
+    [
+        (solve_tropical, "mc-dfa", PROB),
+        (solve_reach_prob, "wts-nfa", TROPICAL),
+        (solve_partial_expected_reward, "mc-dfa", PROB),
+    ],
+    ids=["tropical-on-mc", "reach-on-wts", "reward-on-mc"],
+)
+def test_typed_entry_points_reject_other_domains(solve, pairing, held):
+    # each typed entry point solves its own value domain only; a product of
+    # another one is named in a TypeError before any solve starts
+    fixtures = {
+        "mc-dfa": ("robot-mc.json", "safe-recharge-dfa.json"),
+        "wts-nfa": ("travel-wts.json", "train-arrival-nfa.json"),
+    }
+    product = PAIRING_TABLE[pairing].build(*map(load_model, fixtures[pairing]))
+    with pytest.raises(TypeError, match=f"^{type(product).__name__} holds {held} values, not "):
+        solve(product)
+
+
 def _random_comparable_vectors(rng, states, domain):
     if domain == PROB:
         lo = {s: F(rng.randint(0, 8), 16) for s in states}
