@@ -20,6 +20,7 @@ from .domains import (
 from .models import (
     ABSORB,
     ACCEPT,
+    AbsorbingProductMc,
     Dfa,
     HALT_SYMBOL,
     LabeledMc,
@@ -27,6 +28,9 @@ from .models import (
     ModelError,
     Nfa,
     NonTerminatingMc,
+    ProductMc,
+    ProductRewardMc,
+    ProductWts,
     REJECT,
     RewardMachine,
     TARGET,
@@ -40,34 +44,29 @@ from .models import (
     validate,
 )
 from .modeljson import SchemaError, emit_model, parse_model
-from .products import (
-    AbsorbingProductMc,
-    ProductMc,
-    ProductRewardMc,
-    ProductWts,
-    product_mc_dfa,
-    product_mrm_dfa,
-    product_ntmc_dfa,
-    product_wts_nfa,
-    product_wts_wmm,
-)
 
 __version__ = "0.1.0"
 
-_SOLVER_NAMES = (
-    "SolveReport",
-    "solve_partial_expected_reward",
-    "solve_product",
-    "solve_reach_prob",
-    "solve_tropical",
-)
+#: Names imported from a module of their own when first asked for, so that
+#: ``import qtrace`` loads neither the product builders nor the solvers.
+_DEFERRED = {
+    "product_mc_dfa": "products",
+    "product_mrm_dfa": "products",
+    "product_ntmc_dfa": "products",
+    "product_wts_nfa": "products",
+    "product_wts_wmm": "products",
+    "SolveReport": "solvers",
+    "solve_partial_expected_reward": "solvers",
+    "solve_product": "solvers",
+    "solve_reach_prob": "solvers",
+    "solve_tropical": "solvers",
+}
 
 
 def __getattr__(name: str):
-    """The solver names, imported from :mod:`qtrace.solvers` when first
-    asked for: ``import qtrace`` does not load the solvers (PEP 562)."""
-    if name in _SOLVER_NAMES:
-        from . import solvers
+    """A deferred name, from its module (PEP 562)."""
+    if name in _DEFERRED:
+        from importlib import import_module
 
-        return getattr(solvers, name)
+        return getattr(import_module(f".{_DEFERRED[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

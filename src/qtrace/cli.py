@@ -191,13 +191,15 @@ def cmd_oracle(args) -> int:
         cond_dfa = _load_checked(args.condition, Dfa)
         require_same_alphabet(system, cond_dfa)
         value = oracle.cond_prob(system, requirement, cond_dfa, depth)
-        if value is None:
-            print("undefined (condition has probability 0)")
-            return 0
     else:
         value = pairing.direct(system, requirement, depth)(system.initial, requirement.initial, depth)
-    if args.format == "json":
+    undefined = "undefined (condition has probability 0)"
+    if args.format == "json" and value is None:
+        _emit({"depth": depth, "value": None, "reason": undefined}, None)
+    elif args.format == "json":
         _emit({"depth": depth, "value": value_str(value)}, None)
+    elif value is None:
+        print(undefined)
     else:
         print(f"oracle value at depth {depth}: {value_str(value, args.decimal)}")
     return 0

@@ -29,7 +29,6 @@ failure is reproducible from its seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -39,10 +38,12 @@ from .domains import ONE, PROB, ZERO, _value_over, value_str
 from .models import (
     ACCEPT,
     Dfa,
+    Fresh,
     LabeledMc,
     MarkovRewardModel,
     Nfa,
     NonTerminatingMc,
+    Record,
     RewardMachine,
     TARGET,
     WeightedMealy,
@@ -77,14 +78,13 @@ PAIRINGS = tuple(PAIRING_TABLE)
 DIAGRAM_PAIRINGS = ("mc-dfa", "mrm-dfa", "mc-costdfa", "wts-nfa", "wts-wmm")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one correctness check; failures carry a counterexample."""
 
     name: str
     passed: bool
     counterexample: dict | None = None
-    details: dict = field(default_factory=dict)
+    details: dict = Fresh(dict)
 
     def to_json(self) -> dict:
         doc = {"name": self.name, "passed": self.passed, "details": self.details}
@@ -95,16 +95,16 @@ class CheckResult:
 
 def _fail(name: str, *, x, y, k, lhs, rhs, details) -> CheckResult:
     return CheckResult(
-        name,
-        False,
-        {
+        name=name,
+        passed=False,
+        counterexample={
             "system_state": x,
             "requirement_state": y,
             "depth": k,
             "product_value": value_str(lhs),
             "direct_value": value_str(rhs),
         },
-        details,
+        details=details,
     )
 
 
@@ -149,7 +149,7 @@ def _compare_iterates(
             rhs = direct(x, y, depth)
             if lhs != rhs:
                 return _fail(name, x=x, y=y, k="exact", lhs=lhs, rhs=rhs, details=details)
-    return CheckResult(name, True, None, details)
+    return CheckResult(name=name, passed=True, counterexample=None, details=details)
 
 
 def check_step_equality(
@@ -336,12 +336,12 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
 
         if lhs != rhs:
             return CheckResult(
-                name,
-                False,
-                {"sample": i, "lhs": value_str(lhs), "rhs": value_str(rhs)},
-                details,
+                name=name,
+                passed=False,
+                counterexample={"sample": i, "lhs": value_str(lhs), "rhs": value_str(rhs)},
+                details=details,
             )
-    return CheckResult(name, True, None, details)
+    return CheckResult(name=name, passed=True, counterexample=None, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ def check_translation(c: LabeledMc, d: Dfa) -> CheckResult:
                     return _fail(
                         name, x=x, y=f"{y}/{tag}", k="exact", lhs=lhs, rhs=rhs, details={}
                     )
-    return CheckResult(name, True, None, {})
+    return CheckResult(name=name, passed=True, counterexample=None, details={})
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +599,7 @@ def run_step_equality_batch(
     pairing: str, instances: int, kmax: int, seed: int
 ) -> CheckResult:
     """Step equality over a seeded batch of random instances."""
+    details = {"pairing": pairing, "instances": instances, "kmax": kmax, "seed": seed}
     for i in range(instances):
         rng = random.Random(f"{seed}:{pairing}:{i}")
         system, requirement = random_instance(pairing, rng)
@@ -607,10 +608,7 @@ def run_step_equality_batch(
             ce = dict(res.counterexample or {})
             ce["instance"] = i
             ce["seed"] = seed
-            return CheckResult(res.name, False, ce, {"pairing": pairing, "instances": instances, "kmax": kmax, "seed": seed})
+            return CheckResult(name=res.name, passed=False, counterexample=ce, details=details)
     return CheckResult(
-        f"step-equality[{pairing}]",
-        True,
-        None,
-        {"pairing": pairing, "instances": instances, "kmax": kmax, "seed": seed},
+        name=f"step-equality[{pairing}]", passed=True, counterexample=None, details=details
     )

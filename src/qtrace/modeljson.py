@@ -15,16 +15,19 @@ from typing import Callable
 
 from .domains import _json_value, rational
 from .models import (
+    AbsorbingProductMc,
     Dfa,
     LabeledMc,
     MarkovRewardModel,
     Nfa,
     NonTerminatingMc,
+    ProductMc,
+    ProductRewardMc,
+    ProductWts,
     RewardMachine,
     WeightedMealy,
     WeightedTs,
 )
-from .products import AbsorbingProductMc, ProductMc, ProductRewardMc, ProductWts
 
 
 class SchemaError(ValueError):

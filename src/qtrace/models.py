@@ -1,9 +1,12 @@
-"""State-machine definitions: systems, requirements, validation, constructors.
+"""State-machine definitions: systems, requirements, their products,
+validation, constructors.
 
 Systems are labeled probabilistic or weighted transition structures; the
 requirements are finite automata variants whose acceptance sits on the
-transitions (Mealy style).  All types are plain frozen dataclasses holding
-dict tables; instances are treated as immutable after construction.
+transitions (Mealy style); the product classes are the machines that
+:mod:`qtrace.products` builds from one of each.  All types are frozen
+records (:class:`Record`) holding dict tables; instances are treated as
+immutable after construction.
 
 Conventions:
 
@@ -15,12 +18,11 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable
 
-from .domains import ONE
+from .domains import ONE, PROB, PROB_REWARD, TROPICAL
 
 TARGET = "*"
 ACCEPT = "!accept"
@@ -44,8 +46,95 @@ def joined(*parts: str) -> str:
     return SEP.join(parts)
 
 
-@dataclass(frozen=True)
-class LabeledMc:
+class Fresh:
+    """Default of a record field that is made anew for each instance, as in
+    ``details: dict = Fresh(dict)``."""
+
+    def __init__(self, make: Callable[[], object]):
+        self.make = make
+
+
+class Record:
+    """Base of the package's frozen value classes.
+
+    A subclass's fields are its annotated names, in order, after those of
+    its record bases; a field's default is its value in the class body.  A
+    record is built by position or keyword, holds its fields in its
+    ``__dict__``, refuses assignment and deletion, equals a record of the
+    same class with equal fields, hashes as the tuple of its fields and
+    prints as ``Name(field=value, ...)``.  These methods are shared by
+    every record: nothing is generated per class, so defining one costs
+    no more than defining a plain class.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _names: frozenset[str] = frozenset()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [n for n in cls.__dict__.get("__annotations__", ()) if n not in cls._fields]
+        cls._fields += tuple(own)
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs):
+        if args and not kwargs and len(args) == len(self._fields):
+            kwargs = dict(zip(self._fields, args))
+        elif args or kwargs.keys() != self._names:
+            kwargs = self._bind(args, kwargs)
+        # A call that names every field hands over its own keyword dict.
+        _set_fields(self, kwargs)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> dict:
+        """The fields, in order, of a call that neither passes every field
+        by position nor names every field."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in cls._names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [f for f in fields if f not in values and f not in cls._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
+        out = {}
+        for f in fields:
+            value = values[f] if f in values else cls._defaults[f]
+            out[f] = value.make() if isinstance(value, Fresh) else value
+        return out
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+#: Gives a record its field dict.  Filled through ``self.__dict__``, the
+#: dict would share its keys with the class, and CPython 3.11 reads the
+#: attributes of such a dict about three times slower.
+_set_fields = Record.__dict__["__dict__"].__set__
+
+
+class LabeledMc(Record):
     """Markov chain with state labels and a terminating target."""
 
     states: tuple[str, ...]
@@ -55,8 +144,7 @@ class LabeledMc:
     initial: str
 
 
-@dataclass(frozen=True)
-class MarkovRewardModel:
+class MarkovRewardModel(Record):
     """Labeled Markov chain that additionally earns a reward per step."""
 
     states: tuple[str, ...]
@@ -67,8 +155,7 @@ class MarkovRewardModel:
     initial: str
 
 
-@dataclass(frozen=True)
-class NonTerminatingMc:
+class NonTerminatingMc(Record):
     """Labeled Markov chain without a target: every run is infinite."""
 
     states: tuple[str, ...]
@@ -78,8 +165,7 @@ class NonTerminatingMc:
     initial: str
 
 
-@dataclass(frozen=True)
-class WeightedTs:
+class WeightedTs(Record):
     """Nondeterministic transition system with per-transition label and cost."""
 
     states: tuple[str, ...]
@@ -88,8 +174,7 @@ class WeightedTs:
     initial: str
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """Deterministic automaton; acceptance is a flag on each transition."""
 
     states: tuple[str, ...]
@@ -98,8 +183,7 @@ class Dfa:
     initial: str
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Record):
     """Nondeterministic automaton; rows may be empty (dead)."""
 
     states: tuple[str, ...]
@@ -108,8 +192,7 @@ class Nfa:
     initial: str
 
 
-@dataclass(frozen=True)
-class RewardMachine:
+class RewardMachine(Record):
     """Deterministic transducer emitting a bounded weight per symbol."""
 
     states: tuple[str, ...]
@@ -119,13 +202,59 @@ class RewardMachine:
     initial: str
 
 
-@dataclass(frozen=True)
-class WeightedMealy:
+class WeightedMealy(Record):
     """Nondeterministic transducer with acceptance flag and weight per edge."""
 
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     delta: dict[str, dict[str, tuple[tuple[str, bool, int], ...]]]
+    initial: str
+
+
+# The products of a system with a requirement, built by qtrace.products.
+
+
+class ProductMc(Record):
+    """Unlabeled Markov chain over state pairs with accept/reject sinks."""
+
+    GOAL = ACCEPT  # the sink whose reachability the solvers compute
+    SINKS = (ACCEPT, REJECT)
+    DOMAIN = PROB  # the value domain the solvers work in
+
+    states: tuple[str, ...]
+    trans: dict[str, dict[str, Fraction]]
+    initial: str
+
+
+class ProductRewardMc(Record):
+    """Product chain that additionally earns the system's reward per step."""
+
+    GOAL = ACCEPT
+    SINKS = (ACCEPT, REJECT)
+    DOMAIN = PROB_REWARD
+
+    states: tuple[str, ...]
+    trans: dict[str, dict[str, Fraction]]
+    stepreward: dict[str, int]
+    initial: str
+
+
+class AbsorbingProductMc(ProductMc):
+    """Product of a never-terminating chain with a monitor; acceptance absorbs."""
+
+    GOAL = ABSORB
+    SINKS = (ABSORB,)
+
+
+class ProductWts(Record):
+    """Weighted product; rows are finite sets of (successor-or-sink, weight)."""
+
+    GOAL = ACCEPT
+    SINKS = (ACCEPT, REJECT)
+    DOMAIN = TROPICAL
+
+    states: tuple[str, ...]
+    trans: dict[str, tuple[tuple[str, int], ...]]
     initial: str
 
 
@@ -253,12 +382,10 @@ def _check_edges(d, out: list[str]) -> None:
 
 def validate(model) -> list[str]:
     """Return every invariant violation (empty list means the model is ok)."""
-    from . import products as _products
+    if isinstance(model, (ProductMc, ProductRewardMc, ProductWts)):
+        from .products import validate_product
 
-    if isinstance(
-        model, (_products.ProductMc, _products.ProductRewardMc, _products.ProductWts)
-    ):
-        return _products.validate_product(model)
+        return validate_product(model)
 
     out: list[str] = []
     _common(model, out)

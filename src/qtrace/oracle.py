@@ -1,9 +1,10 @@
 """Depth-bounded direct trace semantics and the inference queries.
 
 This module is the ground-truth side of every correctness check: it
-unfolds each machine for a bounded number of steps, materializing the
-trace distribution / language / weighted trace set it denotes, and then
-evaluates the requested query on those values directly.  Nothing here
+unfolds each system for a bounded number of steps, materializing the
+trace distribution or weighted trace set it denotes, reads each trace
+through the requirement, and evaluates the requested query on those
+values directly.  Nothing here
 ever looks at a synchronized product.  The ``direct_*`` functions are the
 query of each pairing, as ``products.PAIRING_TABLE`` lists them; each
 returns a :class:`Lookup` of its values at every state pair and depth,
@@ -140,18 +141,6 @@ def wmm_trace_step(row: Mapping[str, Iterable[tuple[TraceWeightSet, bool, int]]]
     return out
 
 
-def rm_seq_step(
-    row: Mapping[str, tuple[dict[Trace, tuple[int, ...]], int]],
-) -> dict[Trace, tuple[int, ...]]:
-    """Weight sequences assigned after one deterministic transducer step."""
-    out: dict[Trace, tuple[int, ...]] = {}
-    for a, (table, w) in row.items():
-        out[(a,)] = (w,)
-        for word, seq in table.items():
-            out[(a, *word)] = (w, *seq)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # depth-bounded semantics (iterated steps, all states at once)
 
@@ -248,31 +237,6 @@ def mrm_semantics(c: MarkovRewardModel, state: str, depth: int) -> TraceRewardDi
     return mrm_semantics_levels(c, depth)[depth][state]
 
 
-def dfa_language_levels(d: Dfa, depth: int) -> list[dict[str, LangSet]]:
-    def step(prev, y):
-        return dfa_lang_step({a: (prev[t], f) for a, (t, f) in d.delta[y].items()})
-
-    return _unfold(d.states, set, step, depth)
-
-
-def dfa_language(d: Dfa, state: str, depth: int) -> LangSet:
-    """Accepted words of length 1..depth from ``state``."""
-    return dfa_language_levels(d, depth)[depth][state]
-
-
-def nfa_language_levels(d: Nfa, depth: int) -> list[dict[str, LangSet]]:
-    def step(prev, y):
-        return nfa_lang_step(
-            {a: [(prev[t], f) for t, f in nfa_row(d, y, a)] for a in d.alphabet}
-        )
-
-    return _unfold(d.states, set, step, depth)
-
-
-def nfa_language(d: Nfa, state: str, depth: int) -> LangSet:
-    return nfa_language_levels(d, depth)[depth][state]
-
-
 def wts_semantics_levels(c: WeightedTs, depth: int) -> list[dict[str, TraceWeightSet]]:
     def step(prev, x):
         return wts_trace_step(
@@ -285,29 +249,6 @@ def wts_semantics_levels(c: WeightedTs, depth: int) -> list[dict[str, TraceWeigh
 def wts_semantics(c: WeightedTs, state: str, depth: int) -> TraceWeightSet:
     """(trace, accumulated cost) pairs of terminating runs within ``depth``."""
     return wts_semantics_levels(c, depth)[depth][state]
-
-
-def wmm_semantics_levels(d: WeightedMealy, depth: int) -> list[dict[str, TraceWeightSet]]:
-    def step(prev, y):
-        return wmm_trace_step(
-            {a: [(prev[t], f, m) for t, f, m in wmm_row(d, y, a)] for a in d.alphabet}
-        )
-
-    return _unfold(d.states, set, step, depth)
-
-
-def wmm_semantics(d: WeightedMealy, state: str, depth: int) -> TraceWeightSet:
-    """(accepted trace, accumulated penalty) pairs within ``depth``."""
-    return wmm_semantics_levels(d, depth)[depth][state]
-
-
-def rm_semantics(d: RewardMachine, state: str, depth: int) -> dict[Trace, tuple[int, ...]]:
-    """Weight sequence assigned to every word of length 1..depth."""
-
-    def step(prev, y):
-        return rm_seq_step({a: (prev[t], w) for a, (t, w) in d.delta[y].items()})
-
-    return _unfold(d.states, dict, step, depth)[depth][state]
 
 
 def rm_weights(d: RewardMachine, state: str, word: Trace) -> tuple[int, ...]:

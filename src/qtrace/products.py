@@ -4,7 +4,9 @@ Each construction pairs the system's transition structure with the
 requirement's step relation, producing a query-agnostic machine over the
 joint state space plus distinguished sinks.  All of them go through one
 breadth-first builder.  Each product class names the value domain it is
-solved in (``DOMAIN``), and ``PAIRING_TABLE`` names the six pairings with
+solved in (``DOMAIN``); the classes are defined in :mod:`qtrace.models`
+and imported here, so that reading a product document or ``import qtrace``
+does not load the builders.  ``PAIRING_TABLE`` names the six pairings with
 their input types, builders and the direct queries of :mod:`qtrace.oracle`
 that the products are checked against.  The ``*_row`` functions contain the
 actual pairing rule for a single transition row; they are deliberately
@@ -18,19 +20,22 @@ which the equality checks quantify over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from .domains import ONE, PROB, PROB_REWARD, TROPICAL, ZERO
+from .domains import ONE, ZERO
 from .models import (
     ABSORB,
     ACCEPT,
+    AbsorbingProductMc,
     Dfa,
     LabeledMc,
     MarkovRewardModel,
     Nfa,
     NonTerminatingMc,
+    ProductMc,
+    ProductRewardMc,
+    ProductWts,
     REJECT,
     TARGET,
     WeightedMealy,
@@ -41,54 +46,6 @@ from .models import (
 )
 
 SINKS = (ACCEPT, REJECT, ABSORB)
-
-
-@dataclass(frozen=True)
-class ProductMc:
-    """Unlabeled Markov chain over state pairs with accept/reject sinks."""
-
-    GOAL = ACCEPT  # the sink whose reachability the solvers compute
-    SINKS = (ACCEPT, REJECT)
-    DOMAIN = PROB  # the value domain the solvers work in
-
-    states: tuple[str, ...]
-    trans: dict[str, dict[str, Fraction]]
-    initial: str
-
-
-@dataclass(frozen=True)
-class ProductRewardMc:
-    """Product chain that additionally earns the system's reward per step."""
-
-    GOAL = ACCEPT
-    SINKS = (ACCEPT, REJECT)
-    DOMAIN = PROB_REWARD
-
-    states: tuple[str, ...]
-    trans: dict[str, dict[str, Fraction]]
-    stepreward: dict[str, int]
-    initial: str
-
-
-@dataclass(frozen=True)
-class AbsorbingProductMc(ProductMc):
-    """Product of a never-terminating chain with a monitor; acceptance absorbs."""
-
-    GOAL = ABSORB
-    SINKS = (ABSORB,)
-
-
-@dataclass(frozen=True)
-class ProductWts:
-    """Weighted product; rows are finite sets of (successor-or-sink, weight)."""
-
-    GOAL = ACCEPT
-    SINKS = (ACCEPT, REJECT)
-    DOMAIN = TROPICAL
-
-    states: tuple[str, ...]
-    trans: dict[str, tuple[tuple[str, int], ...]]
-    initial: str
 
 
 def pair_states(product) -> tuple[str, ...]:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import product
@@ -46,7 +45,7 @@ from math import lcm
 from typing import Callable
 
 from .domains import ONE
-from .models import LabeledMc, NonTerminatingMc, TARGET, WeightedTs
+from .models import LabeledMc, NonTerminatingMc, Record, TARGET, WeightedTs
 
 
 class ParseError(ValueError):
@@ -65,12 +64,12 @@ class CompileError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
+    (?P<skip>[ \t\r]+|\#[^\n]*)
   | (?P<nl>\n)
   | (?P<num>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><=|>=|==|!=|<-|\.\.|[<>+\-*/(){}\[\],:;])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -81,33 +80,25 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | "op" | "eof"
-    text: str
-    line: int
-    column: int
+#: A token is the tuple (kind, text, line, column): its kind is "num",
+#: "name", "op" or "eof", and line and column are where it starts.
+Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` from one pass of ``_TOKEN_RE``, then "eof"."""
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    line, start = 1, 0  # start: offset of the current line
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            tokens.append(Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+            start = m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() - start + 1)
+        elif kind != "skip":
+            tokens.append((kind, m.group(), line, m.start() - start + 1))
+    tokens.append(("eof", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -132,8 +123,7 @@ MAX_NESTING = 400
 MAX_BLOCK_NESTING = 40
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Record):
     """A guard or expression as straight-line source over the valuation.
 
     Each of ``lines`` assigns one operator node to a fresh temporary, in
@@ -151,48 +141,41 @@ class Code:
 _TRUE = Code((), "True")
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Record):
     name: str
     lo: int
     hi: int
     init: int
 
 
-@dataclass(frozen=True)
-class LabelTable:
+class LabelTable(Record):
     entries: dict[tuple[int, ...], str]
     default: str
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Record):
     var: int  # position of the variable in declaration order
     expr: Code
     index: int  # position among the program's assignments, in source order
 
 
-@dataclass(frozen=True)
-class ProbChoice:
+class ProbChoice(Record):
     branches: tuple[tuple, ...]  # tuples of statements
     probs: tuple[Fraction, ...]  # one per branch, summing to exactly 1
 
 
-@dataclass(frozen=True)
-class ChoiceOption:
+class ChoiceOption(Record):
     guard: Code
     symbol: str
     weight: int
     body: tuple[Assign, ...]
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Record):
     options: tuple[ChoiceOption, ...]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     variables: tuple[VarDecl, ...]
     alphabet: tuple[str, ...] | None
     labels: LabelTable | None
@@ -201,8 +184,7 @@ class Program:
     mode: str  # "probabilistic" | "weighted"
 
 
-@dataclass(frozen=True)
-class CompileReport:
+class CompileReport(Record):
     """Compiled machine plus bookkeeping about the unrolled state space."""
 
     model: object
@@ -228,49 +210,56 @@ class _Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
+    def text(self) -> str:
+        """The text of the next token."""
+        return self.tokens[self.pos][1]
+
     def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, tok: Token | None = None) -> ParseError:
+        """A ``ParseError`` at ``tok``, by default at the next token."""
+        _, _, line, column = tok or self.peek()
+        return ParseError(message, line, column)
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}, found {tok.text!r}")
+        found = self.text()
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found!r}")
         return self.next()
 
     def accept(self, text: str) -> bool:
-        if self.peek().text == text:
-            self.next()
+        if self.text() == text:
+            self.pos += 1
             return True
         return False
 
     def name(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "name" or tok.text in KEYWORDS:
-            raise self.error(f"expected {what}, found {tok.text!r}")
-        return self.next().text
+        kind, text, _, _ = self.peek()
+        if kind != "name" or text in KEYWORDS:
+            raise self.error(f"expected {what}, found {text!r}")
+        self.pos += 1
+        return text
 
     def number(self) -> int:
-        tok = self.peek()
-        if tok.kind != "num":
-            raise self.error(f"expected a number, found {tok.text!r}")
-        return int(self.next().text)
+        kind, text, _, _ = self.peek()
+        if kind != "num":
+            raise self.error(f"expected a number, found {text!r}")
+        self.pos += 1
+        return int(text)
 
     # program ----------------------------------------------------------
 
     def program(self) -> Program:
         variables = []
-        while self.peek().text == "var":
+        while self.text() == "var":
             variables.append(self.var_decl())
         if not variables:
             raise self.error("expected at least one 'var' declaration")
         alphabet = None
-        if self.peek().text == "alphabet":
+        if self.text() == "alphabet":
             self.next()
             symbols = [self.name("a symbol")]
             while self.accept(","):
@@ -280,7 +269,7 @@ class _Parser:
                 raise self.error("duplicate alphabet symbol")
             alphabet = tuple(symbols)
         labels = None
-        if self.peek().text == "label":
+        if self.text() == "label":
             labels = self.label_block(variables)
         self.expect("while")
         self.expect("(")
@@ -288,27 +277,26 @@ class _Parser:
         self.expect(")")
         self.expect("{")
         body = []
-        while self.peek().text != "}":
+        while self.text() != "}":
             body.append(self.stmt())
         self.expect("}")
-        if self.peek().kind != "eof":
+        if self.peek()[0] != "eof":
             raise self.error("trailing input after the loop")
         if not body:
             raise self.error("loop body is empty")
 
         if len(self.forms) == 2:
             second = list(self.forms.values())[1]
-            raise ParseError(
-                "mode conflict: probabilistic branches and weighted choice in one program",
-                second.line, second.column,
+            raise self.error(
+                "mode conflict: probabilistic branches and weighted choice in one program", second
             )
         mode = "weighted" if Choice in self.forms else "probabilistic"
         return Program(tuple(variables), alphabet, labels, guard, tuple(body), mode)
 
     def var_decl(self) -> VarDecl:
         self.expect("var")
-        if self.peek().text in self.index:
-            raise self.error(f"variable {self.peek().text!r} is declared twice")
+        if self.text() in self.index:
+            raise self.error(f"variable {self.text()!r} is declared twice")
         name = self.name("a variable name")
         self.expect(":")
         lo = self.number()
@@ -348,7 +336,7 @@ class _Parser:
             for (tok, x), v in zip(key, variables):
                 if not v.lo <= x <= v.hi:
                     message = f"label key {x} outside range {v.lo}..{v.hi} of {v.name!r}"
-                    raise ParseError(message, tok.line, tok.column)
+                    raise self.error(message, tok)
             self.expect(":")
             entries[tuple(x for _, x in key)] = self.name("a symbol")
             self.expect(";")
@@ -359,21 +347,21 @@ class _Parser:
     # statements -------------------------------------------------------
 
     def stmt(self):
-        tok = self.peek()
-        if tok.text == "{":
+        kind, text, _, _ = self.peek()
+        if text == "{":
             return self.prob_choice()
-        if tok.text == "choice":
+        if text == "choice":
             return self.choice()
-        if tok.kind == "name" and tok.text not in KEYWORDS:
+        if kind == "name" and text not in KEYWORDS:
             return self.assign()
-        raise self.error(f"expected a statement, found {tok.text!r}")
+        raise self.error(f"expected a statement, found {text!r}")
 
     def variable(self) -> int:
         """Position of a declared variable."""
         tok = self.peek()
         name = self.name("a variable")
         if name not in self.index:
-            raise ParseError(f"undeclared variable {name!r}", tok.line, tok.column)
+            raise self.error(f"undeclared variable {name!r}", tok)
         return self.index[name]
 
     def assign(self) -> Assign:
@@ -382,10 +370,10 @@ class _Parser:
         out: list[str] = []
         value = self.expr(out)
         # the semicolon may be omitted right before a closing brace
-        if not self.accept(";") and self.peek().text != "}":
+        if not self.accept(";") and self.text() != "}":
             raise self.error("expected ';' after assignment")
         self.assigned += 1
-        return Assign(var, Code(tuple(out), value), self.assigned - 1)
+        return Assign(var=var, expr=Code(lines=tuple(out), result=value), index=self.assigned - 1)
 
     def block(self) -> tuple:
         self.blocks += 1
@@ -393,7 +381,7 @@ class _Parser:
             raise self.error(f"statement blocks nested deeper than {MAX_BLOCK_NESTING} levels")
         self.expect("{")
         stmts = []
-        while self.peek().text != "}":
+        while self.text() != "}":
             stmts.append(self.stmt())
         self.expect("}")
         self.blocks -= 1
@@ -403,9 +391,8 @@ class _Parser:
         self.forms.setdefault(ProbChoice, self.peek())
         branches = [self.block()]
         probs: list[Fraction] = []
-        while self.peek().text == "[":
-            tok = self.peek()
-            self.next()
+        while self.text() == "[":
+            tok = self.next()
             num = self.number()
             den = 1
             if self.accept("/"):
@@ -413,7 +400,7 @@ class _Parser:
             self.expect("]")
             p = Fraction(num, den) if den else None
             if p is None or not 0 <= p <= 1:
-                raise ParseError("probability out of range", tok.line, tok.column)
+                raise self.error("probability out of range", tok)
             probs.append(p)
             branches.append(self.block())
         if not probs:
@@ -462,8 +449,8 @@ class _Parser:
     def chain(self, ops: tuple[str, ...], operand: Callable, out: list[str]) -> str:
         """``operand`` ops ``operand`` ..., folded to the left."""
         node = operand(out)
-        while self.peek().text in ops:
-            op = self.next().text
+        while self.text() in ops:
+            op = self.next()[1]
             node = self.emit(out, op, node, operand(out))
         return node
 
@@ -472,42 +459,42 @@ class _Parser:
             return _TRUE
         out: list[str] = []
         result = self.chain(("or",), self.conjunction, out)
-        return Code(tuple(out), result)
+        return Code(lines=tuple(out), result=result)
 
     def conjunction(self, out: list[str]) -> str:
         return self.chain(("and",), self.comparison, out)
 
     def comparison(self, out: list[str]) -> str:
         left = self.expr(out)
-        tok = self.peek()
-        if tok.text not in ("<", ">", "<=", ">=", "==", "!="):
-            raise self.error(f"expected a comparison operator, found {tok.text!r}")
-        self.next()
-        return self.emit(out, tok.text, left, self.expr(out))
+        op = self.text()
+        if op not in ("<", ">", "<=", ">=", "==", "!="):
+            raise self.error(f"expected a comparison operator, found {op!r}")
+        self.pos += 1
+        return self.emit(out, op, left, self.expr(out))
 
     def expr(self, out: list[str]) -> str:
         return self.chain(("+", "-"), self.term, out)
 
     def term(self, out: list[str]) -> str:
-        tok = self.peek()
-        if tok.kind == "num":
+        kind, text, _, _ = self.peek()
+        if kind == "num":
             return str(self.number())
-        if tok.kind == "name" and tok.text not in KEYWORDS:
+        if kind == "name" and text not in KEYWORDS:
             return f"{{{self.variable()}}}"
-        if tok.text not in ("max", "min", "("):
-            raise self.error(f"expected an expression, found {tok.text!r}")
+        if text not in ("max", "min", "("):
+            raise self.error(f"expected an expression, found {text!r}")
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.error(f"expression nested deeper than {MAX_NESTING} levels")
         self.next()
         # ``chain`` in place of ``expr``: two frames per nesting level
-        if tok.text == "(":
+        if text == "(":
             node = self.chain(("+", "-"), self.term, out)
         else:
             self.expect("(")
             left = self.chain(("+", "-"), self.term, out)
             self.expect(",")
-            node = self.emit(out, tok.text, left, self.chain(("+", "-"), self.term, out))
+            node = self.emit(out, text, left, self.chain(("+", "-"), self.term, out))
         self.expect(")")
         self.depth -= 1
         return node
@@ -765,7 +752,9 @@ def compile_probabilistic(
         trans={sid: out for sid, (_, out) in rows.items()},
         initial=space.state_id(init),
     )
-    return CompileReport(model, space.size, reachable, warnings)
+    return CompileReport(
+        model=model, state_count=space.size, reachable_count=reachable, warnings=warnings
+    )
 
 
 def compile_weighted(program: Program, restrict_reachable: bool = True) -> CompileReport:
@@ -799,4 +788,6 @@ def compile_weighted(program: Program, restrict_reachable: bool = True) -> Compi
         trans=trans,
         initial=space.state_id(init),
     )
-    return CompileReport(model, space.size, reachable, warnings)
+    return CompileReport(
+        model=model, state_count=space.size, reachable_count=reachable, warnings=warnings
+    )

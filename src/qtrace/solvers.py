@@ -33,13 +33,13 @@ oracle's as they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
 from typing import Iterator
 
 from .domains import INF, PROB, PROB_REWARD, TROPICAL, ZERO, _json_value, _value_over
+from .models import Record
 from .products import ProductMc, ProductRewardMc, ProductWts, pair_states
 
 
@@ -47,8 +47,7 @@ class SolverError(RuntimeError):
     """A solution failed the solver's own check of the fixed point."""
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Solver outcome: a value vector plus how it was obtained."""
 
     values: dict[str, object]
@@ -525,7 +524,9 @@ def _exact_prob(m, domain: str) -> SolveReport:
         values.update(_solve_linear(unknowns, coeff, rhs))
     if _update(step, rows, values) != values:
         raise SolverError("exact solution does not satisfy the update equation")
-    return SolveReport(values, "exact-linear", 0, True, domain)
+    return SolveReport(
+        values=values, method="exact-linear", iterations=0, converged=True, domain=domain
+    )
 
 
 def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
@@ -560,7 +561,9 @@ def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
     del preds, index
     values = dict(zip(states, cost))
     _check_least_costs(m, values)
-    return SolveReport(values, "dijkstra", 0, True, domain)
+    return SolveReport(
+        values=values, method="dijkstra", iterations=0, converged=True, domain=domain
+    )
 
 
 def _check_least_costs(m: ProductWts, values: dict) -> None:
@@ -631,7 +634,9 @@ def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
         den, levels = integer_iterates(m)
         scale = den**k
         values = {s: _value_over(domain, n, scale) for s, n in next(islice(levels, k, None)).items()}
-        return SolveReport(values, "kleene", steps, False, domain)
+        return SolveReport(
+            values=values, method="kleene", iterations=steps, converged=False, domain=domain
+        )
     if mode == "epsilon":
         if domain == TROPICAL:  # the least costs are exact already
             raise ValueError("--mode epsilon needs a probabilistic pairing; use bellman or iterate")

@@ -6,7 +6,9 @@ Each level of a chain is folded with ``Fraction`` arithmetic by the
 one-step updates, and every word is run through the automaton (or the
 weighted Mealy machine) from its start, so it is only fit for the small
 machines of the tests.  The run-from-start readers of a word and the lazy
-language views over them live here too.
+language views over them live here too, and so do the whole depth-bounded
+languages, weighted languages and weight sequences of the requirements,
+which the package reads one word at a time instead.
 """
 
 from qtrace.domains import INF, ONE, ZERO
@@ -14,11 +16,15 @@ from qtrace.models import TARGET, nfa_row, wmm_row
 from qtrace.oracle import (
     LangSet,
     Trace,
+    TraceWeightSet,
+    dfa_lang_step,
     mc_trace_step,
     mrm_trace_step,
+    nfa_lang_step,
     query_prob,
     query_reward,
     query_tropical,
+    wmm_trace_step,
     wts_semantics_levels,
 )
 
@@ -145,6 +151,71 @@ def ntmc_marginal_levels(c, depth: int) -> list[dict]:
         return mc_trace_step([(prev[s], p) for s, p in c.trans[x].items()], ZERO, c.label[x])
 
     return _unfold(c.states, lambda: {(): ONE}, step, depth)
+
+
+# ---------------------------------------------------------------------------
+# the languages, weighted languages and weight sequences of the requirements,
+# unfolded by their one-step folds; nothing in the package needs them whole
+
+
+def dfa_language_levels(d, depth: int) -> list[dict[str, LangSet]]:
+    def step(prev, y):
+        return dfa_lang_step({a: (prev[t], f) for a, (t, f) in d.delta[y].items()})
+
+    return _unfold(d.states, set, step, depth)
+
+
+def dfa_language(d, state: str, depth: int) -> LangSet:
+    """Accepted words of length 1..depth from ``state``."""
+    return dfa_language_levels(d, depth)[depth][state]
+
+
+def nfa_language_levels(d, depth: int) -> list[dict[str, LangSet]]:
+    def step(prev, y):
+        return nfa_lang_step(
+            {a: [(prev[t], f) for t, f in nfa_row(d, y, a)] for a in d.alphabet}
+        )
+
+    return _unfold(d.states, set, step, depth)
+
+
+def nfa_language(d, state: str, depth: int) -> LangSet:
+    return nfa_language_levels(d, depth)[depth][state]
+
+
+def wmm_semantics_levels(d, depth: int) -> list[dict[str, TraceWeightSet]]:
+    def step(prev, y):
+        return wmm_trace_step(
+            {a: [(prev[t], f, m) for t, f, m in wmm_row(d, y, a)] for a in d.alphabet}
+        )
+
+    return _unfold(d.states, set, step, depth)
+
+
+def wmm_semantics(d, state: str, depth: int) -> TraceWeightSet:
+    """(accepted trace, accumulated penalty) pairs within ``depth``."""
+    return wmm_semantics_levels(d, depth)[depth][state]
+
+
+def rm_seq_step(
+    row: dict[str, tuple[dict[Trace, tuple[int, ...]], int]],
+) -> dict[Trace, tuple[int, ...]]:
+    """Weight sequences assigned after one deterministic transducer step."""
+    out: dict[Trace, tuple[int, ...]] = {}
+    for a, (table, w) in row.items():
+        out[(a,)] = (w,)
+        for word, seq in table.items():
+            out[(a, *word)] = (w, *seq)
+    return out
+
+
+def rm_semantics(d, state: str, depth: int) -> dict[Trace, tuple[int, ...]]:
+    """Weight sequence assigned to every word of length 1..depth."""
+
+    def step(prev, y):
+        return rm_seq_step({a: (prev[t], w) for a, (t, w) in d.delta[y].items()})
+
+    return _unfold(d.states, dict, step, depth)[depth][state]
 
 
 def prefix_minimal_accept(d, state: str, word: Trace) -> bool:

@@ -215,7 +215,7 @@ def test_criterion_08_tropical_optimality():
             )
         else:
             direct = oracle.query_wmm(
-                sys_sem, oracle.wmm_semantics(req, req.initial, depth)
+                sys_sem, fraction_direct.wmm_semantics(req, req.initial, depth)
             )
         if rep.value_at(prod.initial) != direct:
             failures.append(("oracle", i))

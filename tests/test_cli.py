@@ -561,10 +561,15 @@ def test_oracle_conditional_query(tmp_path, capsys):
 
 #: sha256 of ``oracle SYS REQ --pairing mc-dfa --depth k --condition COND``,
 #: text then ``--format json``, over 120 seeded (chain, requirement,
-#: condition) triples at depths 1..6, taken while the conditional query
-#: still ran each word through both automata from their start.  About a
-#: third of the triples have a defined value; the rest print "undefined".
-CONDITION_GOLDEN = "80fce68414b4fda4f74172ddff2a40f1f80bd5239b5a150088dc92790f76baa0"
+#: condition) triples at depths 1..6.  About a third of the triples have a
+#: defined value; the rest print "undefined", and since the JSON format
+#: prints it as a document too, this digest was taken again then.
+CONDITION_GOLDEN = "814a699aa12267117d9b8728a166d5b667308cffcecdfe3e3f27e4aed729906a"
+
+#: sha256 of the text-format outputs alone, the first of each pair above,
+#: taken while the conditional query still ran each word through both
+#: automata from their start, and unchanged since.
+CONDITION_TEXT_GOLDEN = "c4b3482e5eae326d5afcca28d49ef99b87d32da46235ae1814ffd168bbba22f3"
 
 
 def test_oracle_condition_matches_golden_digest(tmp_path, capsys):
@@ -580,7 +585,24 @@ def test_oracle_condition_matches_golden_digest(tmp_path, capsys):
             code, out, err = run(capsys, *base, "--condition", paths[2], *fmt)
             outputs.append(f"{code}:{out}{err}")
     assert 0 < sum("undefined" in out for out in outputs) < len(outputs)
+    texts = outputs[::2]
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == CONDITION_TEXT_GOLDEN
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == CONDITION_GOLDEN
+
+
+def test_undefined_conditional_value_is_a_json_document(tmp_path, capsys):
+    # a condition that accepts no word has probability 0 at every depth
+    doc = json.loads(fixture_text("safe-recharge-dfa.json"))
+    doc["delta"] = {y: {a: [y, False] for a in row} for y, row in doc["delta"].items()}
+    path = tmp_path / "never.json"
+    path.write_text(json.dumps(doc))
+    base = ["oracle", ROBOT, MONITOR, "--pairing", "mc-dfa", "--depth", "4", "--condition", str(path)]
+    code, out, err = run(capsys, *base, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "depth": 4, "value": None, "reason": "undefined (condition has probability 0)"
+    }
+    assert run(capsys, *base) == (0, "undefined (condition has probability 0)\n", "")
 
 
 @pytest.mark.parametrize(
@@ -840,16 +862,42 @@ def test_lawcheck_all_output_is_byte_identical():
     assert hashlib.md5(text.encode()).hexdigest() == "0cbf6aba790d54faec90b6bb2ced9702"
 
 
-def test_import_qtrace_stays_lean():
-    # each of these once slowed every start-up when it was imported eagerly
+def _loaded_after(module: str, names: list[str]) -> list[str]:
+    """The ``names`` that ``import module`` leaves in a fresh interpreter's ``sys.modules``."""
     src = os.path.dirname(os.path.dirname(qtrace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    heavy = ["qtrace.oracle", "qtrace.lawcheck", "qtrace.cli", "qtrace.programs", "qtrace.solvers", "heapq"]
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, qtrace; print([m for m in {heavy!r} if m in sys.modules])"],
+        [sys.executable, "-c", f"import sys, {module}; print([m for m in {names!r} if m in sys.modules])"],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_import_qtrace_stays_lean():
+    # each of these once slowed every start-up when it was imported eagerly;
+    # dataclasses (which imports inspect) cost about half of the import
+    heavy = [
+        "qtrace.oracle", "qtrace.lawcheck", "qtrace.cli", "qtrace.programs", "qtrace.solvers",
+        "qtrace.products", "heapq", "dataclasses", "inspect",
+    ]
+    assert _loaded_after("qtrace", heavy) == []
+
+
+def test_deferred_names_come_from_their_modules():
+    import qtrace.products
+    import qtrace.solvers
+
+    modules = {"products": qtrace.products, "solvers": qtrace.solvers}
+    for name, module in qtrace._DEFERRED.items():
+        assert getattr(qtrace, name) is getattr(modules[module], name)
+    assert qtrace.ProductMc is qtrace.products.ProductMc
+    with pytest.raises(AttributeError, match="has no attribute 'product_mc_nfa'"):
+        qtrace.product_mc_nfa
+
+
+def test_the_cli_loads_no_dataclasses_or_inspect():
+    assert _loaded_after("qtrace.cli", ["dataclasses", "inspect", "qtrace.cli"]) == ["qtrace.cli"]
 
 
 def test_the_oracle_imports_no_product_or_solver():

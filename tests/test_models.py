@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_direct import dfa_language
 
 from qtrace.bundled import load_model
 from qtrace.lawcheck import random_dfa, random_nfa, random_rm, random_wmm
@@ -20,7 +21,6 @@ from qtrace.models import (
     translate_to_nonterminating,
     validate,
 )
-from qtrace.oracle import dfa_language
 from qtrace.models import TARGET
 
 

@@ -117,14 +117,14 @@ def _surviving_mass(mc, state, depth):
 # automata semantics
 
 def test_monitor_language(monitor):
-    lang = oracle.dfa_language(monitor, "y0", 3)
+    lang = fraction_direct.dfa_language(monitor, "y0", 3)
     assert ("sand", "sand", "recharge") in lang
     assert ("sand", "lake", "recharge") not in lang
-    assert oracle.dfa_language(monitor, "y0", 0) == set()
+    assert fraction_direct.dfa_language(monitor, "y0", 0) == set()
 
 
 def test_nfa_language_depth2(travel_nfa):
-    assert oracle.nfa_language(travel_nfa, "y0", 2) == {
+    assert fraction_direct.nfa_language(travel_nfa, "y0", 2) == {
         ("T",),
         ("P", "T"),
         ("B", "T"),
@@ -134,12 +134,12 @@ def test_nfa_language_depth2(travel_nfa):
 
 def test_language_views_agree_with_materialized(monitor, travel_nfa):
     view = fraction_direct.DfaLanguage(monitor, "y0", 4)
-    lang = oracle.dfa_language(monitor, "y0", 4)
+    lang = fraction_direct.dfa_language(monitor, "y0", 4)
     words = lang | {("sand",), ("volcano", "sand"), ("sand",) * 5}
     for w in words:
         assert (w in view) == (w in lang)
     nview = fraction_direct.NfaLanguage(travel_nfa, "y0", 3)
-    nlang = oracle.nfa_language(travel_nfa, "y0", 3)
+    nlang = fraction_direct.nfa_language(travel_nfa, "y0", 3)
     for w in nlang | {("P",), ("B", "B"), ("T",) * 4}:
         assert (w in nview) == (w in nlang)
 
@@ -196,14 +196,14 @@ def test_wts_single_step():
 
 def test_wmm_unrolls_with_weight_sums():
     wmm = WeightedMealy(("y",), ("a",), {"y": {"a": (("y", True, 2),)}}, "y")
-    assert oracle.wmm_semantics(wmm, "y", 2) == {(("a",), 2), (("a", "a"), 4)}
+    assert fraction_direct.wmm_semantics(wmm, "y", 2) == {(("a",), 2), (("a", "a"), 4)}
 
 
 def test_rm_semantics_constant_machine():
     rm = RewardMachine(
         ("r",), ("a", "b"), 1, {"r": {"a": ("r", 1), "b": ("r", 1)}}, "r"
     )
-    table = oracle.rm_semantics(rm, "r", 2)
+    table = fraction_direct.rm_semantics(rm, "r", 2)
     assert table[("a", "b")] == (1, 1)
     assert oracle.rm_weights(rm, "r", ("b", "a", "a")) == (1, 1, 1)
 
@@ -276,7 +276,7 @@ def test_partition_is_prefix_free(words):
 
 def test_query_prob_robot(robot, monitor):
     dist = oracle.mc_semantics(robot, "x0", 3)
-    lang = oracle.dfa_language(monitor, "y0", 3)
+    lang = fraction_direct.dfa_language(monitor, "y0", 3)
     assert oracle.query_prob(dist, lang) == F(4, 25)
     assert oracle.query_prob(dist, set()) == 0
     assert oracle.query_prob(dist, set(dist)) == sum(dist.values())
@@ -337,7 +337,7 @@ def test_wmm_min_weight_matches_materialized_semantics():
         wts = random_wts(rng)
         for k in (1, 3, 5):
             pairs = oracle.wts_semantics(wts, wts.initial, k)
-            full = oracle.query_wmm(pairs, oracle.wmm_semantics(wmm, wmm.initial, k))
+            full = oracle.query_wmm(pairs, fraction_direct.wmm_semantics(wmm, wmm.initial, k))
             lazy = min(
                 (m + fraction_direct.wmm_min_weight(wmm, wmm.initial, w) for w, m in pairs),
                 default=float("inf"),
@@ -404,7 +404,7 @@ def test_query_safety_matches_partition_route():
         d = random_dfa(rng, max_states=3)
         for k in (1, 3, 5):
             fast = _safety(c, d, k)
-            layers = fraction_direct.partition(oracle.dfa_language(d, d.initial, k), k)
+            layers = fraction_direct.partition(fraction_direct.dfa_language(d, d.initial, k), k)
             slow = sum(
                 (
                     oracle.query_prob(oracle.ntmc_marginal(c, c.initial, i + 1), layers[i])
@@ -454,14 +454,14 @@ SEMANTICS = {
     "mc": (random_mc, oracle.mc_semantics_levels),
     "mrm": (random_mrm, oracle.mrm_semantics_levels),
     "ntmc": (random_ntmc, oracle.ntmc_marginal_levels),
-    "dfa": (random_dfa, oracle.dfa_language_levels),
-    "nfa": (random_nfa, oracle.nfa_language_levels),
+    "dfa": (random_dfa, fraction_direct.dfa_language_levels),
+    "nfa": (random_nfa, fraction_direct.nfa_language_levels),
     "wts": (random_wts, oracle.wts_semantics_levels),
-    "wmm": (random_wmm, oracle.wmm_semantics_levels),
+    "wmm": (random_wmm, fraction_direct.wmm_semantics_levels),
     "rm": (
         random_rm,
         lambda d, depth: [
-            {y: oracle.rm_semantics(d, y, k) for y in d.states} for k in range(depth + 1)
+            {y: fraction_direct.rm_semantics(d, y, k) for y in d.states} for k in range(depth + 1)
         ],
     ),
 }

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -82,7 +81,7 @@ def _instance(pairing: str, i: int = 0):
 @pytest.mark.parametrize("pairing", PAIRING_TABLE)
 def test_alphabet_mismatch_rejected(pairing):
     system, requirement = _instance(pairing)
-    other = replace(requirement, alphabet=requirement.alphabet + ("extra",))
+    other = type(requirement)(**{**vars(requirement), "alphabet": requirement.alphabet + ("extra",)})
     with pytest.raises(ModelError, match="alphabet mismatch"):
         PAIRING_TABLE[pairing].build(system, other)
 
@@ -249,8 +248,8 @@ def test_renaming_commutes_with_construction():
 def test_join_collision_detected(pairing):
     # joined("a", "b|c") == joined("a|b", "c"); the check runs before any row is read
     system, requirement = _instance(pairing)
-    system = replace(system, states=("a", "a|b"), initial="a")
-    requirement = replace(requirement, states=("b|c", "c"), initial="c")
+    system = type(system)(**{**vars(system), "states": ("a", "a|b"), "initial": "a"})
+    requirement = type(requirement)(**{**vars(requirement), "states": ("b|c", "c"), "initial": "c"})
     with pytest.raises(ModelError, match="collide"):
         PAIRING_TABLE[pairing].build(system, requirement)
 
