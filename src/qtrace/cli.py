@@ -166,14 +166,13 @@ def cmd_oracle(args) -> int:
 
     if args.requirement is None:
         # no requirement: print the system's direct semantics
+        if isinstance(system, NonTerminatingMc) and depth < 1:
+            raise UsageError("marginal depth must be at least 1")
         if isinstance(system, MarkovRewardModel):
-            dist = oracle.mrm_semantics(system, system.initial, depth)
+            dist = oracle.chain_semantics(system, system.initial, depth)
             doc = {f"{_trace_str(w)}#{m}": str(p) for (w, m), p in sorted(dist.items())}
-        elif isinstance(system, LabeledMc):
-            dist = oracle.mc_semantics(system, system.initial, depth)
-            doc = {_trace_str(w): str(p) for w, p in sorted(dist.items())}
-        elif isinstance(system, NonTerminatingMc):
-            dist = oracle.ntmc_marginal(system, system.initial, depth)
+        elif isinstance(system, (LabeledMc, NonTerminatingMc)):
+            dist = oracle.chain_semantics(system, system.initial, depth)
             doc = {_trace_str(w): str(p) for w, p in sorted(dist.items())}
         else:
             doc = {}

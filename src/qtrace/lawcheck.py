@@ -514,7 +514,9 @@ def random_dfa(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 4
     return Dfa(states, tuple(alphabet), delta, states[0])
 
 
-def random_nfa(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 4) -> Nfa:
+def _random_edges(rng: random.Random, alphabet, max_states: int, weighted: bool) -> tuple[tuple[str, ...], dict]:
+    """States q0, q1, ... and up to two (target, flag) edges per state and
+    symbol, each with a weight after the flag when ``weighted``."""
     n = rng.randint(2, max_states)
     states = tuple(f"q{i}" for i in range(n))
     delta = {}
@@ -522,12 +524,17 @@ def random_nfa(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 4
         row = {}
         for a in alphabet:
             entries = tuple(
-                (rng.choice(states), rng.random() < 0.25)
+                (rng.choice(states), rng.random() < 0.25, *((rng.randint(0, 5),) if weighted else ()))
                 for _ in range(rng.randint(0, 2))
             )
             if entries:
                 row[a] = entries
         delta[y] = row
+    return states, delta
+
+
+def random_nfa(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 4) -> Nfa:
+    states, delta = _random_edges(rng, alphabet, max_states, weighted=False)
     return Nfa(states, tuple(alphabet), delta, states[0])
 
 
@@ -545,19 +552,7 @@ def random_wts(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 6
 
 
 def random_wmm(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 4) -> WeightedMealy:
-    n = rng.randint(2, max_states)
-    states = tuple(f"q{i}" for i in range(n))
-    delta = {}
-    for y in states:
-        row = {}
-        for a in alphabet:
-            entries = tuple(
-                (rng.choice(states), rng.random() < 0.25, rng.randint(0, 5))
-                for _ in range(rng.randint(0, 2))
-            )
-            if entries:
-                row[a] = entries
-        delta[y] = row
+    states, delta = _random_edges(rng, alphabet, max_states, weighted=True)
     return WeightedMealy(states, tuple(alphabet), delta, states[0])
 
 

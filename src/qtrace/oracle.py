@@ -12,17 +12,18 @@ and one loop (``_lookup``) fills all of them.
 
 The ``*_step`` functions fold the semantic values of the successor states
 one transition backwards; iterating them from the empty value yields the
-depth-``k`` semantics.  The chains' semantics are unfolded instead on
-integer masses over a power of one common denominator, folding as
-:func:`mc_trace_step` and :func:`mrm_trace_step` do.  Their direct
-queries keep the totals as integer numerators, which ``lawcheck``
-compares with the product's integer iterates; a value becomes a
-``Fraction`` only when the lookup is called.  Each requirement kind has
-one reader of a word, filled from the word's tail: acceptance by a DFA
-or an NFA from every state as one bit mask (``_Flags``), and the least
-accepting weight in a weighted Mealy machine from every state as one
-tuple (``_Weights``).  The steps are also reused on raw sampled values by
-the commutation checks in :mod:`qtrace.lawcheck`.
+depth-``k`` semantics.  The chains' semantics are unfolded by
+:func:`mc_trace_step` and :func:`mrm_trace_step` on integer masses over
+a power of one common denominator; :func:`chain_semantics` turns the last
+level into ``Fraction``s.  The chains' direct queries keep the totals as
+integer numerators, which ``lawcheck`` compares with the product's
+integer iterates; a value becomes a ``Fraction`` only when the lookup is
+called.  Each requirement kind has one reader of a word, filled from the
+word's tail: acceptance by a DFA or an NFA from every state as one bit
+mask (``_Flags``), and the least accepting weight in a weighted Mealy
+machine from every state as one tuple (``_Weights``).  The steps are also
+reused on raw sampled values by the commutation checks in
+:mod:`qtrace.lawcheck`.
 """
 
 from __future__ import annotations
@@ -64,15 +65,18 @@ def mc_trace_step(
     """Prepend ``symbol`` to the successor trace distributions.
 
     ``halt_mass`` is the probability of terminating right after emitting
-    ``symbol``; it becomes the mass of the one-symbol trace.
+    ``symbol``; it becomes the mass of the one-symbol trace.  The sums
+    start from the integer 0, so ``Fraction`` masses give ``Fraction``s
+    and the integer numerators of :func:`_mass_levels` stay integers.
     """
     out: TraceDist = {}
+    head = (symbol,)
     if halt_mass:
-        out[(symbol,)] = halt_mass
+        out[head] = halt_mass
     for dist, p in successors:
         for w, q in dist.items():
-            t = (symbol, *w)
-            out[t] = out.get(t, ZERO) + p * q
+            t = head + w
+            out[t] = out.get(t, 0) + p * q
     return out
 
 
@@ -84,12 +88,13 @@ def mrm_trace_step(
 ) -> TraceRewardDist:
     """As :func:`mc_trace_step` but also accumulating the step reward."""
     out: TraceRewardDist = {}
+    head = (symbol,)
     if halt_mass:
-        out[((symbol,), step_reward)] = halt_mass
+        out[head, step_reward] = halt_mass
     for dist, p in successors:
         for (w, m), q in dist.items():
-            key = ((symbol, *w), step_reward + m)
-            out[key] = out.get(key, ZERO) + p * q
+            key = (head + w, step_reward + m)
+            out[key] = out.get(key, 0) + p * q
     return out
 
 
@@ -144,19 +149,6 @@ def wmm_trace_step(row: Mapping[str, Iterable[tuple[TraceWeightSet, bool, int]]]
 # ---------------------------------------------------------------------------
 # depth-bounded semantics (iterated steps, all states at once)
 
-def _unfold(states, start: Callable, step: Callable, depth: int) -> list[dict]:
-    """Levels 0..depth of a depth-bounded semantics, every state at once.
-
-    Level 0 holds ``start()`` at every state; ``step(prev, state)`` folds
-    the previous level back one transition into the value at ``state``.
-    """
-    levels = [{s: start() for s in states}]
-    for _ in range(depth):
-        prev = levels[-1]
-        levels.append({s: step(prev, s) for s in states})
-    return levels
-
-
 def _mass_levels(c, depth: int) -> tuple[int, Iterator[dict[str, dict]]]:
     """Levels 0..depth of a chain's trace masses as integer numerators.
 
@@ -165,10 +157,11 @@ def _mass_levels(c, depth: int) -> tuple[int, Iterator[dict[str, dict]]]:
     weights and halting mass enters as its weight times D**(k-1).  Keys
     are traces, or (trace, accumulated reward) for a reward model; a
     never-terminating chain starts from the empty word.  Returns D and
-    the levels, one at a time, keyed and ordered as the ``Fraction`` folds
-    of :func:`mc_trace_step` and :func:`mrm_trace_step` order them.  The
-    next level is made from the dicts of the last one as the caller left
-    them, so a trace the caller deletes is not extended.
+    the levels, one at a time.  Each level is folded from the last by
+    :func:`mc_trace_step` or :func:`mrm_trace_step`, so it is keyed and
+    ordered as the ``Fraction`` semantics.  The next level is made from
+    the dicts of the last one as the caller left them, so a trace the
+    caller deletes is not extended.
     """
     den = lcm(*(p.denominator for row in c.trans.values() for p in row.values()))
     reward = c.reward if isinstance(c, MarkovRewardModel) else None
@@ -176,7 +169,7 @@ def _mass_levels(c, depth: int) -> tuple[int, Iterator[dict[str, dict]]]:
     for x in c.states:
         weights = {s: p.numerator * (den // p.denominator) for s, p in c.trans[x].items()}
         halt = weights.pop(TARGET, 0)
-        rows.append((x, (c.label[x],), None if reward is None else reward[x], halt, list(weights.items())))
+        rows.append((x, c.label[x], None if reward is None else reward[x], halt, list(weights.items())))
     start = {(): 1} if isinstance(c, NonTerminatingMc) else {}
     return den, _unfold_masses(rows, start, den, depth)
 
@@ -188,62 +181,39 @@ def _unfold_masses(rows: list, start: dict, den: int, depth: int) -> Iterator[di
     yield level
     for _ in range(depth):
         prev, level = level, {}
-        for x, head, r, halt, succ in rows:
-            out = {}
+        for x, symbol, r, halt, succ in rows:
+            entries = [(prev[s], p) for s, p in succ]
             if r is None:
-                if halt:
-                    out[head] = halt * scale
-                for s, p in succ:
-                    for w, q in prev[s].items():
-                        t = head + w
-                        out[t] = out.get(t, 0) + p * q
+                level[x] = mc_trace_step(entries, halt * scale, symbol)
             else:
-                if halt:
-                    out[head, r] = halt * scale
-                for s, p in succ:
-                    for (w, m), q in prev[s].items():
-                        t = (head + w, r + m)
-                        out[t] = out.get(t, 0) + p * q
-            level[x] = out
+                level[x] = mrm_trace_step(entries, halt * scale, r, symbol)
         yield level
         scale *= den
 
 
-def _fraction_levels(c, depth: int) -> list[dict]:
-    """:func:`_mass_levels` with each numerator over D**k as a ``Fraction``."""
+def chain_semantics(c: LabeledMc | MarkovRewardModel | NonTerminatingMc, state: str, depth: int) -> dict:
+    """The depth-bounded semantics of a chain at ``state``: the distribution
+    over the terminating traces of length <= depth, over (trace, accumulated
+    reward) pairs for a reward model, or over the first ``depth`` symbols
+    emitted by a never-terminating chain."""
     den, levels = _mass_levels(c, depth)
-    return [
-        {x: {t: Fraction(q, den**k) for t, q in dist.items()} for x, dist in level.items()}
-        for k, level in enumerate(levels)
-    ]
-
-
-def mc_semantics_levels(c: LabeledMc, depth: int) -> list[dict[str, TraceDist]]:
-    """Depth 0..depth trace distributions for every state."""
-    return _fraction_levels(c, depth)
-
-
-def mc_semantics(c: LabeledMc, state: str, depth: int) -> TraceDist:
-    """Distribution over the traces of length <= depth that terminate."""
-    return mc_semantics_levels(c, depth)[depth][state]
-
-
-def mrm_semantics_levels(c: MarkovRewardModel, depth: int) -> list[dict[str, TraceRewardDist]]:
-    return _fraction_levels(c, depth)
-
-
-def mrm_semantics(c: MarkovRewardModel, state: str, depth: int) -> TraceRewardDist:
-    """Joint distribution over (trace, accumulated reward) pairs."""
-    return mrm_semantics_levels(c, depth)[depth][state]
+    for level in levels:
+        pass
+    return {t: Fraction(q, den**depth) for t, q in level[state].items()}
 
 
 def wts_semantics_levels(c: WeightedTs, depth: int) -> list[dict[str, TraceWeightSet]]:
-    def step(prev, x):
-        return wts_trace_step(
-            (None if succ == TARGET else prev[succ], a, m) for succ, a, m in c.trans[x]
-        )
-
-    return _unfold(c.states, set, step, depth)
+    """Levels 0..depth of the (trace, accumulated cost) pairs of the
+    terminating runs from every state, each folded from the last by
+    :func:`wts_trace_step`."""
+    levels = [{x: set() for x in c.states}]
+    for _ in range(depth):
+        prev = levels[-1]
+        levels.append({
+            x: wts_trace_step((None if succ == TARGET else prev[succ], a, m) for succ, a, m in c.trans[x])
+            for x in c.states
+        })
+    return levels
 
 
 def wts_semantics(c: WeightedTs, state: str, depth: int) -> TraceWeightSet:
@@ -259,19 +229,6 @@ def rm_weights(d: RewardMachine, state: str, word: Trace) -> tuple[int, ...]:
         cur, w = d.delta[cur][a]
         seq.append(w)
     return tuple(seq)
-
-
-def ntmc_marginal_levels(c: NonTerminatingMc, depth: int) -> list[dict[str, TraceDist]]:
-    """Depth 0..depth marginals: the chain step without halting mass,
-    unfolded from the empty word of mass 1."""
-    return _fraction_levels(c, depth)
-
-
-def ntmc_marginal(c: NonTerminatingMc, state: str, depth: int) -> TraceDist:
-    """Exact distribution of the first ``depth`` emitted symbols."""
-    if depth < 1:
-        raise ValueError("marginal depth must be at least 1")
-    return ntmc_marginal_levels(c, depth)[depth][state]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ each value becomes a ``Fraction`` once, when it is known.  Weighted
 products are solved by one Dijkstra pass from the accepting sink over the
 reversed product graph, which nonnegative weights make exact.  Each exact
 answer is certified before it is returned: a probabilistic answer must be
-given back by the update itself, and least costs by one pass over the
+given back by the update itself and be 0 on every state with no path to a
+goal mass, and least costs are certified by one pass over the
 product rows that also collects the tight edges proving the costs
 attained.  A failed check raises ``SolverError`` (never an ``assert``, so
 the check also runs under ``python -O``).  Every product class names its
@@ -496,8 +497,10 @@ def _exact_prob(m, domain: str) -> SolveReport:
     least solution; the rest form a nonsingular system.  For reward
     products one factorization of it serves both the probabilities and
     the rewards against them, over the same pinned set, so rewards stay
-    finite.  The certificate is the update itself: applied to the answer
-    it must give the answer back."""
+    finite.  The certificate is the update itself, which applied to the
+    answer must give the answer back, and a search of its own for the
+    states with a path to a goal mass: the answer must be 0 on all others,
+    which makes it the least fixed point."""
     step = _SOLVERS[domain][0]
     rows = _rows(m, domain)
     preds: dict[str, list[str]] = {}
@@ -524,6 +527,24 @@ def _exact_prob(m, domain: str) -> SolveReport:
         values.update(_solve_linear(unknowns, coeff, rhs))
     if _update(step, rows, values) != values:
         raise SolverError("exact solution does not satisfy the update equation")
+    # leastness, from the rows alone: on the states with a path to goal
+    # mass the update has one fixed point, so the one that is 0 on every
+    # other state is the least
+    sources: dict[str, list[str]] = {}
+    for s, succ, _ in rows:
+        for t, p in succ:
+            if p:
+                sources.setdefault(t, []).append(s)
+    reach = {s for s, _, args in rows if args[0]}
+    stack = list(reach)
+    while stack:
+        for s in sources.pop(stack.pop(), ()):
+            if s not in reach:
+                reach.add(s)
+                stack.append(s)
+    bottom = (ZERO, ZERO) if domain == PROB_REWARD else ZERO
+    if any(values[s] != bottom for s in values.keys() - reach):
+        raise SolverError("exact solution is not zero where no goal mass is reachable")
     return SolveReport(
         values=values, method="exact-linear", iterations=0, converged=True, domain=domain
     )

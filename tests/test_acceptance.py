@@ -69,7 +69,7 @@ def test_criterion_01_fixture_inference_value(robot, monitor, capsys):
     )
     out = capsys.readouterr().out
     oracle_value = oracle.query_prob(
-        oracle.mc_semantics(robot, "x0", 4), fraction_direct.DfaLanguage(monitor, "y0", 4)
+        oracle.chain_semantics(robot, "x0", 4), fraction_direct.DfaLanguage(monitor, "y0", 4)
     )
     ok = code == 0 and "= 4/25" in out and oracle_value == F(4, 25)
     with capsys.disabled():
@@ -78,7 +78,7 @@ def test_criterion_01_fixture_inference_value(robot, monitor, capsys):
 
 def test_criterion_02_fixture_trace_distribution(robot):
     started = time.perf_counter()
-    dist = oracle.mc_semantics(robot, "x0", 3)
+    dist = oracle.chain_semantics(robot, "x0", 3)
     expected = {
         ("sand", "lake", "recharge"): F(4, 5),
         ("sand", "sand", "recharge"): F(4, 25),
@@ -259,7 +259,7 @@ def test_criterion_10_partial_expected_reward(robot, monitor):
     )
     # the oracle pins the fixture value before the solver is trusted
     pinned = oracle.query_reward(
-        oracle.mrm_semantics(unit, "x0", 4), fraction_direct.DfaLanguage(monitor, "y0", 4)
+        oracle.chain_semantics(unit, "x0", 4), fraction_direct.DfaLanguage(monitor, "y0", 4)
     )
     prod = product_mrm_dfa(unit, monitor)
     solved = solve_partial_expected_reward(prod).value_at(prod.initial)
@@ -282,7 +282,7 @@ def test_criterion_11_gridworld_end_to_end(monitor):
     prod = product_mc_dfa(mc, monitor)
     exact = solve_reach_prob(prod).value_at(prod.initial)
     depth8 = oracle.query_prob(
-        oracle.mc_semantics(mc, mc.initial, 8),
+        oracle.chain_semantics(mc, mc.initial, 8),
         fraction_direct.DfaLanguage(monitor, monitor.initial, 8),
     )
     ok = states_ok and exact == depth8

@@ -13,7 +13,7 @@ import qtrace
 from qtrace.bundled import fixture_path, fixture_text
 from qtrace.cli import main
 from qtrace.domains import value_str
-from qtrace.lawcheck import MUTATIONS, random_dfa, random_instance, random_mc
+from qtrace.lawcheck import MUTATIONS, random_dfa, random_instance, random_mc, random_mrm, random_ntmc, random_wts
 from qtrace.modeljson import emit_model, parse_model
 from qtrace.models import LabeledMc, validate
 from qtrace.products import ProductMc
@@ -588,6 +588,29 @@ def test_oracle_condition_matches_golden_digest(tmp_path, capsys):
     texts = outputs[::2]
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == CONDITION_TEXT_GOLDEN
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == CONDITION_GOLDEN
+
+
+#: sha256 of ``oracle SYS --pairing P --depth k`` with no requirement, text
+#: then ``--format json``, over 10 seeded systems of each kind at depths
+#: 0..5; the non-terminating chains' depth-0 runs are the usage error.
+SEMANTICS_CLI_GOLDEN = "ec5347a0a399874a9704387e3cf93959776b916ca9cb1ea935979bde9f34baa2"
+
+
+def test_oracle_semantics_matches_golden_digest(tmp_path, capsys):
+    path = str(tmp_path / "system.json")
+    kinds = (("mc-dfa", random_mc), ("mrm-dfa", random_mrm), ("ntmc-dfa", random_ntmc), ("wts-nfa", random_wts))
+    outputs = []
+    for pairing, draw in kinds:
+        for i in range(10):
+            with open(path, "w") as handle:
+                handle.write(emit_model(draw(random.Random(f"semantics:{pairing}:{i}"))))
+            for depth in range(6):
+                base = ["oracle", path, "--pairing", pairing, "--depth", str(depth)]
+                for fmt in ([], ["--format", "json"]):
+                    code, out, err = run(capsys, *base, *fmt)
+                    outputs.append(f"{code}:{out}{err}")
+    assert outputs.count("2:error: marginal depth must be at least 1\n") == 20
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == SEMANTICS_CLI_GOLDEN
 
 
 def test_undefined_conditional_value_is_a_json_document(tmp_path, capsys):

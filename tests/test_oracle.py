@@ -66,7 +66,7 @@ def travel_nfa():
 # chain semantics
 
 def test_robot_depth3_distribution(robot):
-    dist = oracle.mc_semantics(robot, "x0", 3)
+    dist = oracle.chain_semantics(robot, "x0", 3)
     assert dist == {
         ("sand", "lake", "recharge"): F(4, 5),
         ("sand", "sand", "recharge"): F(4, 25),
@@ -75,17 +75,17 @@ def test_robot_depth3_distribution(robot):
 
 
 def test_depth_zero_is_empty(robot):
-    assert oracle.mc_semantics(robot, "x0", 0) == {}
+    assert oracle.chain_semantics(robot, "x0", 0) == {}
 
 
 def test_one_step_to_target(robot):
-    assert oracle.mc_semantics(robot, "x3", 1) == {("recharge",): F(1)}
+    assert oracle.chain_semantics(robot, "x3", 1) == {("recharge",): F(1)}
 
 
 def test_semantics_monotone_in_depth(robot):
-    prev = oracle.mc_semantics(robot, "x0", 1)
+    prev = oracle.chain_semantics(robot, "x0", 1)
     for k in (2, 3, 4, 5):
-        cur = oracle.mc_semantics(robot, "x0", k)
+        cur = oracle.chain_semantics(robot, "x0", k)
         assert all(cur.get(w, 0) >= p for w, p in prev.items())
         prev = cur
 
@@ -96,7 +96,7 @@ def test_mass_conservation():
     for _ in range(10):
         mc = random_mc(rng, max_states=4)
         for k in (1, 3, 6):
-            done = sum(oracle.mc_semantics(mc, mc.initial, k).values())
+            done = sum(oracle.chain_semantics(mc, mc.initial, k).values())
             alive = _surviving_mass(mc, mc.initial, k)
             assert done + alive == 1
 
@@ -156,8 +156,8 @@ def test_zero_rewards_marginalize_to_plain_semantics(robot):
         robot.trans,
         robot.initial,
     )
-    dist = oracle.mrm_semantics(mrm, "x0", 3)
-    assert {w: p for (w, m), p in dist.items()} == oracle.mc_semantics(robot, "x0", 3)
+    dist = oracle.chain_semantics(mrm, "x0", 3)
+    assert {w: p for (w, m), p in dist.items()} == oracle.chain_semantics(robot, "x0", 3)
     assert all(m == 0 for (_, m) in dist)
 
 
@@ -170,7 +170,7 @@ def test_single_state_reward():
         trans={"x": {"*": F(1)}},
         initial="x",
     )
-    assert oracle.mrm_semantics(mrm, "x", 1) == {(("a",), 5): F(1)}
+    assert oracle.chain_semantics(mrm, "x", 1) == {(("a",), 5): F(1)}
 
 
 def test_unit_rewards_count_trace_length(robot):
@@ -182,7 +182,7 @@ def test_unit_rewards_count_trace_length(robot):
         robot.trans,
         robot.initial,
     )
-    for (w, m), _ in oracle.mrm_semantics(mrm, "x0", 3).items():
+    for (w, m), _ in oracle.chain_semantics(mrm, "x0", 3).items():
         assert m == len(w)
 
 
@@ -213,7 +213,7 @@ def test_rm_semantics_constant_machine():
 
 def test_marginal_self_loop():
     c = NonTerminatingMc(("s",), ("a",), {"s": "a"}, {"s": {"s": F(1)}}, "s")
-    assert oracle.ntmc_marginal(c, "s", 3) == {("a", "a", "a"): F(1)}
+    assert oracle.chain_semantics(c, "s", 3) == {("a", "a", "a"): F(1)}
 
 
 def test_marginal_alternating():
@@ -227,7 +227,7 @@ def test_marginal_alternating():
         },
         initial="u",
     )
-    dist = oracle.ntmc_marginal(c, "u", 2)
+    dist = oracle.chain_semantics(c, "u", 2)
     assert dist == {("a", "a"): F(1, 2), ("a", "b"): F(1, 2)}
 
 
@@ -235,18 +235,18 @@ def test_marginal_consistency():
     rng = random.Random(4)
     for _ in range(5):
         c = random_ntmc(rng, max_states=4)
-        deep = oracle.ntmc_marginal(c, c.initial, 6)
+        deep = oracle.chain_semantics(c, c.initial, 6)
         for m in (1, 2, 4):
             projected = {}
             for w, p in deep.items():
                 projected[w[:m]] = projected.get(w[:m], 0) + p
-            assert projected == oracle.ntmc_marginal(c, c.initial, m)
+            assert projected == oracle.chain_semantics(c, c.initial, m)
 
 
 def test_marginal_sums_to_one():
     rng = random.Random(5)
     c = random_ntmc(rng)
-    assert sum(oracle.ntmc_marginal(c, c.initial, 5).values()) == 1
+    assert sum(oracle.chain_semantics(c, c.initial, 5).values()) == 1
 
 
 def test_partition_examples():
@@ -275,7 +275,7 @@ def test_partition_is_prefix_free(words):
 # queries
 
 def test_query_prob_robot(robot, monitor):
-    dist = oracle.mc_semantics(robot, "x0", 3)
+    dist = oracle.chain_semantics(robot, "x0", 3)
     lang = fraction_direct.dfa_language(monitor, "y0", 3)
     assert oracle.query_prob(dist, lang) == F(4, 25)
     assert oracle.query_prob(dist, set()) == 0
@@ -312,7 +312,7 @@ def test_query_reward(robot, monitor):
         robot.trans,
         robot.initial,
     )
-    dist = oracle.mrm_semantics(mrm, "x0", 4)
+    dist = oracle.chain_semantics(mrm, "x0", 4)
     lang = fraction_direct.DfaLanguage(monitor, "y0", 4)
     assert oracle.query_reward(dist, lang) == (F(4, 25), F(12, 25))
     assert oracle.query_reward(dist, set()) == (0, 0)
@@ -407,7 +407,7 @@ def test_query_safety_matches_partition_route():
             layers = fraction_direct.partition(fraction_direct.dfa_language(d, d.initial, k), k)
             slow = sum(
                 (
-                    oracle.query_prob(oracle.ntmc_marginal(c, c.initial, i + 1), layers[i])
+                    oracle.query_prob(oracle.chain_semantics(c, c.initial, i + 1), layers[i])
                     for i in range(k)
                 ),
                 F(0),
@@ -450,10 +450,19 @@ SEMANTICS_GOLDEN = {
     "rm": "60c924d2b6c7757cb9b8bd0996fce691fe86bd6369d396587cafc7116f734b5e",
 }
 
+def _chain_levels(c, depth):
+    """Every level of a chain's integer unfold, each numerator over D**k as a ``Fraction``."""
+    den, levels = oracle._mass_levels(c, depth)
+    return [
+        {x: {t: F(q, den**k) for t, q in dist.items()} for x, dist in level.items()}
+        for k, level in enumerate(levels)
+    ]
+
+
 SEMANTICS = {
-    "mc": (random_mc, oracle.mc_semantics_levels),
-    "mrm": (random_mrm, oracle.mrm_semantics_levels),
-    "ntmc": (random_ntmc, oracle.ntmc_marginal_levels),
+    "mc": (random_mc, _chain_levels),
+    "mrm": (random_mrm, _chain_levels),
+    "ntmc": (random_ntmc, _chain_levels),
     "dfa": (random_dfa, fraction_direct.dfa_language_levels),
     "nfa": (random_nfa, fraction_direct.nfa_language_levels),
     "wts": (random_wts, oracle.wts_semantics_levels),

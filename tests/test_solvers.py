@@ -585,6 +585,35 @@ def test_one_wrong_value_fails_the_certificate(build, wrong_vector, monkeypatch)
     assert changed == [prod.DOMAIN == PROB_REWARD]
 
 
+@pytest.mark.parametrize(
+    "rewards, wrong_vector",
+    [(False, 0), (True, 0), (True, 1)],
+    ids=["mc-dfa", "mrm-dfa-probability", "mrm-dfa-reward"],
+)
+def test_a_fixed_point_above_the_least_fails_the_certificate(rewards, wrong_vector, monkeypatch):
+    # a <-> b is a cycle with no goal mass: 1 on it is a fixed point of the
+    # update, so only the certificate's own leastness check tells it from
+    # the least one, which is 0 there
+    trans = {"a": {"b": F(1)}, "b": {"a": F(1)}, "g": {ACCEPT: F(1, 2), REJECT: F(1, 2)}}
+    states = (*trans, ACCEPT, REJECT)
+    if rewards:
+        prod = ProductRewardMc(states=states, trans=trans, stepreward={"a": 0, "b": 0, "g": 3}, initial="a")
+    else:
+        prod = ProductMc(states=states, trans=trans, initial="a")
+    least = solve_product(prod).values
+    solve_linear = solvers._solve_linear
+
+    def above(unknowns, coeff, rhs, reward=None):
+        got = solve_linear(unknowns, coeff, rhs, reward)
+        ((got,) if reward is None else got)[wrong_vector].update(a=F(1), b=F(1))
+        return got
+
+    monkeypatch.setattr(solvers, "_solve_linear", above)
+    with pytest.raises(SolverError, match="exact solution is not zero where no goal mass is reachable"):
+        solve_product(prod)
+    assert least["a"] == least["b"] == ((0, 0) if rewards else 0)
+
+
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_a_vector_over_other_states_fails_the_certificate(change, monkeypatch):
     # the certificates raise SolverError here, never KeyError: the linear
