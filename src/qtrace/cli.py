@@ -186,6 +186,7 @@ def cmd_oracle(args) -> int:
         return 0
 
     requirement = _load_checked(args.requirement, pairing.requirement, complete=args.complete_dfa)
+    require_same_alphabet(system, requirement)
     if args.condition:
         cond_dfa = _load_checked(args.condition, Dfa)
         require_same_alphabet(system, cond_dfa)

@@ -34,24 +34,6 @@ class SchemaError(ValueError):
     """Malformed model document."""
 
 
-KINDS = {
-    "mc": LabeledMc,
-    "mrm": MarkovRewardModel,
-    "ntmc": NonTerminatingMc,
-    "wts": WeightedTs,
-    "dfa": Dfa,
-    "nfa": Nfa,
-    "rm": RewardMachine,
-    "wmm": WeightedMealy,
-    "product-mc": ProductMc,
-    "product-mrm": ProductRewardMc,
-    "product-absorbing": AbsorbingProductMc,
-    "product-wts": ProductWts,
-}
-
-KIND_OF = {cls: kind for kind, cls in KINDS.items()}
-
-
 def _need(doc: dict, *fields: str) -> None:
     for f in fields:
         if f not in doc:
@@ -127,21 +109,23 @@ _MACHINE = {"alphabet": _NAMES, "states": _NAMES, "initial": _string}
 _CHAIN = {**_MACHINE, "label": _table(_string), "trans": _PROB_TABLE}
 _PRODUCT = {"states": _NAMES, "initial": _string, "trans": _PROB_TABLE}
 
-#: The fields of each kind, in the order they are checked, and how.
-_FIELDS: dict[str, dict[str, Callable]] = {
-    "mc": _CHAIN,
-    "mrm": {**_CHAIN, "reward": _table(_integer)},
-    "ntmc": _CHAIN,
-    "wts": {**_MACHINE, "trans": _table(_array(_entry(_string, _string, _integer)))},
-    "dfa": {**_MACHINE, "delta": _table(_table(_entry(_string, _flag)))},
-    "nfa": {**_MACHINE, "delta": _table(_table(_array(_entry(_string, _flag))))},
-    "rm": {**_MACHINE, "bound": _integer, "delta": _table(_table(_entry(_string, _integer)))},
-    "wmm": {**_MACHINE, "delta": _table(_table(_array(_entry(_string, _flag, _integer))))},
-    "product-mc": _PRODUCT,
-    "product-mrm": {**_PRODUCT, "stepreward": _table(_integer)},
-    "product-absorbing": _PRODUCT,
-    "product-wts": {**_PRODUCT, "trans": _table(_array(_entry(_string, _integer)))},
+#: Per kind: its class, and its fields in the order they are checked, and how.
+KINDS: dict[str, tuple[type, dict[str, Callable]]] = {
+    "mc": (LabeledMc, _CHAIN),
+    "mrm": (MarkovRewardModel, {**_CHAIN, "reward": _table(_integer)}),
+    "ntmc": (NonTerminatingMc, _CHAIN),
+    "wts": (WeightedTs, {**_MACHINE, "trans": _table(_array(_entry(_string, _string, _integer)))}),
+    "dfa": (Dfa, {**_MACHINE, "delta": _table(_table(_entry(_string, _flag)))}),
+    "nfa": (Nfa, {**_MACHINE, "delta": _table(_table(_array(_entry(_string, _flag))))}),
+    "rm": (RewardMachine, {**_MACHINE, "bound": _integer, "delta": _table(_table(_entry(_string, _integer)))}),
+    "wmm": (WeightedMealy, {**_MACHINE, "delta": _table(_table(_array(_entry(_string, _flag, _integer))))}),
+    "product-mc": (ProductMc, _PRODUCT),
+    "product-mrm": (ProductRewardMc, {**_PRODUCT, "stepreward": _table(_integer)}),
+    "product-absorbing": (AbsorbingProductMc, _PRODUCT),
+    "product-wts": (ProductWts, {**_PRODUCT, "trans": _table(_array(_entry(_string, _integer)))}),
 }
+
+KIND_OF = {cls: kind for kind, (cls, _) in KINDS.items()}
 
 
 def parse_model(text: str | dict):
@@ -152,7 +136,7 @@ def parse_model(text: str | dict):
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
-    fields = _FIELDS[kind]
+    cls, fields = KINDS[kind]
     _need(doc, *fields)
     values = {}
     for f, check in fields.items():
@@ -162,7 +146,7 @@ def parse_model(text: str | dict):
             raise SchemaError(f"field {f!r}: {exc}") from None
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"malformed {kind} document: {exc}") from exc
-    return KINDS[kind](**values)
+    return cls(**values)
 
 
 def model_to_dict(model) -> dict:
@@ -171,7 +155,7 @@ def model_to_dict(model) -> dict:
     kind = KIND_OF.get(type(model))
     if kind is None:
         raise SchemaError(f"cannot serialize {type(model).__name__}")
-    return {"kind": kind, **{f: _json_value(getattr(model, f)) for f in _FIELDS[kind]}}
+    return {"kind": kind, **{f: _json_value(getattr(model, f)) for f in KINDS[kind][1]}}
 
 
 def emit_model(model) -> str:

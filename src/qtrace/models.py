@@ -476,26 +476,30 @@ def _joined_pairs(lefts, rights) -> dict[str, tuple[str, str]]:
     return ids
 
 
+def _paired_dfa(left, right, alphabet: tuple[str, ...], move: Callable) -> Dfa:
+    """The DFA over ``alphabet`` on the pairs of ``left``'s and ``right``'s
+    states, left major, from the initial pair; ``move(y, z, a)`` gives the
+    pair that (y, z) moves to on ``a`` and the step's acceptance flag."""
+    _joined_pairs(left.states, right.states)
+    delta: dict[str, dict[str, tuple[str, bool]]] = {}
+    for y in left.states:
+        for z in right.states:
+            row = delta[joined(y, z)] = {}
+            for a in alphabet:
+                (y2, z2), flag = move(y, z, a)
+                row[a] = (joined(y2, z2), flag)
+    return Dfa(states=tuple(delta), alphabet=alphabet, delta=delta, initial=joined(left.initial, right.initial))
+
+
 def dfa_intersect(d1: Dfa, d2: Dfa) -> Dfa:
     """Synchronous intersection; a step accepts when both components do."""
     require_same_alphabet(d1, d2)
-    _joined_pairs(d1.states, d2.states)
-    states = tuple(joined(a, b) for a in d1.states for b in d2.states)
-    delta: dict[str, dict[str, tuple[str, bool]]] = {}
-    for a in d1.states:
-        for b in d2.states:
-            row = {}
-            for sym in d1.alphabet:
-                t1, f1 = d1.delta[a][sym]
-                t2, f2 = d2.delta[b][sym]
-                row[sym] = (joined(t1, t2), f1 and f2)
-            delta[joined(a, b)] = row
-    return Dfa(
-        states=states,
-        alphabet=d1.alphabet,
-        delta=delta,
-        initial=joined(d1.initial, d2.initial),
-    )
+
+    def move(y: str, z: str, a: str):
+        (y2, f1), (z2, f2) = d1.delta[y][a], d2.delta[z][a]
+        return (y2, z2), f1 and f2
+
+    return _paired_dfa(d1, d2, d1.alphabet, move)
 
 
 def complete_dfa(d: Dfa) -> Dfa:
@@ -540,23 +544,13 @@ def product_rm_costdfa(rm: RewardMachine, cd: Dfa) -> Dfa:
         raise ModelError(
             f"cost automaton alphabet {sorted(cd.alphabet)} does not match weight bound {rm.bound}"
         )
-    _joined_pairs(rm.states, cd.states)
-    states = tuple(joined(y, z) for y in rm.states for z in cd.states)
-    delta: dict[str, dict[str, tuple[str, bool]]] = {}
-    for y in rm.states:
-        for z in cd.states:
-            row = {}
-            for a in rm.alphabet:
-                y2, w = rm.delta[y][a]
-                z2, flag = cd.delta[z][str(w)]
-                row[a] = (joined(y2, z2), flag)
-            delta[joined(y, z)] = row
-    return Dfa(
-        states=states,
-        alphabet=rm.alphabet,
-        delta=delta,
-        initial=joined(rm.initial, cd.initial),
-    )
+
+    def move(y: str, z: str, a: str):
+        y2, w = rm.delta[y][a]
+        z2, flag = cd.delta[z][str(w)]
+        return (y2, z2), flag
+
+    return _paired_dfa(rm, cd, rm.alphabet, move)
 
 
 def translate_to_nonterminating(c: LabeledMc, d: Dfa) -> tuple[NonTerminatingMc, Dfa]:

@@ -43,6 +43,8 @@ from .models import (
     TARGET,
     WeightedMealy,
     WeightedTs,
+    dfa_intersect,
+    joined,
     nfa_row,
     wmm_row,
 )
@@ -101,15 +103,10 @@ def mrm_trace_step(
 def dfa_lang_step(row: Mapping[str, tuple[LangSet, bool]]) -> LangSet:
     """Accepted words reachable in one deterministic step.
 
-    ``row`` maps each symbol to (successor's accepted set, step flag).
+    ``row`` maps each symbol to (successor's accepted set, step flag): the
+    case of :func:`nfa_lang_step` with one edge per symbol.
     """
-    out: LangSet = set()
-    for a, (lang, flag) in row.items():
-        if flag:
-            out.add((a,))
-        for w in lang:
-            out.add((a, *w))
-    return out
+    return nfa_lang_step({a: (entry,) for a, entry in row.items()})
 
 
 def nfa_lang_step(row: Mapping[str, Iterable[tuple[LangSet, bool]]]) -> LangSet:
@@ -509,18 +506,9 @@ def direct_wts_wmm(c: WeightedTs, d: WeightedMealy, depth: int) -> Lookup:
 def cond_prob(c: LabeledMc, d: Dfa, condition: Dfa, depth: int) -> Fraction | None:
     """Probability that ``d`` accepts a depth-bounded trace of the chain,
     given that ``condition`` accepts it, all from their initial states;
-    None when the condition has mass 0."""
-    _, levels = _mass_levels(c, depth)
-    flags, given = _Flags(d), _Flags(condition)
-    for level in levels:
-        for dist in level.values():
-            for w in dist:  # in order of depth, so every tail is memoised first
-                flags[w], given[w]
-    y, z = 1 << d.states.index(d.initial), 1 << condition.states.index(condition.initial)
-    both = total = 0
-    for w, q in level[c.initial].items():
-        if given[w] & z:
-            total += q
-            if flags[w] & y:
-                both += q
-    return Fraction(both, total) if total else None
+    None when the condition has mass 0.  It is P(d and condition) divided
+    by P(condition), two ``mc-dfa`` direct queries, the first on the
+    intersection of the two automata."""
+    both = direct_mc_dfa(c, dfa_intersect(d, condition), depth)
+    given = direct_mc_dfa(c, condition, depth)(c.initial, condition.initial, depth)
+    return both(c.initial, joined(d.initial, condition.initial), depth) / given if given else None

@@ -490,6 +490,22 @@ def _over_one_minus(acc: Fraction, loop: Fraction | None) -> Fraction:
     return Fraction(acc.numerator * d, acc.denominator * (d - loop.numerator))
 
 
+def _reaching(targets, edges) -> set:
+    """``targets`` and every state with a path of ``edges``, given as
+    (source, target) pairs, to one of them: one backward search."""
+    sources: dict[str, list[str]] = {}
+    for s, t in edges:
+        sources.setdefault(t, []).append(s)
+    reach = set(targets)
+    stack = list(reach)
+    while stack:
+        for s in sources.pop(stack.pop(), ()):
+            if s not in reach:
+                reach.add(s)
+                stack.append(s)
+    return reach
+
+
 def _exact_prob(m, domain: str) -> SolveReport:
     """The least solution of a probabilistic product, certified.
 
@@ -503,17 +519,8 @@ def _exact_prob(m, domain: str) -> SolveReport:
     which makes it the least fixed point."""
     step = _SOLVERS[domain][0]
     rows = _rows(m, domain)
-    preds: dict[str, list[str]] = {}
-    for s, succ, _ in rows:
-        for t, _ in succ:
-            preds.setdefault(t, []).append(s)
-    live: set[str] = set()
-    stack = [s for s, _, args in rows if args[0]]
-    while stack:
-        s = stack.pop()
-        if s not in live:
-            live.add(s)
-            stack.extend(preds.get(s, ()))
+    goals = [s for s, _, args in rows if args[0]]
+    live = _reaching(goals, ((s, t) for s, succ, _ in rows for t, _ in succ))
     system = [(s, {t: p for t, p in succ if t in live}, args) for s, succ, args in rows if s in live]
     unknowns = [s for s, _, _ in system]
     coeff = {s: row for s, row, _ in system}
@@ -530,18 +537,7 @@ def _exact_prob(m, domain: str) -> SolveReport:
     # leastness, from the rows alone: on the states with a path to goal
     # mass the update has one fixed point, so the one that is 0 on every
     # other state is the least
-    sources: dict[str, list[str]] = {}
-    for s, succ, _ in rows:
-        for t, p in succ:
-            if p:
-                sources.setdefault(t, []).append(s)
-    reach = {s for s, _, args in rows if args[0]}
-    stack = list(reach)
-    while stack:
-        for s in sources.pop(stack.pop(), ()):
-            if s not in reach:
-                reach.add(s)
-                stack.append(s)
+    reach = _reaching(goals, ((s, t) for s, succ, _ in rows for t, p in succ if p))
     bottom = (ZERO, ZERO) if domain == PROB_REWARD else ZERO
     if any(values[s] != bottom for s in values.keys() - reach):
         raise SolverError("exact solution is not zero where no goal mass is reachable")
@@ -600,7 +596,7 @@ def _check_least_costs(m: ProductWts, values: dict) -> None:
     if values.keys() != set(states):
         raise SolverError("least costs do not satisfy the update equation")
     goal, sinks = m.GOAL, m.SINKS
-    tight: dict[str, list[str]] = {}  # per target: the sources of its tight edges
+    tight: list[tuple[str, str]] = []  # the tight edges, (source, target)
     for s in states:
         c = values[s]
         best = INF
@@ -612,15 +608,10 @@ def _check_least_costs(m: ProductWts, values: dict) -> None:
             if w < best:
                 best = w
             if w == c != INF:
-                tight.setdefault(t, []).append(s)
+                tight.append((s, t))
         if best != c:
             raise SolverError("least costs do not satisfy the update equation")
-    reached, stack = set(), [goal]
-    while stack:
-        for s in tight.pop(stack.pop(), ()):
-            if s not in reached:
-                reached.add(s)
-                stack.append(s)
+    reached = _reaching((goal,), tight)
     if any(values[s] != INF and s not in reached for s in states):
         raise SolverError("least costs are not attained by a path to the goal")
 

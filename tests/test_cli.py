@@ -13,7 +13,7 @@ import qtrace
 from qtrace.bundled import fixture_path, fixture_text
 from qtrace.cli import main
 from qtrace.domains import value_str
-from qtrace.lawcheck import MUTATIONS, random_dfa, random_instance, random_mc, random_mrm, random_ntmc, random_wts
+from qtrace.lawcheck import MUTATIONS, PAIRINGS, random_dfa, random_instance, random_mc, random_mrm, random_ntmc, random_wts
 from qtrace.modeljson import emit_model, parse_model
 from qtrace.models import LabeledMc, validate
 from qtrace.products import ProductMc
@@ -655,6 +655,50 @@ def test_oracle_condition_alphabet_mismatch_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error: alphabet mismatch")
+
+
+def test_oracle_condition_refuses_state_names_that_collide_when_joined(tmp_path, capsys):
+    # ("s|t", "s") and ("u", "t|u") both give "s|t|u" when joined, as product refuses too
+    alphabet = json.loads(fixture_text("robot-mc.json"))["alphabet"]
+    paths = []
+    for name, states in (("requirement", ["s|t", "s"]), ("condition", ["u", "t|u"])):
+        doc = {
+            "kind": "dfa", "alphabet": alphabet, "states": states, "initial": states[0],
+            "delta": {y: {a: [y, True] for a in alphabet} for y in states},
+        }
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "oracle", ROBOT, str(paths[0]), "--pairing", "mc-dfa", "--depth", "4",
+        "--condition", str(paths[1]),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: state identifiers collide when joined; rename the inputs\n"
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+def test_requirement_alphabet_mismatch_is_usage_error_in_every_command(pairing, tmp_path, capsys):
+    # one requirement symbol renamed consistently: a valid machine over
+    # another alphabet, which product, infer and oracle all refuse alike
+    system, requirement = random_instance(pairing, random.Random(f"mismatch:{pairing}"))
+    doc = json.loads(emit_model(requirement))
+    old = doc["alphabet"][0]
+    doc["alphabet"][0] = "renamed"
+    doc["delta"] = {
+        y: {"renamed" if a == old else a: e for a, e in row.items()} for y, row in doc["delta"].items()
+    }
+    assert validate(parse_model(doc)) == []
+    paths = [tmp_path / "system.json", tmp_path / "requirement.json"]
+    paths[0].write_text(emit_model(system))
+    paths[1].write_text(json.dumps(doc))
+    base = [str(paths[0]), str(paths[1]), "--pairing", pairing]
+    errors = set()
+    for argv in (["product", *base], ["infer", *base], ["oracle", *base, "--depth", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: alphabet mismatch: "), argv
+        errors.add(err)
+    assert len(errors) == 1
 
 
 @pytest.mark.parametrize("epsilon", ["0", "-1"])

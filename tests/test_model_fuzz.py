@@ -34,7 +34,7 @@ NESTED_DRAWS = 12
 #: sha256 over every mutant's path, command, exit code and output, so that
 #: a change to the front end keeps each message.
 FUZZ_GOLDEN = {
-    "robot-mc.json": "fe98ec0666495aa1980d041f94cad269dd3966ec9f7a0dae0acfa31a091e009b",
+    "robot-mc.json": "c04b618e3688232ef9c40995b962166434352e0149a66b6410bebbb7e36b8b4c",
     "safe-recharge-dfa.json": "0884bba0995baaa3303166659f40052a63a2a2c2148e6456919d3a4719611762",
     "reach-recharge-dfa.json": "b42115e22f153bcfb45c9c8c933c9ef0c5940a16ea1b80f19112e56d8fab844c",
     "train-arrival-nfa.json": "e1d3dee182797265dc04d08857d9b197db6314cfaef25ebe5a90905328ae059d",

@@ -32,6 +32,7 @@ from qtrace.models import (
     Dfa,
     LabeledMc,
     MarkovRewardModel,
+    ModelError,
     NonTerminatingMc,
     RewardMachine,
     WeightedMealy,
@@ -301,6 +302,36 @@ def test_query_cond(robot, monitor):
     assert oracle.cond_prob(robot, nothing, cond, 4) == 0
     assert oracle.cond_prob(robot, monitor, nothing, 4) is None
     assert oracle.cond_prob(robot, monitor, cond, 0) is None
+
+
+def test_cond_prob_is_the_ratio_of_run_from_start_masses():
+    # the Fraction semantics with every word run through both automata
+    # from their start, independent of the product and of the lookups
+    undefined = 0
+    for i in range(60):
+        rng = random.Random(f"cond-prob:{i}")
+        c, d, condition = random_mc(rng), random_dfa(rng), random_dfa(rng)
+        levels = fraction_direct.mc_semantics_levels(c, 6)
+        for depth, level in enumerate(levels):
+            given = both = F(0)
+            for w, p in level[c.initial].items():
+                if fraction_direct.dfa_accepts(condition, condition.initial, w):
+                    given += p
+                    if fraction_direct.dfa_accepts(d, d.initial, w):
+                        both += p
+            expected = both / given if given else None
+            undefined += expected is None
+            assert oracle.cond_prob(c, d, condition, depth) == expected, (i, depth)
+    assert 60 <= undefined < 60 * 7  # depth 0 is always undefined
+
+
+def test_cond_prob_refuses_state_names_that_collide_when_joined(robot):
+    # ("s|t", "u") and ("s", "t|u") both join to "s|t|u"
+    def stay(*states):
+        return Dfa(states, robot.alphabet, {y: {a: (y, True) for a in robot.alphabet} for y in states}, states[0])
+
+    with pytest.raises(ModelError, match="collide when joined"):
+        oracle.cond_prob(robot, stay("s|t", "s"), stay("u", "t|u"), 4)
 
 
 def test_query_reward(robot, monitor):
