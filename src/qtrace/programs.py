@@ -726,6 +726,7 @@ def compile_probabilistic(
             raise CompileError(f"label {sym!r} not in the declared alphabet")
 
     den, body = _weights(program.body, space)
+    masses: dict[int, Fraction] = {}  # one Fraction per distinct branch weight
 
     def successors(vals: tuple):
         return list(_run_block(body, vals).items())
@@ -741,7 +742,11 @@ def compile_probabilistic(
                     )
                 row_key = TARGET
             out[row_key] = out.get(row_key, 0) + w
-        return space.label(vals), {t: Fraction(w, den) for t, w in out.items()}
+        for t, w in out.items():
+            if w not in masses:
+                masses[w] = Fraction(w, den)
+            out[t] = masses[w]
+        return space.label(vals), out
 
     rows, reachable, warnings = _unroll(space, successors, row, restrict_reachable)
     cls = LabeledMc if mode == "terminating" else NonTerminatingMc

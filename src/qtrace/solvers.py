@@ -1,35 +1,37 @@
 """Evaluate product machines: exact linear solving, Dijkstra, and k-step iterates.
 
 The value of a product state is the least solution of a one-step update
-equation.  Each value domain states that update once, as a kernel applied
-to one row form: a product is read once into per-state rows (successor
-entries without the sinks, plus the kernel's other arguments), and the
-update applies the kernel at every row.  Probabilistic products are solved
-exactly on those rows: states that cannot reach the accepting sink are
-pinned to the bottom value first (this is what selects the *least*
-solution), the remainder is a nonsingular linear system solved one
-strongly connected component at a time, in reverse topological order: a
-single state by back substitution, a cyclic component by sparse
-elimination on integer rows.  The rewards of a reward product solve the
-same matrix for a second right-hand side, so one elimination of each
-component serves both.  The arithmetic runs on plain integers, and
-each value becomes a ``Fraction`` once, when it is known.  Weighted
-products are solved by one Dijkstra pass from the accepting sink over the
-reversed product graph, which nonnegative weights make exact.  Each exact
-answer is certified before it is returned: a probabilistic answer must be
-given back by the update itself and be 0 on every state with no path to a
-goal mass, and least costs are certified by one pass over the
-product rows that also collects the tight edges proving the costs
-attained.  A failed check raises ``SolverError`` (never an ``assert``, so
-the check also runs under ``python -O``).  Every product class names its
-value domain (``DOMAIN``), and one solve path serves all of them:
-``iterate`` (the k-th iterate of the update) is shared, and every other
-mode, ``epsilon`` included, returns the domain's exact answer.  The
-iterates are computed on integers (:func:`integer_iterates`): the k-th
-holds numerators over the k-th power of the lcm of the row denominators,
-level by level, and ``iterate`` mode turns the last one into
-``Fraction`` values once; ``lawcheck`` compares the numerators with the
-oracle's as they are.
+equation; each value domain states it once, as a kernel
+(``reach_value_step``, ``reward_value_step``, ``min_cost_step``) that the
+diagram checks of ``lawcheck`` exercise.  A probabilistic product is read
+once into integer rows: per pair state, the row denominator D, the goal
+numerator, the step reward, and (successor, numerator) entries.  Those
+rows serve the whole exact path.  One backward search over their positive
+numerators finds the states with a path to goal mass; every other state is
+pinned to the bottom value (this is what selects the *least* solution), and
+the remainder is a nonsingular linear system solved one strongly connected
+component at a time, in reverse topological order: a single state by back
+substitution, a cyclic component by sparse elimination.  The rewards of a
+reward product solve the same matrix for a second right-hand side, so one
+elimination of each component serves both.  The arithmetic runs on plain
+integers, and each value becomes a ``Fraction`` once, when it is known.
+Weighted products are solved by one Dijkstra pass from the accepting sink
+over the reversed product graph, which nonnegative weights make exact.
+Each exact answer is certified before it is returned: a probabilistic
+answer, written over the lcm L of its denominators, must satisfy one
+integer equation per row, D N_s = g L + sum n N_t (and for the rewards
+D R_s = r D N_s + sum n R_t), and be 0 outside the searched set; least
+costs are certified by one pass over the product rows that also collects
+the tight edges proving the costs attained.  A failed check raises
+``SolverError`` (never an ``assert``, so the check also runs under
+``python -O``).  Every product class names its value domain
+(``DOMAIN``), and one solve path serves all of them: ``iterate`` (the k-th
+iterate of the update) is shared, and every other mode, ``epsilon``
+included, returns the domain's exact answer.  The iterates are computed on
+the same integer rows scaled to one D (:func:`integer_iterates`): the k-th
+holds numerators over D**k, level by level, and ``iterate`` mode turns
+the last one into ``Fraction`` values once; ``lawcheck`` compares the
+numerators with the oracle's as they are.
 """
 
 from __future__ import annotations
@@ -129,29 +131,34 @@ def min_cost_step(successors, accept_weights):
 
 
 # ---------------------------------------------------------------------------
-# product rows and the update
+# product rows and the iterates
 
-def _rows(m, domain: str) -> list:
-    """The product read once: per pair state, (state, its successor entries
-    with the sinks dropped, the rest of the domain's one-step kernel
-    arguments).  Those are the goal mass, and for reward products the step
-    reward; for weighted products, the weights of the goal edges."""
+def _prob_rows(m) -> list:
+    """A probabilistic product read once into integer rows: per pair state,
+    (state, D, goal numerator, step reward or None, successor entries), D
+    the lcm of the denominators of the goal and successor masses, each mass
+    a numerator over D, the entries (successor, numerator) pairs without the
+    sinks and the zero masses.  D, and the row read so far, grow only when
+    a mass's denominator does not divide D."""
     goal, sinks = m.GOAL, m.SINKS
+    reward = m.stepreward if m.DOMAIN == PROB_REWARD else None
     rows = []
     for s in pair_states(m):
         row = m.trans[s]
-        if domain == TROPICAL:  # the entries are the product's own tuples
-            rows.append((s, [e for e in row if e[0] not in sinks], ([w for t, w in row if t == goal],)))
-        else:
-            args = (row.get(goal, ZERO),) if domain == PROB else (row.get(goal, ZERO), m.stepreward[s])
-            rows.append((s, [e for e in row.items() if e[0] not in sinks], args))
+        g, den = row.get(goal, ZERO).as_integer_ratio()
+        succ = []
+        for t, p in row.items():
+            if t not in sinks:
+                n, d = p.as_integer_ratio()
+                if n:
+                    if den % d:
+                        k = d // gcd(den, d)
+                        den, g = den * k, g * k
+                        if succ:
+                            succ = [(u, x * k) for u, x in succ]
+                    succ.append((t, n * (den // d)))
+        rows.append((s, den, g, None if reward is None else reward[s], succ))
     return rows
-
-
-def _update(step, rows: list, values: dict) -> dict:
-    """The one-step update: ``step(successor values, *kernel arguments)``
-    at every state of ``rows``, one call per state."""
-    return {s: step(((values[t], x) for t, x in succ), *args) for s, succ, args in rows}
 
 
 def integer_iterates(m) -> tuple[int, Iterator[dict]]:
@@ -167,21 +174,11 @@ def integer_iterates(m) -> tuple[int, Iterator[dict]]:
     weighted product's levels hold the costs themselves, and D is 1.
     ``domains._value_over(domain, n, D**k)`` gives a value back.
     """
-    domain = _domain(m)
-    rows = _rows(m, domain)
-    if domain == TROPICAL:
-        return 1, _cost_levels(rows)
-    den = 1
-    for _, succ, args in rows:
-        den = lcm(den, args[0].denominator, *(p.denominator for _, p in succ))
-
-    def times_den(p: Fraction) -> int:
-        return p.numerator * (den // p.denominator)
-
-    scaled = []
-    for s, succ, args in rows:
-        reward = args[1] if domain == PROB_REWARD else None
-        scaled.append((s, times_den(args[0]), reward, [(t, times_den(p)) for t, p in succ]))
+    if _domain(m) == TROPICAL:
+        return 1, _cost_levels(m)
+    rows = _prob_rows(m)
+    den = lcm(*(d for _, d, _, _, _ in rows))
+    scaled = [(s, g * (den // d), r, [(t, n * (den // d)) for t, n in succ]) for s, d, g, r, succ in rows]
     return den, _numerator_levels(scaled, den)
 
 
@@ -209,12 +206,16 @@ def _numerator_levels(rows: list, den: int) -> Iterator[dict]:
         scale *= den
 
 
-def _cost_levels(rows: list) -> Iterator[dict]:
-    """Levels of :func:`integer_iterates` for a weighted product."""
+def _cost_levels(m: ProductWts) -> Iterator[dict]:
+    """Levels of :func:`integer_iterates` for a weighted product:
+    :func:`min_cost_step` at every pair state."""
+    goal, sinks = m.GOAL, m.SINKS
+    rows = [(s, [e for e in m.trans[s] if e[0] not in sinks], [w for t, w in m.trans[s] if t == goal])
+            for s in pair_states(m)]
     level = {s: INF for s, _, _ in rows}
     while True:
         yield level
-        level = _update(min_cost_step, rows, level)
+        level = {s: min_cost_step(((level[t], w) for t, w in succ), accepts) for s, succ, accepts in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -311,27 +312,25 @@ def _back_substitute(order: list, mat: dict, b: dict, shared: int, value: list) 
     return num, shared
 
 
-def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], value: list,
-               rewards: list | None = None, earned: list | None = None) -> None:
+def _eliminate(component: list[int], succ: list[dict], rows: list, value: list, earned: list | None = None) -> None:
     """Solve one cyclic component into ``value``, given the values of every
-    state it leaves to, and given step rewards ``rewards``, its rewards
-    into ``earned`` as well.
+    state it leaves to, and given ``earned``, its rewards into it as well.
 
     This is state elimination (Daws, ICTAC 2004) written as Gaussian
-    elimination.  Each row of (I - coeff) restricted to the component, with
-    the known outside values moved to its right-hand side, is scaled by the
-    lcm of its denominators to integers and kept free of a common factor.
-    Forward elimination takes diagonal pivots in greedy Markowitz order
-    (least (row count - 1) * (column count - 1) first, from a heap of
-    lazily refreshed scores), and ``_back_substitute`` solves the upper
-    rows it leaves.  Every probability's denominator divides the
+    elimination.  Each integer row (``rows[i]`` with the entries
+    ``succ[i]``), restricted to the component with the known outside values
+    moved to its right-hand side, is multiplied by the denominator of that
+    right-hand side and kept free of a common factor.  Forward elimination
+    takes diagonal pivots in greedy Markowitz order (least (row count - 1)
+    * (column count - 1) first, from a heap of lazily refreshed scores), and
+    ``_back_substitute`` solves the upper rows it leaves.  Every probability's denominator divides the
     determinant of the component's integer matrix.
 
     The reward system has the same matrix, so one forward elimination
     serves both: its row operations are logged, and once the
     probabilities are known they are replayed on the reward right-hand
-    side (the step reward times the probability, plus the rewards earned
-    by leaving the component), which is then solved through the same
+    side (the step reward times D times the probability, plus the rewards
+    earned by leaving the component), which is then solved through the same
     upper rows.  The content a row was divided by was chosen with its
     probability entry and need not divide its reward entry, so each
     replayed entry is an integer numerator over the right-hand side's
@@ -345,16 +344,15 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
     b: dict[int, int] = {}
     cols: dict[int, set[int]] = {k: set() for k in component}
     first: dict[int, tuple[int, int]] = {}  # with rewards, per row: (scale, content) of its set-up
-    log = None if rewards is None else []  # with rewards: (row, pivot row, up, down, content) per update
+    log = None if earned is None else []  # with rewards: (row, pivot row, up, down, content) per update
     for i in component:
-        acc = reach_value_step(((value[j], p) for j, p in rows[i].items() if j not in inside), rhs[i])
-        coeffs = [(j, p) for j, p in rows[i].items() if j in inside]
-        scale = lcm(acc.denominator, *(p.denominator for _, p in coeffs))
-        row = {i: scale}
-        for j, p in coeffs:
-            row[j] = row.get(j, 0) - p.numerator * (scale // p.denominator)
+        top, scale = _dot(rows[i][2], 1, ((n, value[j]) for j, n in succ[i].items() if j not in inside))
+        row = {i: rows[i][1] * scale}
+        for j, n in succ[i].items():
+            if j in inside:
+                row[j] = row.get(j, 0) - n * scale
         mat[i] = {j: a for j, a in row.items() if a}
-        b[i], content = _divide_content(mat[i], acc.numerator * (scale // acc.denominator))
+        b[i], content = _divide_content(mat[i], top)
         if log is not None:
             first[i] = scale, content
         for j in mat[i]:
@@ -408,21 +406,22 @@ def _eliminate(component: list[int], rows: list[dict], rhs: list[Fraction], valu
         return
 
     # the reward right-hand side, numerators over ``common`` times ``den``:
-    # the step reward times the probability num / shared, plus the rewards
-    # earned by leaving the component
+    # the step reward times D times the probability num / shared, plus the
+    # rewards earned by leaving the component
     gains = {}
     for i in component:
-        leave = [(earned[j], p) for j, p in rows[i].items() if j not in inside]
+        leave = [(n, earned[j]) for j, n in succ[i].items() if j not in inside]
         if leave:
-            gains[i] = reach_value_step(leave, ZERO)
-    common = lcm(shared, *(g.denominator for g in gains.values()))
+            gains[i] = _reduced(*_dot(0, 1, leave))
+    common = lcm(shared, *(d for _, d in gains.values()))
     lift = common // shared
     top: dict[int, int] = {}
     den: dict[int, int] = {}
     for i, (scale, content) in first.items():
-        t = rewards[i] * num[i] * lift
+        t = rows[i][3] * rows[i][1] * num[i] * lift
         if i in gains:
-            t += gains[i].numerator * (common // gains[i].denominator)
+            gain, d = gains[i]
+            t += gain * (common // d)
         top[i], den[i] = _reduced(t * scale, content)
     for i, k, up, down, content in log:
         d_i, d_k = den[i], den[k]
@@ -439,55 +438,58 @@ def _reduced(top: int, den: int) -> tuple[int, int]:
     return top // g, den // g
 
 
-def _solve_linear(unknowns: list[str], coeff: dict[str, dict[str, Fraction]], rhs: dict[str, Fraction],
-                  reward: dict[str, int] | None = None):
-    """Solve (I - coeff) v = rhs exactly, one strongly connected component
-    at a time.  Given step rewards ``reward``, also solve
-    (I - coeff) r = reward * v on the same factorization, and return
-    ``(v, r)``.
+def _dot(num: int, den: int, terms) -> tuple[int, int]:
+    """``num / den`` plus n * v for every (n, v) in ``terms``, n an integer
+    and v a ``Fraction``: a numerator over the lcm of the denominators, one
+    gcd per nonzero term, not reduced."""
+    for n, v in terms:
+        top = v.numerator
+        if top:
+            d = v.denominator
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * top * (den // g), den * (d // g)
+    return num, den
+
+
+def _solve_linear(rows: list, rewards: bool = False):
+    """Solve the integer rows ``rows`` of :func:`_prob_rows` for the
+    values v with D v_s = g + sum n v_t, one strongly connected component
+    at a time.  With ``rewards``, also solve
+    D r_s = (step reward) D v_s + sum n r_t on the same factorization, and
+    return ``(v, r)``.
 
     The states are numbered, split into components, and the components
     solved so that every value a component reads from outside it is
-    already known.  A single state is back substitution, divided by
-    1 - p when it has a self-loop of probability p, for both values in
-    the same visit; a larger component is eliminated once by
-    ``_eliminate``.  Diagonal pivots suffice because on states that all
-    reach the goal I - coeff is a nonsingular M-matrix, and so is every
-    matrix elimination leaves; a zero pivot therefore means the
-    zero-pinning failed.  Entries of ``coeff`` that name no unknown are
+    already known.  A single state is back substitution on its integer
+    row, divided by D - n when it has a self-loop of numerator n, for both
+    values in the same visit, one ``Fraction`` each; a larger component is
+    eliminated once by ``_eliminate``.  Diagonal pivots suffice because on
+    states that all reach the goal the system's matrix is a nonsingular
+    M-matrix, and so is every matrix elimination leaves; a zero pivot therefore means the
+    zero-pinning failed.  Entries that name a state without a row are
     ignored: those states are pinned to 0.
     """
-    index = {s: i for i, s in enumerate(unknowns)}
-    rows = [{index[t]: p for t, p in coeff[s].items() if t in index} for s in unknowns]
-    b = [rhs[s] for s in unknowns]
-    value: list = [None] * len(unknowns)
-    rewards = earned = None
-    if reward is not None:
-        rewards = [reward[s] for s in unknowns]
-        earned = [None] * len(unknowns)
-    for component in _components(rows):
+    index = {row[0]: i for i, row in enumerate(rows)}
+    succ = [{index[t]: n for t, n in row[4] if t in index} for row in rows]
+    value: list = [None] * len(rows)
+    earned = [None] * len(rows) if rewards else None
+    for component in _components(succ):
         if len(component) > 1:
-            _eliminate(component, rows, b, value, rewards, earned)
+            _eliminate(component, succ, rows, value, earned)
             continue
         (i,) = component
-        loop = rows[i].get(i)
-        if loop == 1:
+        _, den, g, r, _ = rows[i]
+        entries = succ[i]
+        rest = den - entries.get(i, 0)  # D less the self-loop
+        if rest == 0:
             raise SolverError("reduced system is singular; zero-pinning failed")
-        acc = reach_value_step(((value[j], p) for j, p in rows[i].items() if j != i), b[i])
-        value[i] = _over_one_minus(acc, loop)
-        if rewards is not None:
-            acc = reach_value_step(((earned[j], p) for j, p in rows[i].items() if j != i), rewards[i] * value[i])
-            earned[i] = _over_one_minus(acc, loop)
+        top, d = _dot(g, 1, ((n, value[j]) for j, n in entries.items() if j != i))
+        p = value[i] = Fraction(top, d * rest)
+        if rewards:
+            top, d = _dot(r * den * p.numerator, p.denominator, ((n, earned[j]) for j, n in entries.items() if j != i))
+            earned[i] = Fraction(top, d * rest)
     values = {s: value[i] for s, i in index.items()}
-    return values if reward is None else (values, {s: earned[i] for s, i in index.items()})
-
-
-def _over_one_minus(acc: Fraction, loop: Fraction | None) -> Fraction:
-    """``acc / (1 - loop)`` in integers; ``acc`` when there is no loop."""
-    if loop is None:
-        return acc
-    d = loop.denominator
-    return Fraction(acc.numerator * d, acc.denominator * (d - loop.numerator))
+    return (values, {s: earned[i] for s, i in index.items()}) if rewards else values
 
 
 def _reaching(targets, edges) -> set:
@@ -509,41 +511,63 @@ def _reaching(targets, edges) -> set:
 def _exact_prob(m, domain: str) -> SolveReport:
     """The least solution of a probabilistic product, certified.
 
-    States with no path to a goal mass are pinned to 0, which selects the
-    least solution; the rest form a nonsingular system.  For reward
-    products one factorization of it serves both the probabilities and
-    the rewards against them, over the same pinned set, so rewards stay
-    finite.  The certificate is the update itself, which applied to the
-    answer must give the answer back, and a search of its own for the
-    states with a path to a goal mass: the answer must be 0 on all others,
-    which makes it the least fixed point."""
-    step = _SOLVERS[domain][0]
-    rows = _rows(m, domain)
-    goals = [s for s, _, args in rows if args[0]]
-    live = _reaching(goals, ((s, t) for s, succ, _ in rows for t, _ in succ))
-    system = [(s, {t: p for t, p in succ if t in live}, args) for s, succ, args in rows if s in live]
-    unknowns = [s for s, _, _ in system]
-    coeff = {s: row for s, row, _ in system}
-    rhs = {s: args[0] for s, _, args in system}
+    The product is read once into integer rows, and one backward search
+    over their positive numerators finds the live states, those with a
+    path of positive masses to a positive goal mass.  Every other state is
+    pinned to 0, which selects the least solution, and the live rows form
+    a nonsingular system for :func:`_solve_linear`.  For reward products
+    one factorization of it serves both the probabilities and the rewards
+    against them, over the same pinned set, so rewards stay finite.  The
+    same rows and live set then certify the answer (:func:`_certify`)."""
+    rows = _prob_rows(m)
+    live = _reaching([s for s, _, g, _, _ in rows if g > 0],
+                     ((s, t) for s, _, _, _, succ in rows for t, n in succ if n > 0))
+    solved = _solve_linear([row for row in rows if row[0] in live], domain == PROB_REWARD)
     values = dict.fromkeys(pair_states(m), ZERO)
-    if domain == PROB_REWARD:
-        prob, reward = _solve_linear(unknowns, coeff, rhs, {s: args[1] for s, _, args in system})
-        values.update(prob)
-        values = {s: (p, reward.get(s, ZERO)) for s, p in values.items()}
-    else:
-        values.update(_solve_linear(unknowns, coeff, rhs))
-    if _update(step, rows, values) != values:
+    size = len(values)
+    values.update(solved if domain == PROB else solved[0])
+    if len(values) != size:  # a state the product does not have
         raise SolverError("exact solution does not satisfy the update equation")
-    # leastness, from the rows alone: on the states with a path to goal
-    # mass the update has one fixed point, so the one that is 0 on every
-    # other state is the least
-    reach = _reaching(goals, ((s, t) for s, succ, _ in rows for t, p in succ if p))
-    bottom = (ZERO, ZERO) if domain == PROB_REWARD else ZERO
-    if any(values[s] != bottom for s in values.keys() - reach):
-        raise SolverError("exact solution is not zero where no goal mass is reachable")
+    earned = None if domain == PROB else {s: solved[1].get(s, ZERO) for s in values}
+    _certify(rows, live, values, earned)
+    if earned is not None:
+        values = {s: (p, earned[s]) for s, p in values.items()}
     return SolveReport(
         values=values, method="exact-linear", iterations=0, converged=True, domain=domain
     )
+
+
+def _certify(rows: list, live: set, prob: dict, earned: dict | None) -> None:
+    """Raise ``SolverError`` unless ``prob``, with the rewards ``earned`` of
+    a reward product, is the least fixed point of the update on ``rows``.
+
+    Every value is written as an integer numerator over L, the lcm of all
+    their denominators, and each row becomes one integer equation,
+    D N_s = g L + sum n N_t, plus D R_s = r (D N_s) + sum n R_t for the
+    rewards: the update gives the answer back exactly when every equation
+    holds.  On the ``live`` states the update has one fixed point, so the
+    one that is 0 on every other state is the least."""
+    vectors = (prob, earned or {})
+    scale = 1
+    for vector in vectors:
+        for v in vector.values():
+            if scale % v.denominator:
+                scale = lcm(scale, v.denominator)
+    num, rnum = ({s: v.numerator * (scale // v.denominator) for s, v in vector.items()} for vector in vectors)
+    for s, den, g, r, succ in rows:
+        n = g * scale
+        for t, p in succ:
+            n += p * num[t]
+        if den * num[s] != n:
+            raise SolverError("exact solution does not satisfy the update equation")
+        if earned is not None:
+            n *= r
+            for t, p in succ:
+                n += p * rnum[t]
+            if den * rnum[s] != n:
+                raise SolverError("exact solution does not satisfy the update equation")
+    if any(num[s] or rnum.get(s) for s in num.keys() - live):
+        raise SolverError("exact solution is not zero where no goal mass is reachable")
 
 
 def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
@@ -616,12 +640,12 @@ def _check_least_costs(m: ProductWts, values: dict) -> None:
         raise SolverError("least costs are not attained by a path to the goal")
 
 
-#: Per value domain: the one-step kernel, the exact solve
-#: (product, domain) -> SolveReport, and the modes that ask for it.
+#: Per value domain: the exact solve (product, domain) -> SolveReport, and
+#: the modes that ask for it.
 _SOLVERS = {
-    PROB: (reach_value_step, _exact_prob, ("exact",)),
-    PROB_REWARD: (reward_value_step, _exact_prob, ("exact",)),
-    TROPICAL: (min_cost_step, _dijkstra, ("bellman", "exact")),
+    PROB: (_exact_prob, ("exact",)),
+    PROB_REWARD: (_exact_prob, ("exact",)),
+    TROPICAL: (_dijkstra, ("bellman", "exact")),
 }
 
 
@@ -638,7 +662,7 @@ def _solve(m, domain: str, mode: str, steps=None, epsilon=None) -> SolveReport:
     held = _domain(m)
     if held != domain:
         raise TypeError(f"{type(m).__name__} holds {held} values, not {domain}")
-    _, exact, exact_modes = _SOLVERS[domain]
+    exact, exact_modes = _SOLVERS[domain]
     if mode == "iterate":
         if steps is None:
             raise ValueError("iterate mode needs steps")

@@ -1,14 +1,16 @@
 """The sparse exact solver against the dense reference it replaced.
 
-``solvers._solve_linear`` must return the very same dict as the dense
-Bareiss solver kept in ``dense_solver.py``: same keys, same order, same
-exact fractions.  It is checked on seeded random systems with several
-strongly connected components, self-loops and acyclic tails, and on every
-system that solving real products asks it for.
+``solvers._solve_linear`` takes integer rows and must return the very same
+dict as the dense Bareiss solver kept in ``dense_solver.py`` on the same
+system in ``Fraction`` form: same keys, same order, same exact fractions.
+It is checked on seeded random systems with several strongly connected
+components, self-loops and acyclic tails, and on every system that
+solving real products asks it for.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from dense_solver import _solve_linear as dense_solve_linear
@@ -24,15 +26,30 @@ F = Fraction
 SYMBOLS = ("recharge", "lake", "arid", "volcano")
 
 
-def _same(unknowns, coeff, rhs, reward=None):
-    """The sparse solve against the dense one; given step rewards, against
-    two dense solves, the second for ``reward * probability``."""
-    got = _solve_linear(unknowns, coeff, rhs, reward)
-    want = dense_solve_linear(unknowns, coeff, rhs)
-    if reward is not None:
-        want = (want, dense_solve_linear(unknowns, coeff, {s: reward[s] * want[s] for s in unknowns}))
+def _integer_rows(unknowns, coeff, rhs, reward=None) -> list:
+    """The system (I - coeff) v = rhs as the solver's integer rows: per
+    state, (state, D, rhs times D, step reward or None, successor masses
+    times D), D the lcm of the row's denominators."""
+    rows = []
+    for s in unknowns:
+        den = lcm(rhs[s].denominator, *(p.denominator for p in coeff[s].values()))
+        succ = [(t, int(p * den)) for t, p in coeff[s].items()]
+        rows.append((s, den, int(rhs[s] * den), None if reward is None else reward[s], succ))
+    return rows
+
+
+def _same(rows, rewards=False):
+    """The sparse solve of integer rows against the dense one on the same
+    system in ``Fraction`` form; with ``rewards``, against two dense
+    solves, the second for ``reward * probability``."""
+    got = _solve_linear(rows, rewards)
+    unknowns = [s for s, _, _, _, _ in rows]
+    coeff = {s: {t: F(n, den) for t, n in succ} for s, den, _, _, succ in rows}
+    want = dense_solve_linear(unknowns, coeff, {s: F(g, den) for s, den, g, _, _ in rows})
+    if rewards:
+        want = (want, dense_solve_linear(unknowns, coeff, {s: r * want[s] for s, _, _, r, _ in rows}))
     assert got == want
-    for g, w in zip(got, want) if reward is not None else [(got, want)]:
+    for g, w in zip(got, want) if rewards else [(got, want)]:
         assert list(g) == list(w)
     return got
 
@@ -89,8 +106,8 @@ def test_random_systems_match_the_dense_solver(seed):
     # vector on the same elimination
     rng = random.Random(seed)
     unknowns, coeff, rhs, sizes = _random_system(rng)
-    _same(unknowns, coeff, rhs)
-    _same(unknowns, coeff, rhs, {s: rng.choice((0, 0, 1, 2, 5, 9, 40)) for s in unknowns})
+    _same(_integer_rows(unknowns, coeff, rhs))
+    _same(_integer_rows(unknowns, coeff, rhs, {s: rng.choice((0, 0, 1, 2, 5, 9, 40)) for s in unknowns}), True)
     index = {s: i for i, s in enumerate(unknowns)}
     succ = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
     assert sorted(map(len, _components(succ))) == sorted(sizes)
@@ -117,7 +134,7 @@ def test_reward_solve_where_a_row_content_does_not_divide_the_reward(monkeypatch
         "d": {"a": F(1, 6), "b": F(1, 2)},
     }
     rhs = {"a": F(3, 4), "b": F(0), "c": F(0), "d": F(0)}
-    _same(list(coeff), coeff, rhs, {"a": 0, "b": 0, "c": 3, "d": 3})
+    _same(_integer_rows(list(coeff), coeff, rhs, {"a": 0, "b": 0, "c": 3, "d": 3}), True)
     assert max(denominators) == 5
 
 
@@ -188,13 +205,21 @@ def test_product_systems_match_the_dense_solver(product, rewards, monkeypatch):
     # and both vectors must match the dense solver
     calls = []
 
-    def compare(unknowns, coeff, rhs, reward=None):
-        calls.append((len(unknowns), reward is not None))
-        return _same(unknowns, coeff, rhs, reward)
+    def compare(rows, rewards=False):
+        calls.append((len(rows), rewards))
+        return _same(rows, rewards)
 
     monkeypatch.setattr(solvers, "_solve_linear", compare)
     solve_product(product)
     assert len(calls) == 1 and calls[0][0] > 1 and calls[0][1] == rewards
+
+
+def _patrol_reward_product():
+    """The 6x4 patrol, terminating at (0,0), with a reward per state, paired
+    mrm-dfa: one cyclic component."""
+    text = _patrol(6, 4, random.Random("patrol 6x4")).replace("while (true)", "while (x > 0 or y > 0)")
+    chain = compile_probabilistic(parse_program(text), "terminating").model
+    return product_mrm_dfa(_with_reward(chain), load_model("reach-recharge-dfa.json"))
 
 
 def test_reward_products_eliminate_each_cyclic_component_once(monkeypatch):
@@ -202,15 +227,13 @@ def test_reward_products_eliminate_each_cyclic_component_once(monkeypatch):
     # cyclic component is eliminated in one call, and the solve takes as
     # many row operations (each row's set-up, then one per row update) as
     # solving for the probabilities alone
-    text = _patrol(6, 4, random.Random("patrol 6x4")).replace("while (true)", "while (x > 0 or y > 0)")
-    chain = compile_probabilistic(parse_program(text), "terminating").model
-    prod = product_mrm_dfa(_with_reward(chain), load_model("reach-recharge-dfa.json"))
+    prod = _patrol_reward_product()
     systems, eliminated, row_operations = [], [], []
     solve_linear, eliminate, divide_content = solvers._solve_linear, solvers._eliminate, solvers._divide_content
 
-    def record_system(unknowns, coeff, rhs, reward=None):
-        systems.append((unknowns, coeff, rhs, reward))
-        return solve_linear(unknowns, coeff, rhs, reward)
+    def record_system(rows, rewards=False):
+        systems.append((rows, rewards))
+        return solve_linear(rows, rewards)
 
     def record_component(component, *args):
         eliminated.append(sorted(component))
@@ -224,15 +247,15 @@ def test_reward_products_eliminate_each_cyclic_component_once(monkeypatch):
     monkeypatch.setattr(solvers, "_eliminate", record_component)
     monkeypatch.setattr(solvers, "_divide_content", count)
     solve_product(prod)
-    ((unknowns, coeff, rhs, reward),) = systems
-    assert reward is not None
-    index = {s: i for i, s in enumerate(unknowns)}
-    succ = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
+    ((rows, rewards),) = systems
+    assert rewards
+    index = {row[0]: i for i, row in enumerate(rows)}
+    succ = [[index[t] for t, _ in row[4] if t in index] for row in rows]
     cyclic = [sorted(c) for c in _components(succ) if len(c) > 1]
     assert cyclic and eliminated == cyclic
     with_rewards = len(row_operations)
     row_operations.clear()
-    solve_linear(unknowns, coeff, rhs)
+    solve_linear(rows)
     assert len(row_operations) == with_rewards
 
 
@@ -251,19 +274,20 @@ def test_component_values_with_coprime_denominators():
     rhs = {s: want[s] - sum(p * want[t] for t in names) for s in names}
     rhs["s0"] -= p * F(1, 23)
     rhs["tail"] = F(1, 23)
-    got = _same(names + ["tail"], coeff, rhs)
+    got = _same(_integer_rows(names + ["tail"], coeff, rhs))
     assert got == {**want, "tail": F(1, 23)}
 
 
 def test_closed_cycle_is_singular():
     with pytest.raises(SolverError, match="singular"):
-        _solve_linear(["a", "b"], {"a": {"b": F(1)}, "b": {"a": F(1)}}, {"a": F(0), "b": F(0)})
+        _solve_linear(_integer_rows(["a", "b"], {"a": {"b": F(1)}, "b": {"a": F(1)}}, {"a": F(0), "b": F(0)}))
     with pytest.raises(SolverError, match="singular"):
-        _solve_linear(["a"], {"a": {"a": F(1)}}, {"a": F(1, 2)})
+        _solve_linear(_integer_rows(["a"], {"a": {"a": F(1)}}, {"a": F(1, 2)}))
     with pytest.raises(SolverError, match="singular"):
-        _solve_linear(["a", "b"], {"a": {"b": F(1)}, "b": {"a": F(1)}}, {"a": F(0), "b": F(0)}, {"a": 1, "b": 2})
+        _solve_linear(_integer_rows(["a", "b"], {"a": {"b": F(1)}, "b": {"a": F(1)}}, {"a": F(0), "b": F(0)},
+                                    {"a": 1, "b": 2}), True)
     with pytest.raises(SolverError, match="singular"):
-        _solve_linear(["a"], {"a": {"a": F(1)}}, {"a": F(1, 2)}, {"a": 1})
+        _solve_linear(_integer_rows(["a"], {"a": {"a": F(1)}}, {"a": F(1, 2)}, {"a": 1}), True)
 
 
 def test_long_acyclic_chain_solves_without_recursion():
@@ -271,7 +295,7 @@ def test_long_acyclic_chain_solves_without_recursion():
     names = [f"c{i}" for i in range(n)]
     coeff = {s: {t: F(1, 2)} for s, t in zip(names, names[1:])}
     coeff[names[-1]] = {}
-    values = _solve_linear(names, coeff, {s: F(1, 2) for s in names})
+    values = _solve_linear(_integer_rows(names, coeff, {s: F(1, 2) for s in names}))
     assert all(values[s] == 1 - F(1, 2 ** (n - i)) for i, s in enumerate(names))
 
 
@@ -282,4 +306,47 @@ def test_long_cycle_with_one_exit_solves_without_recursion():
     coeff[names[0]] = {names[1]: F(1, 2)}
     rhs = {s: F(0) for s in names}
     rhs[names[0]] = F(1, 2)
-    assert _solve_linear(names, coeff, rhs) == {s: F(1) for s in names}
+    assert _solve_linear(_integer_rows(names, coeff, rhs)) == {s: F(1) for s in names}
+
+
+def _on_a_cycle(rows) -> str:
+    """A state of the first cyclic component of the integer rows ``rows``."""
+    index = {row[0]: i for i, row in enumerate(rows)}
+    succ = [[index[t] for t, _ in row[4] if t in index] for row in rows]
+    return next(rows[i][0] for c in _components(succ) if len(c) > 1 for i in c)
+
+
+def test_a_value_moved_by_one_over_the_lcm_fails_the_certificate(monkeypatch):
+    # the certificate writes every value over L, the lcm of the answer's
+    # denominators; moving one value on the cyclic component of a patrol
+    # ntmc-dfa product by 1/L keeps L and changes one numerator by 1
+    chain = compile_probabilistic(parse_program(_patrol(6, 4, random.Random("patrol 6x4"))), "reactive").model
+    prod = product_ntmc_dfa(chain, load_model("safe-recharge-dfa.json"))
+    scale = lcm(*(v.denominator for v in solve_product(prod).values.values()))
+    solve_linear = solvers._solve_linear
+
+    def moved(rows, rewards=False):
+        got = solve_linear(rows, rewards)
+        got[_on_a_cycle(rows)] += F(1, scale)
+        return got
+
+    monkeypatch.setattr(solvers, "_solve_linear", moved)
+    with pytest.raises(SolverError, match="exact solution does not satisfy the update equation"):
+        solve_product(prod)
+
+
+def test_one_reward_moved_fails_the_certificate(monkeypatch):
+    # the probabilities stay right, and one reward on the cyclic component
+    # moves by 1/L, L the lcm of the denominators of both vectors
+    prod = _patrol_reward_product()
+    scale = lcm(*(v.denominator for pair in solve_product(prod).values.values() for v in pair))
+    solve_linear = solvers._solve_linear
+
+    def moved(rows, rewards=False):
+        prob, earned = solve_linear(rows, rewards)
+        earned[_on_a_cycle(rows)] += F(1, scale)
+        return prob, earned
+
+    monkeypatch.setattr(solvers, "_solve_linear", moved)
+    with pytest.raises(SolverError, match="exact solution does not satisfy the update equation"):
+        solve_product(prod)

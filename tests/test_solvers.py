@@ -33,6 +33,7 @@ from qtrace.products import (
     product_ntmc_dfa,
     product_wts_nfa,
     product_wts_wmm,
+    validate_product,
 )
 from qtrace.programs import compile_probabilistic, parse_program
 from qtrace.solvers import (
@@ -492,8 +493,8 @@ def test_wrong_linear_solution_raises_solver_error(monkeypatch, capsys):
     from qtrace.bundled import fixture_path
     from qtrace.cli import main
 
-    def wrong(unknowns, coeff, rhs):
-        return {s: F(1, 3) for s in unknowns}
+    def wrong(rows, rewards=False):
+        return {row[0]: F(1, 3) for row in rows}
 
     monkeypatch.setattr(solvers, "_solve_linear", wrong)
     robot = load_model("robot-mc.json")
@@ -569,20 +570,31 @@ def test_one_wrong_value_fails_the_certificate(build, wrong_vector, monkeypatch)
     changed = []
     solve_linear = solvers._solve_linear
 
-    def one_value_off(unknowns, coeff, rhs, reward=None):
-        got = solve_linear(unknowns, coeff, rhs, reward)
-        values = got if reward is None else got[wrong_vector]
+    def one_value_off(system, rewards=False):
+        got = solve_linear(system, rewards)
+        values = got[wrong_vector] if rewards else got
+        unknowns = [row[0] for row in system]
         index = {s: i for i, s in enumerate(unknowns)}
-        rows = [[index[t] for t in coeff[s] if t in index] for s in unknowns]
+        rows = [[index[t] for t, _ in row[4] if t in index] for row in system]
         on_cycle = [i for c in solvers._components(rows) for i in c if len(c) > 1 or i in rows[i]]
         values[unknowns[on_cycle[0]]] += F(1, 10**6)
-        changed.append(reward is not None)
+        changed.append(rewards)
         return got
 
     monkeypatch.setattr(solvers, "_solve_linear", one_value_off)
     with pytest.raises(SolverError, match="exact solution does not satisfy the update equation"):
         solve_product(prod)
     assert changed == [prod.DOMAIN == PROB_REWARD]
+
+
+def test_a_zero_mass_entry_is_not_a_path_to_the_goal():
+    # a's only positive mass is its self-loop, so no goal mass is reachable
+    # from it and it is pinned to 0; following the zero entry to b would
+    # leave it in the system as a = 1 * a, which is singular
+    trans = {"a": {"a": F(1), "b": F(0)}, "b": {ACCEPT: F(1)}}
+    prod = ProductMc(states=(*trans, ACCEPT, REJECT), trans=trans, initial="a")
+    assert validate_product(prod) == ["probability Fraction(0, 1) at product state 'a' not in (0, 1]"]
+    assert solve_reach_prob(prod).values == {"a": 0, "b": 1}
 
 
 @pytest.mark.parametrize(
@@ -603,9 +615,9 @@ def test_a_fixed_point_above_the_least_fails_the_certificate(rewards, wrong_vect
     least = solve_product(prod).values
     solve_linear = solvers._solve_linear
 
-    def above(unknowns, coeff, rhs, reward=None):
-        got = solve_linear(unknowns, coeff, rhs, reward)
-        ((got,) if reward is None else got)[wrong_vector].update(a=F(1), b=F(1))
+    def above(rows, rewards=False):
+        got = solve_linear(rows, rewards)
+        (got if rewards else (got,))[wrong_vector].update(a=F(1), b=F(1))
         return got
 
     monkeypatch.setattr(solvers, "_solve_linear", above)
@@ -621,13 +633,13 @@ def test_a_vector_over_other_states_fails_the_certificate(change, monkeypatch):
     # have, in every vector it returns
     solve_linear = solvers._solve_linear
 
-    def changed(unknowns, coeff, rhs, reward=None):
-        got = solve_linear(unknowns, coeff, rhs, reward)
-        for values in (got,) if reward is None else got:
+    def changed(rows, rewards=False):
+        got = solve_linear(rows, rewards)
+        for values in got if rewards else (got,):
             if change == "missing":
-                del values[unknowns[-1]]
+                del values[rows[-1][0]]
             else:
-                values["x|y"] = values[unknowns[0]]
+                values["x|y"] = values[rows[0][0]]
         return got
 
     monkeypatch.setattr(solvers, "_solve_linear", changed)
