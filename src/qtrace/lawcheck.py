@@ -14,7 +14,8 @@ Two families of checks are provided:
 * ``check_diagram`` -- the one-step commutation property behind that
   equality, tested on randomly sampled semantic values: folding the two
   sides first and then querying must coincide with pairing first and then
-  folding the product update.  The never-terminating pairing is excluded
+  folding the product update, the very update the solvers run (one per
+  value domain, in ``solvers``).  The never-terminating pairing is excluded
   (its property only holds on iterates, which step equality covers).
 
 Composite checks (``check_cost_bounded``, ``check_cost_induced``,
@@ -31,18 +32,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
+from math import lcm
 from typing import Callable
 
-from . import oracle
-from .domains import ONE, PROB, ZERO, _value_over, value_str
+from . import oracle, solvers
+from .domains import ONE, PROB, PROB_REWARD, ZERO, _value_over, value_str
 from .models import (
-    ACCEPT,
     Dfa,
     Fresh,
     LabeledMc,
     MarkovRewardModel,
     Nfa,
     NonTerminatingMc,
+    ProductWts,
     Record,
     RewardMachine,
     TARGET,
@@ -63,13 +65,7 @@ from .products import (
     wts_nfa_row,
     wts_wmm_row,
 )
-from .solvers import (
-    integer_iterates,
-    min_cost_step,
-    reach_value_step,
-    reward_value_step,
-    solve_reach_prob,
-)
+from .solvers import integer_iterates, solve_reach_prob
 
 PAIRINGS = tuple(PAIRING_TABLE)
 
@@ -258,18 +254,43 @@ def _rand_edge_row(rng: random.Random, alphabet, degenerate: bool, draw: Callabl
     return {a: [] if degenerate else [draw() for _ in range(rng.randint(0, 2))] for a in alphabet}
 
 
-def _min_cost_of_row(entries, query: Callable):
-    """Fold a weighted product row: accepting edges and queried successors."""
-    accepts = [m for tgt, m in entries if tgt == ACCEPT]
-    succ = [(query(tgt[0], tgt[1]), m) for tgt, m in entries if isinstance(tgt, tuple)]
-    return min_cost_step(succ, accepts)
+def _fold_prob_row(pairs: list, goal: Fraction, reward: int | None = None):
+    """Fold one probabilistic product row through the shipped update.
+
+    ``pairs`` lists (successor value, mass), a value being a pair
+    (probability, reward) when ``reward`` is given.  The row becomes one
+    integer row of ``solvers._prob_rows``, successor i at its mass's
+    numerator over the lcm D of the masses' denominators, the values
+    numerators over the lcm L of theirs, and ``solvers._prob_update``'s
+    result is read back over D L."""
+    scale, values = solvers._over_lcm(dict(enumerate(v for v, _ in pairs)), reward is not None)
+    den = lcm(goal.denominator, *(p.denominator for _, p in pairs))
+    succ = [(i, p.numerator * (den // p.denominator)) for i, (_, p) in enumerate(pairs)]
+    row = ("s", den, goal.numerator * (den // goal.denominator), reward, succ)
+    (n,) = solvers._prob_update([row], scale, values).values()
+    return _value_over(PROB if reward is None else PROB_REWARD, n, den * scale)
+
+
+def _fold_cost_row(entries, query: Callable):
+    """Fold one weighted product row through the shipped update: the row of
+    a one-state product whose successor pairs (x, y) are named by position,
+    each with its cost ``query(x, y)``."""
+    row, values = [], {}
+    for i, (tgt, m) in enumerate(entries):
+        if isinstance(tgt, tuple):
+            values[str(i)] = query(*tgt)
+            tgt = str(i)
+        row.append((tgt, m))
+    product = ProductWts(states=("s", *ProductWts.SINKS), trans={"s": tuple(row)}, initial="s")
+    return solvers._cost_update(product, ("s",), values)["s"]
 
 
 def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
     """Sampled one-step commutation check for a pairing's product rule.
 
     Each sample draws finite semantic values, folds them through the two
-    composite paths and compares the results exactly.  Degenerate samples
+    composite paths and compares the results exactly; the product path
+    ends in :func:`_fold_prob_row` or :func:`_fold_cost_row`.  Degenerate samples
     (pure halting mass, empty requirement rows) are always included.
     """
     if pairing == "ntmc-dfa":
@@ -296,8 +317,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
                 oracle.dfa_lang_step(row),
             )
             pairs, acc, rej = mc_dfa_row(entries, halt, symbol, row)
-            mapped = [(oracle.query_prob(nu, lang), p) for (nu, lang), p in pairs]
-            rhs = reach_value_step(mapped, acc)
+            rhs = _fold_prob_row([(oracle.query_prob(nu, lang), p) for (nu, lang), p in pairs], acc)
         elif pairing == "mrm-dfa":
             dists = [_rand_trace_reward_dist(rng, alphabet) for _ in range(3)]
             entries, halt = ([], ONE) if degenerate else _rand_value_dist(rng, dists)
@@ -309,8 +329,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
                 oracle.dfa_lang_step(row),
             )
             pairs, acc, rej, reward = mrm_dfa_row(entries, halt, step_reward, symbol, row)
-            mapped = [(oracle.query_reward(nu, lang), p) for (nu, lang), p in pairs]
-            rhs = reward_value_step(mapped, acc, reward)
+            rhs = _fold_prob_row([(oracle.query_reward(nu, lang), p) for (nu, lang), p in pairs], acc, reward)
         elif pairing == "wts-nfa":
             transitions = _rand_wts_transitions(rng, alphabet, degenerate)
             row = _rand_edge_row(
@@ -321,7 +340,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
                 oracle.wts_trace_step(transitions),
                 oracle.nfa_lang_step(row),
             )
-            rhs = _min_cost_of_row(wts_nfa_row(transitions, row.__getitem__), oracle.query_tropical)
+            rhs = _fold_cost_row(wts_nfa_row(transitions, row.__getitem__), oracle.query_tropical)
         else:  # wts-wmm
             transitions = _rand_wts_transitions(rng, alphabet, degenerate)
             row = _rand_edge_row(
@@ -332,7 +351,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
                 oracle.wts_trace_step(transitions),
                 oracle.wmm_trace_step(row),
             )
-            rhs = _min_cost_of_row(wts_wmm_row(transitions, row.__getitem__), oracle.query_wmm)
+            rhs = _fold_cost_row(wts_wmm_row(transitions, row.__getitem__), oracle.query_wmm)
 
         if lhs != rhs:
             return CheckResult(

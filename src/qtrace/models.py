@@ -295,8 +295,8 @@ def _check_distribution(
     not in ``allowed`` (with ``target`` set, ``TARGET`` is reported as not
     allowed rather than unknown), entries that are not a ``Fraction`` in
     (0, 1], and valid entries that do not sum to 1.  The sum is one
-    integer numerator over the lcm of the denominators, as in
-    ``solvers.reach_value_step``."""
+    integer numerator over the lcm of the denominators, one gcd per
+    entry."""
     num, den = 0, 1
     for succ, p in row.items():
         if succ not in allowed:

@@ -1,15 +1,17 @@
 """Evaluate product machines: exact linear solving, Dijkstra, and k-step iterates.
 
 The value of a product state is the least solution of a one-step update
-equation; each value domain states it once, as a kernel
-(``reach_value_step``, ``reward_value_step``, ``min_cost_step``) that the
-diagram checks of ``lawcheck`` exercise.  A probabilistic product is read
-once into integer rows: per pair state, the row denominator D, the goal
-numerator, the step reward, and (successor, numerator) entries.  Those
-rows serve the whole exact path.  One backward search over their positive
-numerators finds the states with a path to goal mass; every other state is
-pinned to the bottom value (this is what selects the *least* solution), and
-the remainder is a nonsingular linear system solved one strongly connected
+equation.  Each value domain has one one-step update:
+:func:`_prob_update` for the probabilistic products, on integer rows, and
+:func:`_cost_update` for the weighted ones, on the product's own rows.
+The certificates, the iterates and the diagram checks of ``lawcheck`` all
+run these two and no other copy.  A probabilistic product is read once into integer rows:
+per pair state, the row denominator D, the goal numerator, the step
+reward, and (successor, numerator) entries.  Those rows serve the whole
+exact path.  One backward search over their positive numerators finds the
+states with a path to goal mass; every other state is pinned to the
+bottom value (this is what selects the *least* solution), and the
+remainder is a nonsingular linear system solved one strongly connected
 component at a time, in reverse topological order: a single state by back
 substitution, a cyclic component by sparse elimination.  The rewards of a
 reward product solve the same matrix for a second right-hand side, so one
@@ -18,20 +20,22 @@ integers, and each value becomes a ``Fraction`` once, when it is known.
 Weighted products are solved by one Dijkstra pass from the accepting sink
 over the reversed product graph, which nonnegative weights make exact.
 Each exact answer is certified before it is returned: a probabilistic
-answer, written over the lcm L of its denominators, must satisfy one
-integer equation per row, D N_s = g L + sum n N_t (and for the rewards
-D R_s = r D N_s + sum n R_t), and be 0 outside the searched set; least
-costs are certified by one pass over the product rows that also collects
-the tight edges proving the costs attained.  A failed check raises
-``SolverError`` (never an ``assert``, so the check also runs under
-``python -O``).  Every product class names its value domain
-(``DOMAIN``), and one solve path serves all of them: ``iterate`` (the k-th
-iterate of the update) is shared, and every other mode, ``epsilon``
-included, returns the domain's exact answer.  The iterates are computed on
-the same integer rows scaled to one D (:func:`integer_iterates`): the k-th
-holds numerators over D**k, level by level, and ``iterate`` mode turns
-the last one into ``Fraction`` values once; ``lawcheck`` compares the
-numerators with the oracle's as they are.
+answer, written over the lcm L of its denominators, goes through the
+update once, which must give back D N_s = g L + sum n N_t per row (and for
+the rewards D R_s = r D N_s + sum n R_t), and it must be 0 outside the
+searched set; least costs go through the update once, in a pass that also
+collects the tight edges proving the costs attained.  A failed check
+raises ``SolverError`` (never an ``assert``, so the check also runs under
+``python -O``); a row that is missing, or names a state the product does
+not have, raises ``ModelError`` with the message of ``validate_product``.
+Every product class names its value domain (``DOMAIN``), and one solve
+path serves all of them: ``iterate`` (the k-th iterate of the update) is
+shared, and every other mode, ``epsilon`` included, returns the domain's
+exact answer.  The iterates are computed on the same integer rows scaled
+to one D (:func:`integer_iterates`): the k-th holds numerators over D**k,
+level by level, and ``iterate`` mode turns the last one into ``Fraction``
+values once; ``lawcheck`` compares the numerators with the oracle's as
+they are.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from math import gcd, lcm
 from typing import Iterator
 
 from .domains import INF, PROB, PROB_REWARD, TROPICAL, ZERO, _json_value, _value_over
-from .models import Record
+from .models import ModelError, Record
 from .products import ProductMc, ProductRewardMc, ProductWts, pair_states
 
 
@@ -73,65 +77,15 @@ class SolveReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# one-step value updates
+# the one-step updates, the product rows and the iterates
 
-def reach_value_step(successors, accept_mass: Fraction) -> Fraction:
-    """Acceptance probability after one step, given successor values.
+def _fault(s: str, *succ) -> ModelError:
+    """What ``validate_product`` reports for the row at pair state ``s``:
+    it has none, or it names ``succ``, which the product does not have."""
+    if succ:
+        return ModelError(f"unknown successor {succ[0]!r} at product state {s!r}")
+    return ModelError(f"no transition row at product state {s!r}")
 
-    The sum runs on an integer numerator over the lcm of the terms'
-    denominators, one gcd per term, and is reduced once, into the
-    ``Fraction`` it returns."""
-    num, den = accept_mass.numerator, accept_mass.denominator
-    for value, p in successors:
-        n = p.numerator * value.numerator
-        if n:
-            d = p.denominator * value.denominator
-            g = gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den * (d // g)
-    return Fraction(num, den)
-
-
-def reward_value_step(successors, accept_mass: Fraction, step_reward: int):
-    """Joint (probability, partial reward) update with a per-step reward.
-
-    Accepting, now or later, earns the step reward weighted by the
-    acceptance probability; continuing adds whatever the successor already
-    accumulated.  One pass keeps two sums as in :func:`reach_value_step`,
-    the probability and the successors' rewards, and each becomes a
-    ``Fraction`` at the end.
-    """
-    num, den = accept_mass.numerator, accept_mass.denominator
-    rnum, rden = 0, 1
-    for (p_val, r_val), p in successors:
-        pn, pd = p.numerator, p.denominator
-        n = pn * p_val.numerator
-        if n:
-            d = pd * p_val.denominator
-            g = gcd(den, d)
-            num, den = num * (d // g) + n * (den // g), den * (d // g)
-        n = pn * r_val.numerator
-        if n:
-            d = pd * r_val.denominator
-            g = gcd(rden, d)
-            rnum, rden = rnum * (d // g) + n * (rden // g), rden * (d // g)
-    return Fraction(num, den), Fraction(step_reward * num * rden + rnum * den, den * rden)
-
-
-def min_cost_step(successors, accept_weights):
-    """Cheapest way to accept in one more step: direct or via a successor."""
-    best = INF
-    for m in accept_weights:
-        if m < best:
-            best = m
-    for value, m in successors:
-        cand = value + m
-        if cand < best:
-            best = cand
-    return best
-
-
-# ---------------------------------------------------------------------------
-# product rows and the iterates
 
 def _prob_rows(m) -> list:
     """A probabilistic product read once into integer rows: per pair state,
@@ -139,16 +93,21 @@ def _prob_rows(m) -> list:
     the lcm of the denominators of the goal and successor masses, each mass
     a numerator over D, the entries (successor, numerator) pairs without the
     sinks and the zero masses.  D, and the row read so far, grow only when
-    a mass's denominator does not divide D."""
+    a mass's denominator does not divide D.  A missing row, or a successor
+    that is neither a pair state nor a sink, raises ``ModelError``."""
     goal, sinks = m.GOAL, m.SINKS
     reward = m.stepreward if m.DOMAIN == PROB_REWARD else None
+    states = pair_states(m)
+    known = set(states)
     rows = []
-    for s in pair_states(m):
-        row = m.trans[s]
+    for s in states:
+        row = m.trans.get(s)
+        if row is None:
+            raise _fault(s)
         g, den = row.get(goal, ZERO).as_integer_ratio()
         succ = []
         for t, p in row.items():
-            if t not in sinks:
+            if t in known:
                 n, d = p.as_integer_ratio()
                 if n:
                     if den % d:
@@ -157,8 +116,80 @@ def _prob_rows(m) -> list:
                         if succ:
                             succ = [(u, x * k) for u, x in succ]
                     succ.append((t, n * (den // d)))
+            elif t not in sinks:
+                raise _fault(s, t)
         rows.append((s, den, g, None if reward is None else reward[s], succ))
     return rows
+
+
+def _prob_update(rows: list, scale: int, values: dict) -> dict:
+    """The probabilistic update, one step on integer numerators.
+
+    ``rows`` are rows of :func:`_prob_rows` and ``values`` holds a
+    numerator per state, a pair of them (probability, reward) for a reward
+    row.  Per row with goal numerator g and entries (t, n) the result is
+    g * scale + sum n v_t, and for a reward row with step reward r the pair
+    of that and r * (that) + sum n e_t.  With values over L and ``scale``
+    equal to L, the result is the row's D times the updated value, over L."""
+    out = {}
+    for s, _, goal, r, succ in rows:
+        n = goal * scale
+        if r is None:
+            for t, p in succ:
+                n += p * values[t]
+            out[s] = n
+        else:
+            earned = 0
+            for t, p in succ:
+                q, e = values[t]
+                n += p * q
+                earned += p * e
+            out[s] = n, r * n + earned
+    return out
+
+
+def _over_lcm(values: dict, pairs: bool) -> tuple[int, dict]:
+    """L, the lcm of the denominators of ``values`` (each a pair of
+    ``Fraction``s with ``pairs``), and the values as numerators over L."""
+    scale = 1
+    for v in (v for pair in values.values() for v in pair) if pairs else values.values():
+        if scale % v.denominator:
+            scale = lcm(scale, v.denominator)
+    if pairs:
+        return scale, {s: (p.numerator * (scale // p.denominator), r.numerator * (scale // r.denominator))
+                       for s, (p, r) in values.items()}
+    return scale, {s: v.numerator * (scale // v.denominator) for s, v in values.items()}
+
+
+def _cost_update(m: ProductWts, states, values: dict, tight: list | None = None) -> dict:
+    """The min-cost update at each of ``states``, read from ``m.trans``:
+    the least over the row's edges of the weight, plus the target's cost in
+    ``values`` unless the target is the goal; edges into the other sinks
+    are skipped, so a row without other edges gives infinity.
+
+    With ``tight``, the same pass appends to it each edge (source, target)
+    whose weight plus target cost equals the source's own finite cost in
+    ``values``.  A missing row, or a successor without a cost in
+    ``values``, raises ``ModelError``."""
+    goal, sinks, trans = m.GOAL, m.SINKS, m.trans
+    out = {}
+    try:
+        for s in states:
+            c = INF if tight is None else values[s]
+            best = INF
+            for t, w in trans[s]:
+                if t != goal:
+                    if t in sinks:
+                        continue
+                    w += values[t]
+                if w < best:
+                    best = w
+                if w == c != INF:
+                    tight.append((s, t))
+            out[s] = best
+    except KeyError:  # a missing row, or a successor without a cost
+        raise (_fault(s, t) if s in trans else _fault(s)) from None
+    return out
 
 
 def integer_iterates(m) -> tuple[int, Iterator[dict]]:
@@ -167,55 +198,40 @@ def integer_iterates(m) -> tuple[int, Iterator[dict]]:
     Returns D, the lcm of the denominators in the product's rows, and the
     levels k = 0, 1, 2, ... one at a time, so no level is kept once the
     caller drops it.  Level k holds per pair state the numerator of the
-    k-th iterate over D**k.  With the row masses scaled by D to integers,
+    k-th iterate over D**k: :func:`_prob_update` on the rows scaled to one
+    D, with scale D**(k-1).  With the row masses scaled by D to integers,
     goal mass g and successor masses p, it is
     P_k = g D**(k-1) + sum p P_(k-1); for a reward product it is the pair
     (P_k, R_k) with R_k = r P_k + sum p R_(k-1), r the step reward.  A
-    weighted product's levels hold the costs themselves, and D is 1.
+    weighted product's levels hold the costs themselves, each the
+    :func:`_cost_update` of the last, and D is 1.
     ``domains._value_over(domain, n, D**k)`` gives a value back.
     """
     if _domain(m) == TROPICAL:
         return 1, _cost_levels(m)
     rows = _prob_rows(m)
     den = lcm(*(d for _, d, _, _, _ in rows))
-    scaled = [(s, g * (den // d), r, [(t, n * (den // d)) for t, n in succ]) for s, d, g, r, succ in rows]
+    scaled = [(s, den, g * (den // d), r, [(t, n * (den // d)) for t, n in succ]) for s, d, g, r, succ in rows]
     return den, _numerator_levels(scaled, den)
 
 
 def _numerator_levels(rows: list, den: int) -> Iterator[dict]:
-    """Levels of :func:`integer_iterates` from integer rows
-    (state, goal mass, step reward or None, successor masses)."""
-    level = {s: 0 if r is None else (0, 0) for s, _, r, _ in rows}
+    """Levels of :func:`integer_iterates` from rows that share D = ``den``."""
+    level = {s: 0 if r is None else (0, 0) for s, _, _, r, _ in rows}
     scale = 1  # D**(k-1) at level k
     while True:
         yield level
-        prev, level = level, {}
-        for s, goal, r, succ in rows:
-            n = goal * scale
-            if r is None:
-                for t, p in succ:
-                    n += p * prev[t]
-                level[s] = n
-            else:
-                earned = 0
-                for t, p in succ:
-                    q, e = prev[t]
-                    n += p * q
-                    earned += p * e
-                level[s] = n, r * n + earned
+        level = _prob_update(rows, scale, level)
         scale *= den
 
 
 def _cost_levels(m: ProductWts) -> Iterator[dict]:
-    """Levels of :func:`integer_iterates` for a weighted product:
-    :func:`min_cost_step` at every pair state."""
-    goal, sinks = m.GOAL, m.SINKS
-    rows = [(s, [e for e in m.trans[s] if e[0] not in sinks], [w for t, w in m.trans[s] if t == goal])
-            for s in pair_states(m)]
-    level = {s: INF for s, _, _ in rows}
+    """Levels of :func:`integer_iterates` for a weighted product."""
+    states = pair_states(m)
+    level = dict.fromkeys(states, INF)
     while True:
         yield level
-        level = {s: min_cost_step(((level[t], w) for t, w in succ), accepts) for s, succ, accepts in rows}
+        level = _cost_update(m, states, level)
 
 
 # ---------------------------------------------------------------------------
@@ -522,51 +538,41 @@ def _exact_prob(m, domain: str) -> SolveReport:
     rows = _prob_rows(m)
     live = _reaching([s for s, _, g, _, _ in rows if g > 0],
                      ((s, t) for s, _, _, _, succ in rows for t, n in succ if n > 0))
-    solved = _solve_linear([row for row in rows if row[0] in live], domain == PROB_REWARD)
+    pairs = domain == PROB_REWARD
+    solved = _solve_linear([row for row in rows if row[0] in live], pairs)
     values = dict.fromkeys(pair_states(m), ZERO)
     size = len(values)
-    values.update(solved if domain == PROB else solved[0])
+    values.update(solved[0] if pairs else solved)
     if len(values) != size:  # a state the product does not have
         raise SolverError("exact solution does not satisfy the update equation")
-    earned = None if domain == PROB else {s: solved[1].get(s, ZERO) for s in values}
-    _certify(rows, live, values, earned)
-    if earned is not None:
-        values = {s: (p, earned[s]) for s, p in values.items()}
+    if pairs:
+        values = {s: (p, solved[1].get(s, ZERO)) for s, p in values.items()}
+    _certify(rows, live, values, pairs)
     return SolveReport(
         values=values, method="exact-linear", iterations=0, converged=True, domain=domain
     )
 
 
-def _certify(rows: list, live: set, prob: dict, earned: dict | None) -> None:
-    """Raise ``SolverError`` unless ``prob``, with the rewards ``earned`` of
-    a reward product, is the least fixed point of the update on ``rows``.
+def _certify(rows: list, live: set, values: dict, pairs: bool) -> None:
+    """Raise ``SolverError`` unless ``values`` (pairs of probability and
+    reward with ``pairs``) are the least fixed point of the update on
+    ``rows``.
 
     Every value is written as an integer numerator over L, the lcm of all
-    their denominators, and each row becomes one integer equation,
-    D N_s = g L + sum n N_t, plus D R_s = r (D N_s) + sum n R_t for the
-    rewards: the update gives the answer back exactly when every equation
-    holds.  On the ``live`` states the update has one fixed point, so the
-    one that is 0 on every other state is the least."""
-    vectors = (prob, earned or {})
-    scale = 1
-    for vector in vectors:
-        for v in vector.values():
-            if scale % v.denominator:
-                scale = lcm(scale, v.denominator)
-    num, rnum = ({s: v.numerator * (scale // v.denominator) for s, v in vector.items()} for vector in vectors)
-    for s, den, g, r, succ in rows:
-        n = g * scale
-        for t, p in succ:
-            n += p * num[t]
-        if den * num[s] != n:
+    their denominators, and :func:`_prob_update` is applied once with scale
+    L: the update gives the answer back exactly when each row's result is
+    its D times the answer's numerators, D N_s = g L + sum n N_t, plus
+    D R_s = r (D N_s) + sum n R_t for the rewards.  On the ``live`` states
+    the update has one fixed point, so the one that is 0 on every other
+    state is the least."""
+    scale, num = _over_lcm(values, pairs)
+    stepped = _prob_update(rows, scale, num)
+    for s, den, _, _, _ in rows:
+        n = num[s]
+        if stepped[s] != ((den * n[0], den * n[1]) if pairs else den * n):
             raise SolverError("exact solution does not satisfy the update equation")
-        if earned is not None:
-            n *= r
-            for t, p in succ:
-                n += p * rnum[t]
-            if den * rnum[s] != n:
-                raise SolverError("exact solution does not satisfy the update equation")
-    if any(num[s] or rnum.get(s) for s in num.keys() - live):
+    bottom = (0, 0) if pairs else 0
+    if any(num[s] != bottom for s in num.keys() - live):
         raise SolverError("exact solution is not zero where no goal mass is reachable")
 
 
@@ -581,14 +587,17 @@ def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
     index = {s: i for i, s in enumerate(states)}
     preds: list[list[int]] = [[] for _ in states]  # per state: source, weight, source, ...
     cost: list = [INF] * len(states)
-    for i, s in enumerate(states):
-        for t, w in m.trans[s]:
-            if w < 0:
-                raise SolverError(f"negative weight {w} at product state {s!r}")
-            if t == m.GOAL:
-                cost[i] = min(cost[i], w)
-            elif t not in m.SINKS:
-                preds[index[t]] += i, w
+    try:
+        for i, s in enumerate(states):
+            for t, w in m.trans[s]:
+                if w < 0:
+                    raise SolverError(f"negative weight {w} at product state {s!r}")
+                if t == m.GOAL:
+                    cost[i] = min(cost[i], w)
+                elif t not in m.SINKS:
+                    preds[index[t]] += i, w
+    except KeyError:  # a missing row, or a successor that is not a pair state
+        raise (_fault(s, t) if s in m.trans else _fault(s)) from None
     heap = [(c, i) for i, c in enumerate(cost) if c != INF]
     heapify(heap)
     while heap:
@@ -613,29 +622,15 @@ def _check_least_costs(m: ProductWts, values: dict) -> None:
     A fixed point of the update bounds every cost from below by the weight
     of every path to the goal; a path of tight edges (weight plus successor
     cost equal to the cost) from each finite cost to the goal attains it.
-    One pass over the product rows tests the fixed point, as
-    :func:`min_cost_step` would, and collects the tight edges; ``values``
-    must hold exactly the pair states."""
+    One :func:`_cost_update` pass tests the fixed point and collects the
+    tight edges; ``values`` must hold exactly the pair states."""
     states = pair_states(m)
     if values.keys() != set(states):
         raise SolverError("least costs do not satisfy the update equation")
-    goal, sinks = m.GOAL, m.SINKS
     tight: list[tuple[str, str]] = []  # the tight edges, (source, target)
-    for s in states:
-        c = values[s]
-        best = INF
-        for t, w in m.trans[s]:
-            if t != goal:
-                if t in sinks:
-                    continue
-                w += values[t]
-            if w < best:
-                best = w
-            if w == c != INF:
-                tight.append((s, t))
-        if best != c:
-            raise SolverError("least costs do not satisfy the update equation")
-    reached = _reaching((goal,), tight)
+    if _cost_update(m, states, values, tight) != values:
+        raise SolverError("least costs do not satisfy the update equation")
+    reached = _reaching((m.GOAL,), tight)
     if any(values[s] != INF and s not in reached for s in states):
         raise SolverError("least costs are not attained by a path to the goal")
 

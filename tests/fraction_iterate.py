@@ -1,15 +1,76 @@
-"""The ``Fraction`` form of the product iterates that ``qtrace.solvers``
-replaced with integer numerators over a power of one denominator, kept as
-the reference the integer iterates are compared with.
+"""The ``Fraction`` form of the product iterates, kept as the independent
+reference that ``qtrace.solvers`` is compared with.
 
-A product is read once into ``Fraction`` rows, and the one-step update
-applies the domain's kernel at every row; iterating it from the bottom
-vector gives the k-th iterate.
+The package runs one update per value domain, on integer numerators over
+a power of one denominator for the probabilistic products.  Here each
+domain's one-step update is a ``Fraction`` kernel of its own
+(``reach_value_step``, ``reward_value_step``, ``min_cost_step``); a
+product is read once into ``Fraction`` rows, and the update applies the
+domain's kernel at every row; iterating it from the bottom vector gives
+the k-th iterate.
 """
 
-from qtrace.domains import PROB, PROB_REWARD, TROPICAL, ZERO, bottom_vector
+from fractions import Fraction
+from math import gcd
+
+from qtrace.domains import INF, PROB, PROB_REWARD, TROPICAL, ZERO, bottom_vector
 from qtrace.products import pair_states
-from qtrace.solvers import min_cost_step, reach_value_step, reward_value_step
+
+
+def reach_value_step(successors, accept_mass: Fraction) -> Fraction:
+    """Acceptance probability after one step, given successor values.
+
+    The sum runs on an integer numerator over the lcm of the terms'
+    denominators, one gcd per term, and is reduced once, into the
+    ``Fraction`` it returns."""
+    num, den = accept_mass.numerator, accept_mass.denominator
+    for value, p in successors:
+        n = p.numerator * value.numerator
+        if n:
+            d = p.denominator * value.denominator
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den * (d // g)
+    return Fraction(num, den)
+
+
+def reward_value_step(successors, accept_mass: Fraction, step_reward: int):
+    """Joint (probability, partial reward) update with a per-step reward.
+
+    Accepting, now or later, earns the step reward weighted by the
+    acceptance probability; continuing adds whatever the successor already
+    accumulated.  One pass keeps two sums as in :func:`reach_value_step`,
+    the probability and the successors' rewards, and each becomes a
+    ``Fraction`` at the end.
+    """
+    num, den = accept_mass.numerator, accept_mass.denominator
+    rnum, rden = 0, 1
+    for (p_val, r_val), p in successors:
+        pn, pd = p.numerator, p.denominator
+        n = pn * p_val.numerator
+        if n:
+            d = pd * p_val.denominator
+            g = gcd(den, d)
+            num, den = num * (d // g) + n * (den // g), den * (d // g)
+        n = pn * r_val.numerator
+        if n:
+            d = pd * r_val.denominator
+            g = gcd(rden, d)
+            rnum, rden = rnum * (d // g) + n * (rden // g), rden * (d // g)
+    return Fraction(num, den), Fraction(step_reward * num * rden + rnum * den, den * rden)
+
+
+def min_cost_step(successors, accept_weights):
+    """Cheapest way to accept in one more step: direct or via a successor."""
+    best = INF
+    for m in accept_weights:
+        if m < best:
+            best = m
+    for value, m in successors:
+        cand = value + m
+        if cand < best:
+            best = cand
+    return best
+
 
 #: The one-step kernel of each value domain.
 KERNELS = {PROB: reach_value_step, PROB_REWARD: reward_value_step, TROPICAL: min_cost_step}

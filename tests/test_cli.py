@@ -831,7 +831,8 @@ def test_lawcheck_verdicts_do_not_depend_on_assert(argv, expected):
 
 def test_infer_output_does_not_depend_on_assert(tmp_path, capsys):
     # the exact answers of a cyclic ntmc-dfa and a cyclic mrm-dfa product,
-    # with every assert stripped by python -O and without
+    # and the certified least costs of the travel wts-nfa product, with
+    # every assert stripped by python -O and without
     patrol = tmp_path / "patrol.json"
     assert run(capsys, "compile", fixture_path("patrol.qtp"), "--mode", "reactive", "-o", str(patrol))[0] == 0
     chain = tmp_path / "chain.json"
@@ -846,9 +847,10 @@ def test_infer_output_does_not_depend_on_assert(tmp_path, capsys):
     }))
     src = os.path.dirname(os.path.dirname(qtrace.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    for system, requirement, pairing in (
-        (patrol, MONITOR, "ntmc-dfa"),
-        (chain, fixture_path("reach-recharge-dfa.json"), "mrm-dfa"),
+    for system, requirement, pairing, method in (
+        (patrol, MONITOR, "ntmc-dfa", "exact-linear"),
+        (chain, fixture_path("reach-recharge-dfa.json"), "mrm-dfa", "exact-linear"),
+        (fixture_path("travel-wts.json"), fixture_path("train-arrival-nfa.json"), "wts-nfa", "dijkstra"),
     ):
         argv = ["-m", "qtrace", "infer", str(system), requirement, "--pairing", pairing, "--format", "json"]
         outputs = []
@@ -859,7 +861,7 @@ def test_infer_output_does_not_depend_on_assert(tmp_path, capsys):
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0])["method"] == "exact-linear"
+        assert json.loads(outputs[0])["method"] == method
 
 
 def _two_state_chain(tmp_path):

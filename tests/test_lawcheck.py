@@ -5,7 +5,7 @@ import fraction_direct
 import pytest
 from fraction_iterate import fraction_iterates
 
-from qtrace import lawcheck, oracle
+from qtrace import lawcheck, oracle, solvers
 from qtrace.bundled import load_model
 from qtrace.domains import value_str
 from qtrace.models import Dfa, NonTerminatingMc, joined, validate
@@ -208,3 +208,37 @@ def test_mismatch_across_different_denominators_names_the_reference_counterexamp
     expected = _reference_counterexample(product, chain, monitor, 10)
     assert res.counterexample == expected
     assert (expected["product_value"], expected["direct_value"]) == ("1/2", "2/5")
+
+
+def _goal_dropped(update):
+    return lambda rows, scale, values: update([(s, d, 0, r, e) for s, d, _, r, e in rows], scale, values)
+
+
+def _step_reward_dropped(update):
+    return lambda rows, scale, values: update(
+        [(s, d, g, None if r is None else 0, e) for s, d, g, r, e in rows], scale, values
+    )
+
+
+def _cost_raised(update):
+    return lambda *args: {s: c + 1 for s, c in update(*args).items()}
+
+
+@pytest.mark.parametrize(
+    "update, mutate, failing",
+    [
+        ("_prob_update", _goal_dropped, {"mc-dfa", "mc-costdfa", "mrm-dfa"}),
+        ("_prob_update", _step_reward_dropped, {"mrm-dfa"}),
+        ("_cost_update", _cost_raised, {"wts-nfa", "wts-wmm"}),
+    ],
+    ids=["goal-dropped", "step-reward-dropped", "cost-raised"],
+)
+def test_diagram_checks_run_the_shipped_update(update, mutate, failing, monkeypatch):
+    # a broken update in solvers, and nowhere else, fails the diagram
+    # checks of the pairings it breaks; restored, they pass again
+    pairings = ("wts-nfa", "wts-wmm") if update == "_cost_update" else ("mc-dfa", "mc-costdfa", "mrm-dfa")
+    monkeypatch.setattr(solvers, update, mutate(getattr(solvers, update)))
+    verdicts = {p: lawcheck.check_diagram(p, samples=60, seed=5).passed for p in pairings}
+    assert {p for p, passed in verdicts.items() if not passed} == failing
+    monkeypatch.undo()
+    assert all(lawcheck.check_diagram(p, samples=60, seed=5).passed for p in pairings)

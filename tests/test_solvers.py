@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_iterate import fraction_iterates, product_transformer
+from fraction_iterate import fraction_iterates, min_cost_step, product_transformer
 from minplus_solver import least_costs
 
 from qtrace import solvers
@@ -12,6 +12,7 @@ from qtrace.bundled import fixture_text, load_model
 from qtrace.domains import INF, PROB, PROB_REWARD, TROPICAL, _value_over, bottom_vector, leq
 from qtrace.lawcheck import (
     PAIRINGS,
+    _fold_prob_row,
     random_dfa,
     random_instance,
     random_mc,
@@ -21,7 +22,7 @@ from qtrace.lawcheck import (
     random_wmm,
     random_wts,
 )
-from qtrace.models import ACCEPT, REJECT, TARGET, Dfa, MarkovRewardModel, WeightedTs
+from qtrace.models import ACCEPT, REJECT, TARGET, Dfa, MarkovRewardModel, ModelError, WeightedTs
 from qtrace.products import (
     PAIRING_TABLE,
     ProductMc,
@@ -38,8 +39,6 @@ from qtrace.products import (
 from qtrace.programs import compile_probabilistic, parse_program
 from qtrace.solvers import (
     SolverError,
-    reach_value_step,
-    reward_value_step,
     solve_partial_expected_reward,
     solve_product,
     solve_reach_prob,
@@ -137,6 +136,9 @@ def _random_fraction(rng: random.Random) -> Fraction:
 
 
 def test_integer_update_steps_match_fraction_arithmetic():
+    # the shipped updates on one row: a probabilistic row folded into one
+    # integer row as the diagram checks fold it, and the weighted row of a
+    # one-state product
     rng = random.Random("update steps")
     seen = set()
     for _ in range(500):
@@ -146,12 +148,12 @@ def test_integer_update_steps_match_fraction_arithmetic():
         probs = [_random_fraction(rng) for _ in masses]
         rewards = [_random_fraction(rng) * rng.randint(0, 40) for _ in masses]
         want = goal + sum((p * v for v, p in zip(probs, masses)), F(0))
-        got = reach_value_step(zip(probs, masses), goal)  # iterators, as the transformers pass
+        got = _fold_prob_row(list(zip(probs, masses)), goal)
         assert (type(got), got) == (Fraction, want)
         want_reward = step_reward * goal + sum(
             (p * (v * step_reward + r) for v, r, p in zip(probs, rewards, masses)), F(0)
         )
-        got = reward_value_step(zip(zip(probs, rewards), masses), goal, step_reward)
+        got = _fold_prob_row(list(zip(zip(probs, rewards), masses)), goal, step_reward)
         assert got == (want, want_reward)
         assert tuple(map(type, got)) == (Fraction, Fraction)
         seen |= {name for name, hit in (
@@ -161,6 +163,26 @@ def test_integer_update_steps_match_fraction_arithmetic():
             ("300-bit", any(v.denominator.bit_length() == 300 for v in masses + probs + rewards)),
         ) if hit}
     assert seen == {"empty", "zero mass", "integer value", "300-bit"}
+    rng = random.Random("cost rows")
+    seen = set()
+    for _ in range(300):
+        costs = {f"t{i}": INF if rng.random() < 0.3 else rng.randint(0, 20) for i in range(rng.randint(0, 3))}
+        row = [(t, rng.randint(0, 9)) for t in costs for _ in range(rng.randint(1, 3))]
+        row += [(ACCEPT, rng.randint(0, 30)) for _ in range(rng.choice((0, 1, 2, 3)))]
+        row += [(REJECT, rng.randint(0, 5)) for _ in range(rng.randint(0, 1))]
+        rng.shuffle(row)
+        prod = ProductWts(states=("s", ACCEPT, REJECT), trans={"s": tuple(row)}, initial="s")
+        want = min_cost_step([(costs[t], w) for t, w in row if t in costs], [w for t, w in row if t == ACCEPT])
+        assert solvers._cost_update(prod, ("s",), costs) == {"s": want}
+        targets = [t for t, _ in row]
+        seen |= {name for name, hit in (
+            ("no edge", not row),
+            ("parallel edges", any(targets.count(t) > 1 for t in costs)),
+            ("several goal edges", targets.count(ACCEPT) > 1),
+            ("infinite successor", INF in costs.values()),
+            ("infinite answer", want == INF),
+        ) if hit}
+    assert seen == {"no edge", "parallel edges", "several goal edges", "infinite successor", "infinite answer"}
 
 
 def test_reward_fixture_value(robot, monitor):
@@ -654,3 +676,26 @@ def test_a_vector_over_other_states_fails_the_certificate(change, monkeypatch):
         values["x|y"] = values[prod.initial]
     with pytest.raises(SolverError, match="least costs do not satisfy the update equation"):
         solvers._check_least_costs(prod, values)
+
+
+@pytest.mark.parametrize("mode", ["exact", "iterate"])
+def test_a_row_that_names_no_state_is_a_model_error(mode):
+    # a hand-built product whose row names a state it does not have, or
+    # whose pair state has no row: ModelError with validate_product's
+    # message, in both domains, never a KeyError
+    half = {ACCEPT: F(1, 2)}
+    products = [
+        ProductMc(states=("a", ACCEPT, REJECT), trans={"a": {"zzz": F(1, 2), **half}}, initial="a"),
+        ProductMc(states=("a", "b", ACCEPT, REJECT), trans={"a": {"b": F(1, 2), **half}}, initial="a"),
+        ProductRewardMc(states=("a", ACCEPT, REJECT), trans={"a": {"zzz": F(1, 2), **half}},
+                        stepreward={"a": 1}, initial="a"),
+        ProductRewardMc(states=("a", "b", ACCEPT, REJECT), trans={"a": {"b": F(1, 2), **half}},
+                        stepreward={"a": 1, "b": 2}, initial="a"),
+        ProductWts(states=("a", ACCEPT, REJECT), trans={"a": (("zzz", 1), (ACCEPT, 2))}, initial="a"),
+        ProductWts(states=("a", "b", ACCEPT, REJECT), trans={"a": (("b", 1), (ACCEPT, 2))}, initial="a"),
+    ]
+    for prod in products:
+        (fault,) = validate_product(prod)
+        with pytest.raises(ModelError) as err:
+            solve_product(prod, mode, steps=3)
+        assert str(err.value) == fault
