@@ -303,10 +303,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--no-restrict", action="store_true", help="keep unreachable valuations")
     p.set_defaults(fn=cmd_compile)
 
-    def pairing_args(p, with_requirement=True):
+    def pairing_args(p, nargs=None):
         p.add_argument("system")
-        if with_requirement:
-            p.add_argument("requirement")
+        p.add_argument("requirement", nargs=nargs)
         p.add_argument("--pairing", choices=sorted(PAIRING_TABLE), required=True)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument(
@@ -332,18 +331,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("oracle", help="depth-bounded direct semantics and queries")
-    p.add_argument("system")
-    p.add_argument("requirement", nargs="?")
-    p.add_argument("--pairing", choices=sorted(PAIRING_TABLE), required=True)
+    pairing_args(p, nargs="?")
     p.add_argument("--depth", type=_count, required=True)
-    p.add_argument(
-        "--complete-dfa",
-        action="store_true",
-        help="fill missing requirement transitions with a rejecting sink",
-    )
     p.add_argument("--condition", help="extra DFA for the conditional query (mc pairings)")
     p.add_argument("--decimal", type=_count)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("lawcheck", help="run the correctness checks")

@@ -14,9 +14,12 @@ Two families of checks are provided:
 * ``check_diagram`` -- the one-step commutation property behind that
   equality, tested on randomly sampled semantic values: folding the two
   sides first and then querying must coincide with pairing first and then
-  folding the product update, the very update the solvers run (one per
-  value domain, in ``solvers``).  The never-terminating pairing is excluded
-  (its property only holds on iterates, which step equality covers).
+  folding the product update.  The pairing runs the row rule the builders
+  run (``products.mc_dfa_row``, ``products.wts_wmm_row``) and the fold the
+  update the solvers run (one per value domain, in ``solvers``), each
+  called through its module, so a patched rule or update is the one
+  checked.  The never-terminating pairing is excluded (its property only
+  holds on iterates, which step equality covers).
 
 Composite checks (``check_cost_bounded``, ``check_cost_induced``,
 ``check_translation``) validate derived constructions end to end, and a
@@ -35,7 +38,7 @@ from functools import partial
 from math import lcm
 from typing import Callable
 
-from . import oracle, solvers
+from . import oracle, products, solvers
 from .domains import ONE, PROB, PROB_REWARD, ZERO, _value_over, value_str
 from .models import (
     Dfa,
@@ -58,12 +61,8 @@ from .models import (
 from .products import (
     PAIRING_TABLE,
     _product_mc_dfa,
-    mc_dfa_row,
-    mrm_dfa_row,
     product_mc_dfa,
     product_ntmc_dfa,
-    wts_nfa_row,
-    wts_wmm_row,
 )
 from .solvers import integer_iterates, solve_reach_prob
 
@@ -193,8 +192,8 @@ def _rand_unit_split(rng: random.Random, parts: int) -> list[Fraction]:
     return [Fraction(n, den) for n in nums]
 
 
-def _rand_word(rng: random.Random, alphabet, max_len=3) -> tuple[str, ...]:
-    return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+def _rand_word(rng: random.Random, alphabet) -> tuple[str, ...]:
+    return tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
 
 
 def _rand_lang(rng: random.Random, alphabet) -> set:
@@ -290,8 +289,9 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
 
     Each sample draws finite semantic values, folds them through the two
     composite paths and compares the results exactly; the product path
-    ends in :func:`_fold_prob_row` or :func:`_fold_cost_row`.  Degenerate samples
-    (pure halting mass, empty requirement rows) are always included.
+    runs the builders' row rule and ends in :func:`_fold_prob_row` or
+    :func:`_fold_cost_row`.  Degenerate samples (pure halting mass, empty
+    requirement rows) are always included.
     """
     if pairing == "ntmc-dfa":
         raise ValueError(
@@ -316,7 +316,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
                 oracle.mc_trace_step(entries, halt, symbol),
                 oracle.dfa_lang_step(row),
             )
-            pairs, acc, rej = mc_dfa_row(entries, halt, symbol, row)
+            pairs, acc, rej = products.mc_dfa_row(entries, halt, symbol, row)
             rhs = _fold_prob_row([(oracle.query_prob(nu, lang), p) for (nu, lang), p in pairs], acc)
         elif pairing == "mrm-dfa":
             dists = [_rand_trace_reward_dist(rng, alphabet) for _ in range(3)]
@@ -328,8 +328,9 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
                 oracle.mrm_trace_step(entries, halt, step_reward, symbol),
                 oracle.dfa_lang_step(row),
             )
-            pairs, acc, rej, reward = mrm_dfa_row(entries, halt, step_reward, symbol, row)
-            rhs = _fold_prob_row([(oracle.query_reward(nu, lang), p) for (nu, lang), p in pairs], acc, reward)
+            # the mc-dfa rule; the product carries the step reward in ``stepreward``
+            pairs, acc, rej = products.mc_dfa_row(entries, halt, symbol, row)
+            rhs = _fold_prob_row([(oracle.query_reward(nu, lang), p) for (nu, lang), p in pairs], acc, step_reward)
         elif pairing == "wts-nfa":
             transitions = _rand_wts_transitions(rng, alphabet, degenerate)
             row = _rand_edge_row(
@@ -340,7 +341,11 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
                 oracle.wts_trace_step(transitions),
                 oracle.nfa_lang_step(row),
             )
-            rhs = _fold_cost_row(wts_nfa_row(transitions, row.__getitem__), oracle.query_tropical)
+            # the builder's view of an NFA row: a Mealy row of weight-0 edges
+            rhs = _fold_cost_row(
+                products.wts_wmm_row(transitions, products._zero_weighted(row).__getitem__),
+                oracle.query_tropical,
+            )
         else:  # wts-wmm
             transitions = _rand_wts_transitions(rng, alphabet, degenerate)
             row = _rand_edge_row(
@@ -351,7 +356,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
                 oracle.wts_trace_step(transitions),
                 oracle.wmm_trace_step(row),
             )
-            rhs = _fold_cost_row(wts_wmm_row(transitions, row.__getitem__), oracle.query_wmm)
+            rhs = _fold_cost_row(products.wts_wmm_row(transitions, row.__getitem__), oracle.query_wmm)
 
         if lhs != rhs:
             return CheckResult(
@@ -449,7 +454,7 @@ def check_translation(c: LabeledMc, d: Dfa) -> CheckResult:
 # run through the shipped product builder
 
 def _rule_flag_swapped(c, d, y, succ, halt, symbol):
-    pairs, acc, rej = mc_dfa_row(succ, halt, symbol, d.delta[y])
+    pairs, acc, rej = products.mc_dfa_row(succ, halt, symbol, d.delta[y])
     return pairs, rej, acc
 
 
@@ -460,12 +465,12 @@ def _rule_requirement_frozen(c, d, y, succ, halt, symbol):
 
 
 def _rule_halt_mass_dropped(c, d, y, succ, halt, symbol):
-    pairs, _, _ = mc_dfa_row(succ, halt, symbol, d.delta[y])
+    pairs, _, _ = products.mc_dfa_row(succ, halt, symbol, d.delta[y])
     return pairs, ZERO, ZERO
 
 
 def _rule_symbol_ignored(c, d, y, succ, halt, symbol):
-    return mc_dfa_row(succ, halt, c.alphabet[0], d.delta[y])
+    return products.mc_dfa_row(succ, halt, c.alphabet[0], d.delta[y])
 
 
 def _rule_pair_broadcast(c, d, y, succ, halt, symbol):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 from typing import Callable
 
 from .domains import ONE, PROB, PROB_REWARD, TROPICAL
@@ -562,6 +563,7 @@ def translate_to_nonterminating(c: LabeledMc, d: Dfa) -> tuple[NonTerminatingMc,
     """
     if HALT_SYMBOL in c.alphabet:
         raise ModelError(f"alphabet already contains the reserved symbol {HALT_SYMBOL!r}")
+    require_same_alphabet(c, d)
     halt_state = HALT_SYMBOL
     while halt_state in c.states:
         halt_state += "_"
@@ -581,21 +583,13 @@ def translate_to_nonterminating(c: LabeledMc, d: Dfa) -> tuple[NonTerminatingMc,
         states=states, alphabet=alphabet, label=label, trans=trans, initial=c.initial
     )
 
-    flag_tag = {True: "acc", False: "rej"}
-    dstates = tuple(joined(y, flag_tag[b]) for y in d.states for b in (True, False))
-    delta: dict[str, dict[str, tuple[str, bool]]] = {}
-    for y in d.states:
-        for b in (True, False):
-            row: dict[str, tuple[str, bool]] = {}
-            for a in d.alphabet:
-                y2, b2 = d.delta[y][a]
-                row[a] = (joined(y2, flag_tag[b2]), False)
-            row[HALT_SYMBOL] = (joined(y, flag_tag[b]), b)
-            delta[joined(y, flag_tag[b])] = row
-    monitor = Dfa(
-        states=dstates,
-        alphabet=alphabet,
-        delta=delta,
-        initial=joined(d.initial, flag_tag[False]),
-    )
-    return chain, monitor
+    # the monitor pairs d with the flag of the step it just took
+    flags = SimpleNamespace(states=("acc", "rej"), initial="rej")
+
+    def move(y: str, flag: str, a: str):
+        if a == HALT_SYMBOL:
+            return (y, flag), flag == "acc"
+        y2, accepted = d.delta[y][a]
+        return (y2, "acc" if accepted else "rej"), False
+
+    return chain, _paired_dfa(d, flags, alphabet, move)

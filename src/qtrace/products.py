@@ -8,10 +8,18 @@ solved in (``DOMAIN``); the classes are defined in :mod:`qtrace.models`
 and imported here, so that reading a product document or ``import qtrace``
 does not load the builders.  ``PAIRING_TABLE`` names the six pairings with
 their input types, builders and the direct queries of :mod:`qtrace.oracle`
-that the products are checked against.  The ``*_row`` functions contain the
-actual pairing rule for a single transition row; they are deliberately
-independent of state identity so the same rule can be exercised on raw
-semantic values by the commutation checks.
+that the products are checked against.
+
+The ``*_row`` functions contain the pairing rules for a single transition
+row, one per kind of system row: ``mc_dfa_row`` for a terminating chain,
+``ntmc_dfa_row`` for a never-terminating one and ``wts_wmm_row`` for a
+weighted system.  The reward pairing has no rule of its own: its product
+is the ``mc-dfa`` product carrying the system's reward per state in
+``stepreward``.  Nor has ``wts-nfa``: its requirement is read as a
+weighted Mealy machine whose every edge weighs 0, which leaves every
+weight as it is.  The rules are independent of state identity, so the
+commutation checks (``lawcheck.check_diagram``) run the same functions
+on raw semantic values.
 
 By default products are restricted to the states reachable from the pair
 of initial states; ``restrict=False`` builds the full cartesian space,
@@ -101,12 +109,6 @@ def mc_dfa_row(
     return pairs, ZERO, halt_mass
 
 
-def mrm_dfa_row(successors, halt_mass, step_reward: int, symbol: str, dfa_row):
-    """As :func:`mc_dfa_row`, carrying the step reward through unchanged."""
-    pairs, acc, rej = mc_dfa_row(successors, halt_mass, symbol, dfa_row)
-    return pairs, acc, rej, step_reward
-
-
 def ntmc_dfa_row(successors, symbol: str, dfa_row):
     """Pair a never-terminating row with a monitor step.
 
@@ -120,24 +122,13 @@ def ntmc_dfa_row(successors, symbol: str, dfa_row):
     return [((x, tgt), p) for x, p in successors], ZERO
 
 
-def wts_nfa_row(transitions, nfa_row_fn):
-    """Cross every weighted transition with every matching automaton edge.
+def wts_wmm_row(transitions, wmm_row_fn):
+    """Cross every weighted transition with every matching requirement edge,
+    adding the edge's weight to the transition's.
 
     ``transitions`` yields (successor-or-None, symbol, weight); ``None``
     marks termination, which turns into a flag sink carrying the weight.
     """
-    out = []
-    for succ, a, m in transitions:
-        for tgt, flag in nfa_row_fn(a):
-            if succ is None:
-                out.append(((ACCEPT if flag else REJECT), m))
-            else:
-                out.append(((succ, tgt), m))
-    return out
-
-
-def wts_wmm_row(transitions, wmm_row_fn):
-    """As :func:`wts_nfa_row` but adding the requirement's edge weight."""
     out = []
     for succ, a, m in transitions:
         for tgt, flag, n in wmm_row_fn(a):
@@ -146,6 +137,11 @@ def wts_wmm_row(transitions, wmm_row_fn):
             else:
                 out.append(((succ, tgt), m + n))
     return out
+
+
+def _zero_weighted(nfa_row: dict) -> dict:
+    """An NFA row read as a weighted Mealy row: every edge weighs 0."""
+    return {a: tuple((tgt, flag, 0) for tgt, flag in edges) for a, edges in nfa_row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -245,37 +241,23 @@ def product_ntmc_dfa(c: NonTerminatingMc, d: Dfa, restrict: bool = True) -> Abso
     return _build(AbsorbingProductMc, c, d, step, restrict)
 
 
-def _moves(c: WeightedTs) -> Callable[[str], list[tuple[str | None, str, int]]]:
-    """The transitions of each state of ``c`` with termination written as
-    ``None``, listed once per state however many pairs it enters."""
-    memo: dict[str, list] = {}
-
-    def moves(x: str):
-        if x not in memo:
-            memo[x] = [(None if succ == TARGET else succ, a, m) for succ, a, m in c.trans[x]]
-        return memo[x]
-
-    return moves
-
-
 def product_wts_nfa(c: WeightedTs, d: Nfa, restrict: bool = True) -> ProductWts:
-    """Product of a weighted system with a nondeterministic requirement."""
-    moves = _moves(c)
-
-    def step(x, y):
-        row = d.delta.get(y, {})  # once per pair, not per move
-        return wts_nfa_row(moves(x), lambda a: row.get(a, ()))
-
-    return _build(ProductWts, c, d, step, restrict, _weight_set)
+    """Product of a weighted system with a nondeterministic requirement: the
+    weighted Mealy product with ``d`` read as a Mealy machine whose every
+    edge weighs 0."""
+    delta = {y: _zero_weighted(row) for y, row in d.delta.items()}
+    return product_wts_wmm(c, WeightedMealy(d.states, d.alphabet, delta, d.initial), restrict)
 
 
 def product_wts_wmm(c: WeightedTs, d: WeightedMealy, restrict: bool = True) -> ProductWts:
     """Product of a weighted system with a weighted Mealy requirement."""
-    moves = _moves(c)
+    moves: dict[str, list] = {}  # per system state, however many pairs it enters
 
     def step(x, y):
+        if x not in moves:
+            moves[x] = [(None if succ == TARGET else succ, a, m) for succ, a, m in c.trans[x]]
         row = d.delta.get(y, {})  # once per pair, not per move
-        return wts_wmm_row(moves(x), lambda a: row.get(a, ()))
+        return wts_wmm_row(moves[x], lambda a: row.get(a, ()))
 
     return _build(ProductWts, c, d, step, restrict, _weight_set)
 

@@ -657,9 +657,16 @@ def _run_block(steps: tuple, vals: tuple) -> dict[tuple, int]:
     return current
 
 
-def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachable: bool):
-    """Explore the valuation space breadth-first and build one row per state.
+def _unroll(space: _Space, symbols: Callable, word: str, rules: Callable, make: Callable,
+            restrict_reachable: bool) -> CompileReport:
+    """Check a program against its valuation space, explore the space
+    breadth-first and report on the model built from one row per state.
 
+    The initial valuation must satisfy the guard, and each symbol of
+    ``symbols()`` (a ``word`` in the error) must be in the declared
+    alphabet, which they make up when there is none.  ``rules()`` then
+    gives (successors, row); both callbacks run after the guard check, in
+    this order, so the errors they raise keep their order.
     ``successors(vals)`` lists a valuation's outgoing entries, each starting
     with the successor valuation; it runs once per valuation that becomes a
     state.  ``row(vals, entries, ids)`` turns them into that state's row,
@@ -668,8 +675,16 @@ def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachab
     guard-satisfying valuations reachable from the initial one, in
     breadth-first order, or with ``restrict_reachable`` off all of them in
     declaration order; unreached ones are expanded as their rows are
-    built.  Returns (rows by state id, reachable count, warnings).
+    built.  ``make(rows by state id, alphabet, initial id)`` builds the model.
     """
+    if not space.guard(space.initial):
+        raise CompileError("initial valuation violates the loop guard")
+    used = symbols()
+    alphabet = tuple(space.program.alphabet or used)
+    for sym in used:
+        if sym not in alphabet:
+            raise CompileError(f"{word} {sym!r} not in the declared alphabet")
+    successors, row = rules()
     keys = product(*(range(v.lo, v.hi + 1) for v in space.program.variables))
     valid = list(filter(space.guard, keys))
     allowed = set(valid)
@@ -694,7 +709,12 @@ def _unroll(space: _Space, successors: Callable, row: Callable, restrict_reachab
     for key in states:
         entries = explored[key] if key in explored else successors(key)
         rows[ids[key]] = row(key, entries, ids)
-    return rows, len(explored), tuple(warnings)
+    return CompileReport(
+        model=make(rows, alphabet, space.state_id(space.initial)),
+        state_count=space.size,
+        reachable_count=len(explored),
+        warnings=tuple(warnings),
+    )
 
 
 def compile_probabilistic(
@@ -713,53 +733,44 @@ def compile_probabilistic(
     if mode == "terminating" and program.guard is _TRUE:
         raise CompileError("terminating mode requires a non-trivial loop guard")
     space = _Space(program)
-    init = space.initial
-    if not space.guard(init):
-        raise CompileError("initial valuation violates the loop guard")
 
-    if program.labels is None:
-        raise CompileError("probabilistic compilation needs a label block")
-    labels = tuple(dict.fromkeys([*program.labels.entries.values(), program.labels.default]))
-    alphabet = program.alphabet or labels
-    for sym in labels:
-        if sym not in alphabet:
-            raise CompileError(f"label {sym!r} not in the declared alphabet")
+    def labels() -> tuple[str, ...]:
+        if program.labels is None:
+            raise CompileError("probabilistic compilation needs a label block")
+        return tuple(dict.fromkeys([*program.labels.entries.values(), program.labels.default]))
 
-    den, body = _weights(program.body, space)
-    masses: dict[int, Fraction] = {}  # one Fraction per distinct branch weight
+    def rules():
+        den, body = _weights(program.body, space)
+        masses: dict[int, Fraction] = {}  # one Fraction per distinct branch weight
 
-    def successors(vals: tuple):
-        return list(_run_block(body, vals).items())
+        def successors(vals: tuple):
+            return list(_run_block(body, vals).items())
 
-    def row(vals: tuple, entries, ids) -> tuple[str, dict[str, Fraction]]:
-        out: dict[str, int] = {}
-        for succ, w in entries:
-            row_key = ids.get(succ)
-            if row_key is None:
-                if mode == "reactive":
-                    raise CompileError(
-                        f"reactive program can halt: guard fails at {space.state_id(succ)}"
-                    )
-                row_key = TARGET
-            out[row_key] = out.get(row_key, 0) + w
-        for t, w in out.items():
-            if w not in masses:
-                masses[w] = Fraction(w, den)
-            out[t] = masses[w]
-        return space.label(vals), out
+        def row(vals: tuple, entries, ids) -> tuple[str, dict[str, Fraction]]:
+            out: dict[str, int] = {}
+            for succ, w in entries:
+                row_key = ids.get(succ)
+                if row_key is None:
+                    if mode == "reactive":
+                        raise CompileError(
+                            f"reactive program can halt: guard fails at {space.state_id(succ)}"
+                        )
+                    row_key = TARGET
+                out[row_key] = out.get(row_key, 0) + w
+            for t, w in out.items():
+                if w not in masses:
+                    masses[w] = Fraction(w, den)
+                out[t] = masses[w]
+            return space.label(vals), out
 
-    rows, reachable, warnings = _unroll(space, successors, row, restrict_reachable)
-    cls = LabeledMc if mode == "terminating" else NonTerminatingMc
-    model = cls(
-        states=tuple(rows),
-        alphabet=tuple(alphabet),
-        label={sid: label for sid, (label, _) in rows.items()},
-        trans={sid: out for sid, (_, out) in rows.items()},
-        initial=space.state_id(init),
-    )
-    return CompileReport(
-        model=model, state_count=space.size, reachable_count=reachable, warnings=warnings
-    )
+        return successors, row
+
+    def make(rows, alphabet, initial):
+        cls = LabeledMc if mode == "terminating" else NonTerminatingMc
+        label = {sid: label for sid, (label, _) in rows.items()}
+        return cls(tuple(rows), alphabet, label, {sid: out for sid, (_, out) in rows.items()}, initial)
+
+    return _unroll(space, labels, "label", rules, make, restrict_reachable)
 
 
 def compile_weighted(program: Program, restrict_reachable: bool = True) -> CompileReport:
@@ -770,29 +781,16 @@ def compile_weighted(program: Program, restrict_reachable: bool = True) -> Compi
         raise CompileError("a weighted loop body must be a single choice block")
     if program.guard is _TRUE:
         raise CompileError("weighted programs must terminate; give a loop guard")
-    choice = program.body[0]
     space = _Space(program)
-    init = space.initial
-    if not space.guard(init):
-        raise CompileError("initial valuation violates the loop guard")
 
-    emitted = tuple(dict.fromkeys(opt.symbol for opt in choice.options))
-    alphabet = program.alphabet or emitted
-    for sym in emitted:
-        if sym not in alphabet:
-            raise CompileError(f"emitted symbol {sym!r} not in the declared alphabet")
+    def emitted() -> tuple[str, ...]:
+        return tuple(dict.fromkeys(opt.symbol for opt in program.body[0].options))
 
     def row(vals: tuple, entries, ids) -> tuple[tuple[str, str, int], ...]:
         triples = {(ids.get(succ, TARGET), symbol, weight) for succ, symbol, weight in entries}
         return tuple(sorted(triples))
 
-    trans, reachable, warnings = _unroll(space, space.moves, row, restrict_reachable)
-    model = WeightedTs(
-        states=tuple(trans),
-        alphabet=tuple(alphabet),
-        trans=trans,
-        initial=space.state_id(init),
-    )
-    return CompileReport(
-        model=model, state_count=space.size, reachable_count=reachable, warnings=warnings
-    )
+    def make(trans, alphabet, initial):
+        return WeightedTs(tuple(trans), alphabet, trans, initial)
+
+    return _unroll(space, emitted, "emitted symbol", lambda: (space.moves, row), make, restrict_reachable)

@@ -27,7 +27,8 @@ searched set; least costs go through the update once, in a pass that also
 collects the tight edges proving the costs attained.  A failed check
 raises ``SolverError`` (never an ``assert``, so the check also runs under
 ``python -O``); a row that is missing, or names a state the product does
-not have, raises ``ModelError`` with the message of ``validate_product``.
+not have, and a step reward that is not a natural number raise
+``ModelError`` with the message of ``validate_product``.
 Every product class names its value domain (``DOMAIN``), and one solve
 path serves all of them: ``iterate`` (the k-th iterate of the update) is
 shared, and every other mode, ``epsilon`` included, returns the domain's
@@ -93,8 +94,10 @@ def _prob_rows(m) -> list:
     the lcm of the denominators of the goal and successor masses, each mass
     a numerator over D, the entries (successor, numerator) pairs without the
     sinks and the zero masses.  D, and the row read so far, grow only when
-    a mass's denominator does not divide D.  A missing row, or a successor
-    that is neither a pair state nor a sink, raises ``ModelError``."""
+    a mass's denominator does not divide D.  A missing row, a successor
+    that is neither a pair state nor a sink, or a step reward that is not
+    a natural number raises ``ModelError``, as ``validate_product`` words
+    it."""
     goal, sinks = m.GOAL, m.SINKS
     reward = m.stepreward if m.DOMAIN == PROB_REWARD else None
     states = pair_states(m)
@@ -118,7 +121,10 @@ def _prob_rows(m) -> list:
                     succ.append((t, n * (den // d)))
             elif t not in sinks:
                 raise _fault(s, t)
-        rows.append((s, den, g, None if reward is None else reward[s], succ))
+        r = None if reward is None else reward.get(s)
+        if reward is not None and (not isinstance(r, int) or r < 0):
+            raise ModelError(f"step reward at {s!r} is not a natural number")
+        rows.append((s, den, g, r, succ))
     return rows
 
 

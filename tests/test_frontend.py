@@ -258,19 +258,32 @@ def test_loop_body_runs_once_per_state(text, mode, restrict, monkeypatch):
     assert len(ran) == len(set(ran)) == len(report.model.states)
 
 
-@pytest.mark.parametrize(
-    "restrict, message",
-    [
-        (True, "reactive program can halt: guard fails at x=0"),
-        (False, "assignment drives 'x' to -2, outside 0..3; clamp explicitly with max/min"),
-    ],
-)
-def test_first_error_follows_the_row_order(restrict, message):
+ROW_ORDER = "var x : 0..3 init 3;\nlabel { default: a; }\nwhile (x >= 1) { x <- x + x - 4 }"
+
+#: (program, compile mode, restrict, the error it reports first)
+FIRST_ERRORS = [
     # x=3 -> x=2 -> x=0 halts; the unreachable x=1 leaves the range, and
     # only the unrestricted compilation builds its row, before x=2's
-    text = "var x : 0..3 init 3;\nlabel { default: a; }\nwhile (x >= 1) { x <- x + x - 4 }"
+    (ROW_ORDER, "reactive", True, "reactive program can halt: guard fails at x=0"),
+    (ROW_ORDER, "reactive", False, "assignment drives 'x' to -2, outside 0..3; clamp explicitly with max/min"),
+    # the initial guard is checked before the label block and the alphabet
+    ("var x : 0..3 init 3;\nwhile (x < 3) { x <- x + 1 }", "terminating", True,
+     "initial valuation violates the loop guard"),
+    ("var x : 0..3 init 3;\nalphabet a;\nwhile (x < 3) { choice { emit b add 1 { x <- x + 1; } } }",
+     "weighted", False, "initial valuation violates the loop guard"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, mode, restrict, message", FIRST_ERRORS, ids=[f"{r}-{m}" for _, _, r, m in FIRST_ERRORS]
+)
+def test_first_error_follows_the_row_order(text, mode, restrict, message):
+    program = parse_program(text)
     with pytest.raises(CompileError) as info:
-        compile_probabilistic(parse_program(text), "reactive", restrict_reachable=restrict)
+        if mode == "weighted":
+            compile_weighted(program, restrict_reachable=restrict)
+        else:
+            compile_probabilistic(program, mode, restrict_reachable=restrict)
     assert str(info.value) == message
 
 

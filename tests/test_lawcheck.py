@@ -5,7 +5,7 @@ import fraction_direct
 import pytest
 from fraction_iterate import fraction_iterates
 
-from qtrace import lawcheck, oracle, solvers
+from qtrace import lawcheck, oracle, products, solvers
 from qtrace.bundled import load_model
 from qtrace.domains import value_str
 from qtrace.models import Dfa, NonTerminatingMc, joined, validate
@@ -224,21 +224,35 @@ def _cost_raised(update):
     return lambda *args: {s: c + 1 for s, c in update(*args).items()}
 
 
+def _masses_swapped(rule):
+    def swapped(*args):
+        pairs, acc, rej = rule(*args)
+        return pairs, rej, acc
+
+    return swapped
+
+
+def _weights_raised(rule):
+    return lambda *args: [(t, m + 1) for t, m in rule(*args)]
+
+
 @pytest.mark.parametrize(
-    "update, mutate, failing",
+    "module, name, mutate, failing",
     [
-        ("_prob_update", _goal_dropped, {"mc-dfa", "mc-costdfa", "mrm-dfa"}),
-        ("_prob_update", _step_reward_dropped, {"mrm-dfa"}),
-        ("_cost_update", _cost_raised, {"wts-nfa", "wts-wmm"}),
+        (solvers, "_prob_update", _goal_dropped, {"mc-dfa", "mc-costdfa", "mrm-dfa"}),
+        (solvers, "_prob_update", _step_reward_dropped, {"mrm-dfa"}),
+        (solvers, "_cost_update", _cost_raised, {"wts-nfa", "wts-wmm"}),
+        (products, "mc_dfa_row", _masses_swapped, {"mc-dfa", "mc-costdfa", "mrm-dfa"}),
+        (products, "wts_wmm_row", _weights_raised, {"wts-nfa", "wts-wmm"}),
     ],
-    ids=["goal-dropped", "step-reward-dropped", "cost-raised"],
+    ids=["goal-dropped", "step-reward-dropped", "cost-raised", "masses-swapped", "weights-raised"],
 )
-def test_diagram_checks_run_the_shipped_update(update, mutate, failing, monkeypatch):
-    # a broken update in solvers, and nowhere else, fails the diagram
-    # checks of the pairings it breaks; restored, they pass again
-    pairings = ("wts-nfa", "wts-wmm") if update == "_cost_update" else ("mc-dfa", "mc-costdfa", "mrm-dfa")
-    monkeypatch.setattr(solvers, update, mutate(getattr(solvers, update)))
-    verdicts = {p: lawcheck.check_diagram(p, samples=60, seed=5).passed for p in pairings}
+def test_diagram_checks_run_the_shipped_update(module, name, mutate, failing, monkeypatch):
+    # a broken update in solvers, or a broken row rule in products, and
+    # nowhere else, fails the diagram checks of the pairings it breaks;
+    # restored, they pass again
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    verdicts = {p: lawcheck.check_diagram(p, samples=60, seed=5).passed for p in lawcheck.DIAGRAM_PAIRINGS}
     assert {p for p, passed in verdicts.items() if not passed} == failing
     monkeypatch.undo()
-    assert all(lawcheck.check_diagram(p, samples=60, seed=5).passed for p in pairings)
+    assert all(lawcheck.check_diagram(p, samples=60, seed=5).passed for p in lawcheck.DIAGRAM_PAIRINGS)

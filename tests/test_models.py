@@ -7,7 +7,7 @@ import pytest
 from fraction_direct import dfa_language
 
 from qtrace.bundled import load_model
-from qtrace.lawcheck import random_dfa, random_nfa, random_rm, random_wmm
+from qtrace.lawcheck import random_dfa, random_mc, random_nfa, random_rm, random_wmm
 from qtrace.models import (
     Dfa,
     HALT_SYMBOL,
@@ -189,6 +189,15 @@ def test_translation_rejects_reserved_symbol(robot, monitor):
     )
     with pytest.raises(ModelError):
         translate_to_nonterminating(taken, monitor)
+
+
+def test_translation_rejects_an_alphabet_mismatch():
+    # the monitor used to come back over the chain's alphabet with rows
+    # reading the DFA's extra symbol
+    rng = random.Random(3)
+    chain, dfa = random_mc(rng, alphabet=("a", "b")), random_dfa(rng, alphabet=("a", "b", "c"))
+    with pytest.raises(ModelError, match=r"alphabet mismatch: \['a', 'b'\] vs \['a', 'b', 'c'\]"):
+        translate_to_nonterminating(chain, dfa)
 
 
 # ---------------------------------------------------------------------------

@@ -699,3 +699,17 @@ def test_a_row_that_names_no_state_is_a_model_error(mode):
         with pytest.raises(ModelError) as err:
             solve_product(prod, mode, steps=3)
         assert str(err.value) == fault
+
+
+@pytest.mark.parametrize("mode", ["exact", "iterate"])
+@pytest.mark.parametrize("reward", [None, F(1, 2), -1], ids=["missing", "half", "negative"])
+def test_a_step_reward_that_is_not_natural_is_a_model_error(mode, reward):
+    # a missing step reward used to raise KeyError, and a fractional or
+    # negative one was solved and answered as (1, 1/2) or (1, -1)
+    stepreward = {} if reward is None else {"a": reward}
+    prod = ProductRewardMc(states=("a", ACCEPT, REJECT), trans={"a": {ACCEPT: F(1)}},
+                           stepreward=stepreward, initial="a")
+    assert validate_product(prod) == ["step reward at 'a' is not a natural number"]
+    with pytest.raises(ModelError) as err:
+        solve_product(prod, mode, steps=3)
+    assert str(err.value) == "step reward at 'a' is not a natural number"
