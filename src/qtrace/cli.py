@@ -212,7 +212,7 @@ def cmd_lawcheck(args) -> int:
 
     if args.mutate:
         if args.pairing != "mc-dfa":
-            raise UsageError("--mutate needs the mc-dfa pairing: the catalogue mutates its rule only")
+            raise UsageError("--mutate needs the mc-dfa pairing: the catalogue edits its inputs only")
         from .bundled import load_model
 
         mc = load_model("robot-mc.json")

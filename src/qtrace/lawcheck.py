@@ -14,17 +14,20 @@ Two families of checks are provided:
 * ``check_diagram`` -- the one-step commutation property behind that
   equality, tested on randomly sampled semantic values: folding the two
   sides first and then querying must coincide with pairing first and then
-  folding the product update.  The pairing runs the row rule the builders
-  run (``products.mc_dfa_row``, ``products.wts_wmm_row``) and the fold the
-  update the solvers run (one per value domain, in ``solvers``), each
-  called through its module, so a patched rule or update is the one
-  checked.  The never-terminating pairing is excluded (its property only
-  holds on iterates, which step equality covers).
+  folding the product update.  The pairing runs the crossing rule the
+  builders run (``products.mealy_row``, over the requirement row read as
+  the builders read it) and the fold the update the solvers run (one per
+  value domain, in ``solvers``), each called through its module, so a
+  patched rule or update is the one checked.  The never-terminating
+  pairing is excluded (its property only holds on iterates, which step
+  equality covers).
 
 Composite checks (``check_cost_bounded``, ``check_cost_induced``,
 ``check_translation``) validate derived constructions end to end, and a
-small catalogue of deliberately broken pairing rules (``MUTATIONS``)
-demonstrates that step equality actually has teeth.
+small catalogue of mutants (``MUTATIONS``) demonstrates that step equality
+actually has teeth.  Each mutant is the shipped ``mc-dfa`` builder run on
+one edit of its inputs: the DFA read as a Mealy machine of unit edges
+with its edges edited, or the chain without its halting mass.
 
 All randomness is drawn from explicitly seeded generators so every
 failure is reproducible from its seed.
@@ -34,13 +37,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from typing import Callable
 
 from . import oracle, products, solvers
 from .domains import ONE, PROB, PROB_REWARD, ZERO, _value_over, value_str
 from .models import (
+    ACCEPT,
     Dfa,
     Fresh,
     LabeledMc,
@@ -58,12 +61,7 @@ from .models import (
     product_rm_costdfa,
     translate_to_nonterminating,
 )
-from .products import (
-    PAIRING_TABLE,
-    _product_mc_dfa,
-    product_mc_dfa,
-    product_ntmc_dfa,
-)
+from .products import PAIRING_TABLE, product_mc_dfa, product_ntmc_dfa
 from .solvers import integer_iterates, solve_reach_prob
 
 PAIRINGS = tuple(PAIRING_TABLE)
@@ -253,15 +251,20 @@ def _rand_edge_row(rng: random.Random, alphabet, degenerate: bool, draw: Callabl
     return {a: [] if degenerate else [draw() for _ in range(rng.randint(0, 2))] for a in alphabet}
 
 
-def _fold_prob_row(pairs: list, goal: Fraction, reward: int | None = None):
-    """Fold one probabilistic product row through the shipped update.
+def _fold_prob_row(entries: list, query: Callable, reward: int | None = None):
+    """Fold one probabilistic product row, the crossing rule's output,
+    through the shipped update.
 
-    ``pairs`` lists (successor value, mass), a value being a pair
-    (probability, reward) when ``reward`` is given.  The row becomes one
-    integer row of ``solvers._prob_rows``, successor i at its mass's
-    numerator over the lcm D of the masses' denominators, the values
-    numerators over the lcm L of theirs, and ``solvers._prob_update``'s
-    result is read back over D L."""
+    ``entries`` lists (target, mass): a successor pair (x, y) has the value
+    ``query(x, y)``, a pair (probability, reward) when ``reward`` is given,
+    the mass on the accepting sink is the goal mass, and the rejecting
+    sink is left out.  The row becomes one integer row of
+    ``solvers._prob_rows``, successor i at its mass's numerator over the
+    lcm D of the masses' denominators, the values numerators over the lcm
+    L of theirs, and ``solvers._prob_update``'s result is read back over
+    D L."""
+    goal = sum((p for t, p in entries if t == ACCEPT), ZERO)
+    pairs = [(query(*t), p) for t, p in entries if isinstance(t, tuple)]
     scale, values = solvers._over_lcm(dict(enumerate(v for v, _ in pairs)), reward is not None)
     den = lcm(goal.denominator, *(p.denominator for _, p in pairs))
     succ = [(i, p.numerator * (den // p.denominator)) for i, (_, p) in enumerate(pairs)]
@@ -271,9 +274,10 @@ def _fold_prob_row(pairs: list, goal: Fraction, reward: int | None = None):
 
 
 def _fold_cost_row(entries, query: Callable):
-    """Fold one weighted product row through the shipped update: the row of
-    a one-state product whose successor pairs (x, y) are named by position,
-    each with its cost ``query(x, y)``."""
+    """Fold one weighted product row, the crossing rule's output, through
+    the shipped update: the row of a one-state product whose successor
+    pairs (x, y) are named by position, each with its cost
+    ``query(x, y)``."""
     row, values = [], {}
     for i, (tgt, m) in enumerate(entries):
         if isinstance(tgt, tuple):
@@ -289,7 +293,7 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
 
     Each sample draws finite semantic values, folds them through the two
     composite paths and compares the results exactly; the product path
-    runs the builders' row rule and ends in :func:`_fold_prob_row` or
+    runs the builders' crossing rule and ends in :func:`_fold_prob_row` or
     :func:`_fold_cost_row`.  Degenerate samples (pure halting mass, empty
     requirement rows) are always included.
     """
@@ -307,56 +311,43 @@ def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
 
     for i in range(samples):
         degenerate = i < 2  # first samples: halt-only mass / empty rows
-        if pairing in ("mc-dfa", "mc-costdfa"):
-            dists = [_rand_trace_dist(rng, alphabet) for _ in range(3)]
+        if pairing in ("mc-dfa", "mc-costdfa", "mrm-dfa"):
+            reward = pairing == "mrm-dfa"
+            draw = _rand_trace_reward_dist if reward else _rand_trace_dist
+            dists = [draw(rng, alphabet) for _ in range(3)]
             entries, halt = ([], ONE) if degenerate else _rand_value_dist(rng, dists)
             symbol = rng.choice(alphabet)
+            step_reward = rng.randint(0, 5) if reward else None
             row = _rand_dfa_row(rng, alphabet, degenerate)
-            lhs = oracle.query_prob(
-                oracle.mc_trace_step(entries, halt, symbol),
-                oracle.dfa_lang_step(row),
-            )
-            pairs, acc, rej = products.mc_dfa_row(entries, halt, symbol, row)
-            rhs = _fold_prob_row([(oracle.query_prob(nu, lang), p) for (nu, lang), p in pairs], acc)
-        elif pairing == "mrm-dfa":
-            dists = [_rand_trace_reward_dist(rng, alphabet) for _ in range(3)]
-            entries, halt = ([], ONE) if degenerate else _rand_value_dist(rng, dists)
-            symbol = rng.choice(alphabet)
-            step_reward = rng.randint(0, 5)
-            row = _rand_dfa_row(rng, alphabet, degenerate)
-            lhs = oracle.query_reward(
-                oracle.mrm_trace_step(entries, halt, step_reward, symbol),
-                oracle.dfa_lang_step(row),
-            )
-            # the mc-dfa rule; the product carries the step reward in ``stepreward``
-            pairs, acc, rej = products.mc_dfa_row(entries, halt, symbol, row)
-            rhs = _fold_prob_row([(oracle.query_reward(nu, lang), p) for (nu, lang), p in pairs], acc, step_reward)
-        elif pairing == "wts-nfa":
+            if reward:
+                query = oracle.query_reward
+                system = oracle.mrm_trace_step(entries, halt, step_reward, symbol)
+            else:
+                query, system = oracle.query_prob, oracle.mc_trace_step(entries, halt, symbol)
+            lhs = query(system, oracle.dfa_lang_step(row))
+            # the builders' view: the halting mass is the last move, the
+            # DFA row one unit edge per symbol; a reward product carries
+            # the step reward in ``stepreward``
+            moves = [(nu, symbol, p) for nu, p in entries] + [(None, symbol, halt)]
+            edges = products._unit_row(row, True)
+            rhs = _fold_prob_row(products.mealy_row(moves, edges), query, step_reward)
+        else:  # wts-nfa, wts-wmm
             transitions = _rand_wts_transitions(rng, alphabet, degenerate)
-            row = _rand_edge_row(
-                rng, alphabet, degenerate,
-                lambda: (_rand_lang(rng, alphabet), rng.random() < 0.25),
-            )
-            lhs = oracle.query_tropical(
-                oracle.wts_trace_step(transitions),
-                oracle.nfa_lang_step(row),
-            )
-            # the builder's view of an NFA row: a Mealy row of weight-0 edges
-            rhs = _fold_cost_row(
-                products.wts_wmm_row(transitions, products._zero_weighted(row).__getitem__),
-                oracle.query_tropical,
-            )
-        else:  # wts-wmm
-            transitions = _rand_wts_transitions(rng, alphabet, degenerate)
-            row = _rand_edge_row(
-                rng, alphabet, degenerate,
-                lambda: (_rand_weight_set(rng, alphabet), rng.random() < 0.25, rng.randint(0, 5)),
-            )
-            lhs = oracle.query_wmm(
-                oracle.wts_trace_step(transitions),
-                oracle.wmm_trace_step(row),
-            )
-            rhs = _fold_cost_row(products.wts_wmm_row(transitions, row.__getitem__), oracle.query_wmm)
+            if pairing == "wts-nfa":
+                row = _rand_edge_row(
+                    rng, alphabet, degenerate,
+                    lambda: (_rand_lang(rng, alphabet), rng.random() < 0.25),
+                )
+                query, requirement = oracle.query_tropical, oracle.nfa_lang_step(row)
+                edges = products._unit_row(row, False)  # the builders' view: unit edges
+            else:
+                row = _rand_edge_row(
+                    rng, alphabet, degenerate,
+                    lambda: (_rand_weight_set(rng, alphabet), rng.random() < 0.25, rng.randint(0, 5)),
+                )
+                query, requirement, edges = oracle.query_wmm, oracle.wmm_trace_step(row), row
+            lhs = query(oracle.wts_trace_step(transitions), requirement)
+            rhs = _fold_cost_row(products.mealy_row(transitions, edges), query)
 
         if lhs != rhs:
             return CheckResult(
@@ -450,43 +441,39 @@ def check_translation(c: LabeledMc, d: Dfa) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# mutation catalogue: single-edit variants of the mc-dfa pairing rule, each
-# run through the shipped product builder
+# mutation catalogue: the shipped mc-dfa builder on single edits of its inputs
 
-def _rule_flag_swapped(c, d, y, succ, halt, symbol):
-    pairs, acc, rej = products.mc_dfa_row(succ, halt, symbol, d.delta[y])
-    return pairs, rej, acc
+def _edges_edited(edit: Callable) -> Callable:
+    """The shipped ``mc-dfa`` builder over the DFA read as a Mealy machine
+    of unit edges, its edges at (y, a) replaced by ``edit(c, m, y, a)``, m
+    that Mealy machine."""
 
+    def build(c: LabeledMc, d: Dfa, restrict: bool = True):
+        m = products._unit_mealy(d)
+        delta = {y: {a: edit(c, m, y, a) for a in m.alphabet} for y in m.states}
+        return product_mc_dfa(c, WeightedMealy(m.states, m.alphabet, delta, m.initial), restrict)
 
-def _rule_requirement_frozen(c, d, y, succ, halt, symbol):
-    _, flag = d.delta[y][symbol]
-    pairs = [((x, y), p) for x, p in succ]  # monitor never advances
-    return (pairs, halt, ZERO) if flag else (pairs, ZERO, halt)
-
-
-def _rule_halt_mass_dropped(c, d, y, succ, halt, symbol):
-    pairs, _, _ = products.mc_dfa_row(succ, halt, symbol, d.delta[y])
-    return pairs, ZERO, ZERO
+    return build
 
 
-def _rule_symbol_ignored(c, d, y, succ, halt, symbol):
-    return products.mc_dfa_row(succ, halt, c.alphabet[0], d.delta[y])
+def _halt_mass_dropped(c: LabeledMc, d: Dfa, restrict: bool = True):
+    """The shipped ``mc-dfa`` builder over the chain without its halting mass."""
+    trans = {x: {t: p for t, p in row.items() if t != TARGET} for x, row in c.trans.items()}
+    return product_mc_dfa(LabeledMc(c.states, c.alphabet, c.label, trans, c.initial), d, restrict)
 
 
-def _rule_pair_broadcast(c, d, y, succ, halt, symbol):
-    _, flag = d.delta[y][symbol]
-    pairs = [((x, y2), p) for x, p in succ for y2 in d.states]
-    return (pairs, halt, ZERO) if flag else (pairs, ZERO, halt)
-
-
-#: Single-edit broken variants of the mc-dfa pairing rule, each of which
-#: must be caught by check_step_equality on the shipped robot fixture.
+#: Single-edit mutants of the mc-dfa pairing, each of which must be caught
+#: by check_step_equality on the shipped robot fixture.  The broadcast adds
+#: a rejecting edge to every other requirement state, so the halting mass
+#: it copies leaves the accepting sink's mass as it is.
 MUTATIONS: dict[str, Callable] = {
-    "flag-swapped": partial(_product_mc_dfa, rule=_rule_flag_swapped),
-    "requirement-frozen": partial(_product_mc_dfa, rule=_rule_requirement_frozen),
-    "halt-mass-dropped": partial(_product_mc_dfa, rule=_rule_halt_mass_dropped),
-    "symbol-ignored": partial(_product_mc_dfa, rule=_rule_symbol_ignored),
-    "pair-broadcast": partial(_product_mc_dfa, rule=_rule_pair_broadcast),
+    "flag-swapped": _edges_edited(lambda c, m, y, a: tuple((t, not f, n) for t, f, n in m.delta[y][a])),
+    "requirement-frozen": _edges_edited(lambda c, m, y, a: tuple((y, f, n) for t, f, n in m.delta[y][a])),
+    "halt-mass-dropped": _halt_mass_dropped,
+    "symbol-ignored": _edges_edited(lambda c, m, y, a: m.delta[y][c.alphabet[0]]),
+    "pair-broadcast": _edges_edited(
+        lambda c, m, y, a: tuple((z, f and z == t, n) for t, f, n in m.delta[y][a] for z in m.states)
+    ),
 }
 
 

@@ -10,16 +10,20 @@ does not load the builders.  ``PAIRING_TABLE`` names the six pairings with
 their input types, builders and the direct queries of :mod:`qtrace.oracle`
 that the products are checked against.
 
-The ``*_row`` functions contain the pairing rules for a single transition
-row, one per kind of system row: ``mc_dfa_row`` for a terminating chain,
-``ntmc_dfa_row`` for a never-terminating one and ``wts_wmm_row`` for a
-weighted system.  The reward pairing has no rule of its own: its product
-is the ``mc-dfa`` product carrying the system's reward per state in
-``stepreward``.  Nor has ``wts-nfa``: its requirement is read as a
-weighted Mealy machine whose every edge weighs 0, which leaves every
-weight as it is.  The rules are independent of state identity, so the
-commutation checks (``lawcheck.check_diagram``) run the same functions
-on raw semantic values.
+Two rules pair a system row with the requirement.  ``mealy_row`` is the
+one crossing rule of the five terminating pairings: it crosses each
+system move (successor or termination, symbol, value) with each
+requirement edge (target, flag, weight) on that symbol.  A chain's moves
+are its successors and then its halting mass; a weighted system's moves
+are its transitions.  A DFA is read as a Mealy machine with one edge per
+symbol and an NFA as one with its own edges, each edge carrying the unit
+``None``, which leaves a probability or a weight as it is.  The reward
+pairing is the ``mc-dfa`` product carrying the system's reward per state
+in ``stepreward``.  ``ntmc_dfa_row`` pairs a never-terminating chain:
+there acceptance absorbs the whole unit mass, a different law.  The
+rules are independent of state identity, so the commutation checks
+(``lawcheck.check_diagram``) run the same functions on raw semantic
+values.
 
 By default products are restricted to the states reachable from the pair
 of initial states; ``restrict=False`` builds the full cartesian space,
@@ -29,7 +33,7 @@ which the equality checks quantify over.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .domains import ONE, ZERO
 from .models import (
@@ -90,23 +94,25 @@ def validate_product(m) -> list[str]:
 # ---------------------------------------------------------------------------
 # pairing rules for a single transition row
 
-def mc_dfa_row(
-    successors: Iterable[tuple[object, Fraction]],
-    halt_mass: Fraction,
-    symbol: str,
-    dfa_row,
-):
-    """Synchronize one probabilistic row with one deterministic step table.
+def mealy_row(moves, edges: dict) -> list:
+    """Cross every system move with every requirement edge on its symbol.
 
-    Every successor is paired with the monitor state reached on ``symbol``;
-    the terminating mass lands in the sink named by the step's flag.
-    Returns (pairs, accept mass, reject mass).
+    ``moves`` yields (successor-or-None, symbol, value), ``None`` marking a
+    terminating move; ``edges`` maps a symbol to the requirement's
+    (target, flag, weight) edges on it.  A successor move goes to the pair
+    (successor, target), a terminating one to the sink that the edge's
+    flag names.  The entry carries the move's value plus the edge's
+    weight, or the move's value alone where the weight is the unit,
+    ``None``.  Returns the (target, value) entries in order.
     """
-    tgt, flag = dfa_row[symbol]
-    pairs = [((x, tgt), p) for x, p in successors]
-    if flag:
-        return pairs, halt_mass, ZERO
-    return pairs, ZERO, halt_mass
+    out = []
+    for succ, a, m in moves:
+        for tgt, flag, n in edges.get(a, ()):
+            out.append((
+                (succ, tgt) if succ is not None else ACCEPT if flag else REJECT,
+                m if n is None else m + n,
+            ))
+    return out
 
 
 def ntmc_dfa_row(successors, symbol: str, dfa_row):
@@ -122,26 +128,22 @@ def ntmc_dfa_row(successors, symbol: str, dfa_row):
     return [((x, tgt), p) for x, p in successors], ZERO
 
 
-def wts_wmm_row(transitions, wmm_row_fn):
-    """Cross every weighted transition with every matching requirement edge,
-    adding the edge's weight to the transition's.
-
-    ``transitions`` yields (successor-or-None, symbol, weight); ``None``
-    marks termination, which turns into a flag sink carrying the weight.
-    """
-    out = []
-    for succ, a, m in transitions:
-        for tgt, flag, n in wmm_row_fn(a):
-            if succ is None:
-                out.append(((ACCEPT if flag else REJECT), m + n))
-            else:
-                out.append(((succ, tgt), m + n))
-    return out
+def _unit_row(row: dict, deterministic: bool) -> dict:
+    """A DFA row (one (target, flag) edge per symbol) or an NFA row (a
+    tuple of them per symbol) as a Mealy row whose edges carry the unit."""
+    if deterministic:
+        return {a: ((tgt, flag, None),) for a, (tgt, flag) in row.items()}
+    return {a: tuple((tgt, flag, None) for tgt, flag in edges) for a, edges in row.items()}
 
 
-def _zero_weighted(nfa_row: dict) -> dict:
-    """An NFA row read as a weighted Mealy row: every edge weighs 0."""
-    return {a: tuple((tgt, flag, 0) for tgt, flag in edges) for a, edges in nfa_row.items()}
+def _unit_mealy(d) -> WeightedMealy:
+    """``d`` read as a Mealy machine: a DFA or NFA with the unit on every
+    edge, a Mealy machine as it is."""
+    if isinstance(d, WeightedMealy):
+        return d
+    deterministic = isinstance(d, Dfa)
+    delta = {y: _unit_row(row, deterministic) for y, row in d.delta.items()}
+    return WeightedMealy(d.states, d.alphabet, delta, d.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -194,40 +196,47 @@ def _build(kind, c, d, step, restrict: bool, collect=_summed, **fields):
     return kind(states=tuple(order) + kind.SINKS, trans=rows, initial=init, **extra)
 
 
-def _mc_dfa_rule(c, d, y, succ, halt, symbol):
-    return mc_dfa_row(succ, halt, symbol, d.delta[y])
+def _chain_moves(c):
+    """A chain's moves: each successor on the state's label in row order,
+    then the halting mass as a terminating move."""
+
+    def moves(x):
+        row, a = c.trans[x], c.label[x]
+        out = [(t, a, p) for t, p in row.items() if t != TARGET]
+        if TARGET in row:
+            out.append((None, a, row[TARGET]))
+        return out
+
+    return moves
 
 
-def _mc_dfa_step(c, d, rule):
+def _mealy_product(kind, c, d: WeightedMealy, moves: Callable, restrict: bool, collect=_summed, **fields):
+    """Build ``kind`` from :func:`mealy_row` at every pair (x, y), crossing
+    ``moves(x)`` with the edges of ``y``.  The moves are read once per
+    system state, however many pairs it enters."""
+    memo: dict = {}
+    delta = d.delta
+
     def step(x, y):
-        row = c.trans[x]
-        succ = [(x2, p) for x2, p in row.items() if x2 != TARGET]
-        pairs, acc, rej = rule(c, d, y, succ, row.get(TARGET, ZERO), c.label[x])
-        return [*pairs, (ACCEPT, acc), (REJECT, rej)]
+        if x not in memo:
+            memo[x] = moves(x)
+        return mealy_row(memo[x], delta.get(y, {}))
 
-    return step
-
-
-def _product_mc_dfa(c, d, restrict: bool = True, rule=_mc_dfa_rule) -> ProductMc:
-    """:func:`product_mc_dfa` with a replaceable row rule.
-
-    ``rule(c, d, y, successors, halt mass, symbol)`` returns (pairs, accept
-    mass, reject mass); the mutation catalogue of ``lawcheck`` passes
-    broken rules here, so it exercises the builder that ships.
-    """
-    return _build(ProductMc, c, d, _mc_dfa_step(c, d, rule), restrict)
+    return _build(kind, c, d, step, restrict, collect, **fields)
 
 
-def product_mc_dfa(c: LabeledMc, d: Dfa, restrict: bool = True) -> ProductMc:
-    """Product of a terminating chain with a deterministic requirement."""
-    return _product_mc_dfa(c, d, restrict)
+def product_mc_dfa(c: LabeledMc, d: Dfa | WeightedMealy, restrict: bool = True) -> ProductMc:
+    """Product of a terminating chain with a deterministic requirement, read
+    as a Mealy machine with one unit edge per symbol.  A Mealy machine of
+    unit edges is taken as it is."""
+    return _mealy_product(ProductMc, c, _unit_mealy(d), _chain_moves(c), restrict)
 
 
 def product_mrm_dfa(c: MarkovRewardModel, d: Dfa, restrict: bool = True) -> ProductRewardMc:
     """Reward-carrying variant of :func:`product_mc_dfa`."""
-    step = _mc_dfa_step(c, d, _mc_dfa_rule)
-    return _build(
-        ProductRewardMc, c, d, step, restrict, stepreward=lambda x, y: c.reward[x]
+    return _mealy_product(
+        ProductRewardMc, c, _unit_mealy(d), _chain_moves(c), restrict,
+        stepreward=lambda x, y: c.reward[x],
     )
 
 
@@ -244,22 +253,17 @@ def product_ntmc_dfa(c: NonTerminatingMc, d: Dfa, restrict: bool = True) -> Abso
 def product_wts_nfa(c: WeightedTs, d: Nfa, restrict: bool = True) -> ProductWts:
     """Product of a weighted system with a nondeterministic requirement: the
     weighted Mealy product with ``d`` read as a Mealy machine whose every
-    edge weighs 0."""
-    delta = {y: _zero_weighted(row) for y, row in d.delta.items()}
-    return product_wts_wmm(c, WeightedMealy(d.states, d.alphabet, delta, d.initial), restrict)
+    edge carries the unit."""
+    return product_wts_wmm(c, _unit_mealy(d), restrict)
 
 
 def product_wts_wmm(c: WeightedTs, d: WeightedMealy, restrict: bool = True) -> ProductWts:
     """Product of a weighted system with a weighted Mealy requirement."""
-    moves: dict[str, list] = {}  # per system state, however many pairs it enters
 
-    def step(x, y):
-        if x not in moves:
-            moves[x] = [(None if succ == TARGET else succ, a, m) for succ, a, m in c.trans[x]]
-        row = d.delta.get(y, {})  # once per pair, not per move
-        return wts_wmm_row(moves[x], lambda a: row.get(a, ()))
+    def moves(x):
+        return [(None if succ == TARGET else succ, a, m) for succ, a, m in c.trans[x]]
 
-    return _build(ProductWts, c, d, step, restrict, _weight_set)
+    return _mealy_product(ProductWts, c, d, moves, restrict, _weight_set)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ searched set; least costs go through the update once, in a pass that also
 collects the tight edges proving the costs attained.  A failed check
 raises ``SolverError`` (never an ``assert``, so the check also runs under
 ``python -O``); a row that is missing, or names a state the product does
-not have, and a step reward that is not a natural number raise
-``ModelError`` with the message of ``validate_product``.
+not have, a step reward that is not a natural number and a weight that
+is not natural raise ``ModelError`` with the message of
+``validate_product``, from the passes that read each row.
 Every product class names its value domain (``DOMAIN``), and one solve
 path serves all of them: ``iterate`` (the k-th iterate of the update) is
 shared, and every other mode, ``epsilon`` included, returns the domain's
@@ -86,6 +87,12 @@ def _fault(s: str, *succ) -> ModelError:
     if succ:
         return ModelError(f"unknown successor {succ[0]!r} at product state {s!r}")
     return ModelError(f"no transition row at product state {s!r}")
+
+
+def _weight_fault(s: str, w) -> ModelError:
+    """What ``validate_product`` reports for a weight ``w`` at pair state
+    ``s`` that is not a natural number."""
+    return ModelError(f"weight {w!r} at product state {s!r} is not natural")
 
 
 def _prob_rows(m) -> list:
@@ -175,8 +182,8 @@ def _cost_update(m: ProductWts, states, values: dict, tight: list | None = None)
 
     With ``tight``, the same pass appends to it each edge (source, target)
     whose weight plus target cost equals the source's own finite cost in
-    ``values``.  A missing row, or a successor without a cost in
-    ``values``, raises ``ModelError``."""
+    ``values``.  A missing row, a successor without a cost in ``values``,
+    or a weight that is not a natural number raises ``ModelError``."""
     goal, sinks, trans = m.GOAL, m.SINKS, m.trans
     out = {}
     try:
@@ -184,6 +191,10 @@ def _cost_update(m: ProductWts, states, values: dict, tight: list | None = None)
             c = INF if tight is None else values[s]
             best = INF
             for t, w in trans[s]:
+                # the class test is the fast path; ``isinstance`` also
+                # admits a bool, as ``validate_product`` does
+                if w.__class__ is not int and not isinstance(w, int) or w < 0:
+                    raise _weight_fault(s, w)
                 if t != goal:
                     if t in sinks:
                         continue
@@ -586,7 +597,8 @@ def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
     """Least costs by one Dijkstra pass (1959) from the goal over the
     reversed product graph: a goal edge seeds its source at its weight, and
     edges into the other sinks are ignored.  Settled costs are final only
-    because weights are nonnegative, so a negative weight raises."""
+    because weights are natural numbers, so any other weight raises
+    ``ModelError``."""
     from heapq import heapify, heappop, heappush  # not on ``import qtrace``
 
     states = pair_states(m)
@@ -596,8 +608,8 @@ def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
     try:
         for i, s in enumerate(states):
             for t, w in m.trans[s]:
-                if w < 0:
-                    raise SolverError(f"negative weight {w} at product state {s!r}")
+                if w.__class__ is not int and not isinstance(w, int) or w < 0:  # as in _cost_update
+                    raise _weight_fault(s, w)
                 if t == m.GOAL:
                     cost[i] = min(cost[i], w)
                 elif t not in m.SINKS:
@@ -728,9 +740,9 @@ def solve_tropical(
     """Least cost of reaching the accepting sink, per product state.
 
     Bellman mode (also ``exact``) runs one Dijkstra pass from the
-    accepting sink; weights must be nonnegative, so a product built by
-    hand with a negative weight raises ``SolverError``.  ``iterate`` gives
-    the ``steps``-th iterate of the min-cost update from all-infinity.
+    accepting sink.  ``iterate`` gives the ``steps``-th iterate of the
+    min-cost update from all-infinity.  In both, a weight that is not a
+    natural number raises ``ModelError``, as ``validate_product`` words it.
     """
     return _solve(m, TROPICAL, mode, steps)
 

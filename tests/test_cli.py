@@ -505,7 +505,7 @@ def test_mutant_counterexamples_match_golden_digests(name, capsys):
 
 @pytest.mark.parametrize("pairing", ["wts-nfa", "mrm-dfa", "all"])
 def test_lawcheck_mutate_needs_the_mc_dfa_pairing(pairing, capsys):
-    # the catalogue mutates the mc-dfa rule only; it must not run it under
+    # the catalogue edits the mc-dfa inputs only; it must not run them under
     # another pairing's name
     code, out, err = run(capsys, "lawcheck", pairing, "--mutate", "flag-swapped", "--kmax", "3")
     assert (code, out) == (2, "")

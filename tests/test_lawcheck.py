@@ -69,6 +69,25 @@ def test_mutations_are_caught_on_fixture(name, robot, monitor):
     assert res.counterexample["depth"] <= 4
 
 
+@pytest.mark.parametrize("name", sorted(lawcheck.MUTATIONS))
+def test_mutations_run_the_shipped_rule(name, robot, monitor, monkeypatch):
+    # every mutant edits the inputs of the shipped builder, which crosses
+    # them with the one rule in products: no copy of the rule is mutated
+    calls = []
+    rule = products.mealy_row
+
+    def counted(moves, edges):
+        calls.append(moves)
+        return rule(moves, edges)
+
+    monkeypatch.setattr(products, "mealy_row", counted)
+    res = lawcheck.check_step_equality(
+        "mc-dfa", robot, monitor, 4, product_fn=lawcheck.MUTATIONS[name]
+    )
+    assert len(calls) == len(robot.states) * len(monitor.states)
+    assert not res.passed
+
+
 def test_cost_bounded_smoke():
     rng = random.Random(21)
     for _ in range(4):
@@ -224,16 +243,15 @@ def _cost_raised(update):
     return lambda *args: {s: c + 1 for s, c in update(*args).items()}
 
 
-def _masses_swapped(rule):
-    def swapped(*args):
-        pairs, acc, rej = rule(*args)
-        return pairs, rej, acc
-
-    return swapped
+def _flag_negated(rule):
+    return lambda moves, edges: rule(
+        moves, {a: [(t, not f, n) for t, f, n in es] for a, es in edges.items()}
+    )
 
 
 def _weights_raised(rule):
-    return lambda *args: [(t, m + 1) for t, m in rule(*args)]
+    # a weight is an int, a probability mass a Fraction: only weights rise
+    return lambda *args: [(t, v + 1 if isinstance(v, int) else v) for t, v in rule(*args)]
 
 
 @pytest.mark.parametrize(
@@ -242,15 +260,15 @@ def _weights_raised(rule):
         (solvers, "_prob_update", _goal_dropped, {"mc-dfa", "mc-costdfa", "mrm-dfa"}),
         (solvers, "_prob_update", _step_reward_dropped, {"mrm-dfa"}),
         (solvers, "_cost_update", _cost_raised, {"wts-nfa", "wts-wmm"}),
-        (products, "mc_dfa_row", _masses_swapped, {"mc-dfa", "mc-costdfa", "mrm-dfa"}),
-        (products, "wts_wmm_row", _weights_raised, {"wts-nfa", "wts-wmm"}),
+        (products, "mealy_row", _flag_negated, set(lawcheck.DIAGRAM_PAIRINGS)),
+        (products, "mealy_row", _weights_raised, {"wts-nfa", "wts-wmm"}),
     ],
-    ids=["goal-dropped", "step-reward-dropped", "cost-raised", "masses-swapped", "weights-raised"],
+    ids=["goal-dropped", "step-reward-dropped", "cost-raised", "flag-negated", "weights-raised"],
 )
 def test_diagram_checks_run_the_shipped_update(module, name, mutate, failing, monkeypatch):
-    # a broken update in solvers, or a broken row rule in products, and
-    # nowhere else, fails the diagram checks of the pairings it breaks;
-    # restored, they pass again
+    # a broken update in solvers, or one edit of the crossing rule in
+    # products, and nowhere else, fails the diagram checks of the pairings
+    # it breaks; restored, they pass again
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     verdicts = {p: lawcheck.check_diagram(p, samples=60, seed=5).passed for p in lawcheck.DIAGRAM_PAIRINGS}
     assert {p for p, passed in verdicts.items() if not passed} == failing

@@ -277,7 +277,7 @@ GOLDEN = {
     "travel-wts*nfa": "a0a93c605566bc8d466b2ed0801ade4b8ce9ebffd1b5c96f6a7032a4469416ce",
     "mutated[flag-swapped]": "2a70d5869710cdffbde61f131eccc7bfbe6a1c55c71d5bcebf657f088a468ab5",
     "mutated[halt-mass-dropped]": "c3601d3ed0f2c245ae98e28e808683675c643e0b1a03af499f155835ae35de2b",
-    "mutated[pair-broadcast]": "c7db56ea429505beda4a9466fe2d3590c0b85c3bae03176c8536a3889e300df1",
+    "mutated[pair-broadcast]": "dc3809dbeb552a6455ea2fcd42652d9bc858e7c96c120e8ffde4825197f4d38b",
     "mutated[requirement-frozen]": "eb00b6836419414b62faa65169e94c8fb630b1ffa7690051679965c84264ec7d",
     "mutated[symbol-ignored]": "669a16e64995c2f1e7f9a222aa1b0fdbe956110118ea46e0d08ae3720580b19f",
 }

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from fraction_iterate import fraction_iterates, min_cost_step, product_transformer
@@ -135,6 +136,17 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return F(rng.randint(0, den), den)
 
 
+def _rule_output(values, masses, goal):
+    """A probabilistic row as the crossing rule gives it: successor i at
+    the pair (value i, None), the goal mass on the accepting sink, and a
+    rejecting entry that the fold leaves out."""
+    return [((v, None), p) for v, p in zip(values, masses)] + [(ACCEPT, goal), (REJECT, F(1, 3))]
+
+
+def _first(value, _):
+    return value
+
+
 def test_integer_update_steps_match_fraction_arithmetic():
     # the shipped updates on one row: a probabilistic row folded into one
     # integer row as the diagram checks fold it, and the weighted row of a
@@ -148,12 +160,12 @@ def test_integer_update_steps_match_fraction_arithmetic():
         probs = [_random_fraction(rng) for _ in masses]
         rewards = [_random_fraction(rng) * rng.randint(0, 40) for _ in masses]
         want = goal + sum((p * v for v, p in zip(probs, masses)), F(0))
-        got = _fold_prob_row(list(zip(probs, masses)), goal)
+        got = _fold_prob_row(_rule_output(probs, masses, goal), _first)
         assert (type(got), got) == (Fraction, want)
         want_reward = step_reward * goal + sum(
             (p * (v * step_reward + r) for v, r, p in zip(probs, rewards, masses)), F(0)
         )
-        got = _fold_prob_row(list(zip(zip(probs, rewards), masses)), goal, step_reward)
+        got = _fold_prob_row(_rule_output(list(zip(probs, rewards)), masses, goal), _first, step_reward)
         assert got == (want, want_reward)
         assert tuple(map(type, got)) == (Fraction, Fraction)
         seen |= {name for name, hit in (
@@ -255,16 +267,19 @@ def test_tropical_matches_independent_shortest_path():
         assert all(rep.values[s] == dist[s] for s in rep.values)
 
 
-def test_negative_weight_is_a_solver_error():
-    # built by hand, so no model validation ran
+def test_negative_weight_is_a_model_error():
+    # built by hand, so no model validation ran; the weight's row is not
+    # the goal's, so the Dijkstra pass would have to reach it
     prod = ProductWts(
         states=("p", "q", ACCEPT, REJECT),
         trans={"p": (("q", -1),), "q": ((ACCEPT, 2),)},
         initial="p",
     )
-    for solve in (solve_tropical, solve_product):
-        with pytest.raises(SolverError, match="negative weight -1"):
+    (fault,) = validate_product(prod)
+    for solve in (solve_tropical, solve_product, partial(solve_tropical, mode="iterate", steps=3)):
+        with pytest.raises(ModelError) as err:
             solve(prod)
+        assert str(err.value) == fault == "weight -1 at product state 'p' is not natural"
 
 
 def _zero_weight_wts(rng: random.Random) -> WeightedTs:
@@ -713,3 +728,17 @@ def test_a_step_reward_that_is_not_natural_is_a_model_error(mode, reward):
     with pytest.raises(ModelError) as err:
         solve_product(prod, mode, steps=3)
     assert str(err.value) == "step reward at 'a' is not a natural number"
+
+
+@pytest.mark.parametrize("mode", ["exact", "iterate"])
+@pytest.mark.parametrize("weight", [F(1, 2), 1.5, -1, None], ids=["half", "float", "negative", "none"])
+def test_a_weight_that_is_not_natural_is_a_model_error(mode, weight):
+    # a weight of 1/2 or 1.5 was answered as the cost itself in both
+    # modes, -1 was a SolverError in exact mode but answered -1 in
+    # iterate mode, and None was a TypeError
+    prod = ProductWts(states=("a", ACCEPT, REJECT), trans={"a": ((ACCEPT, weight),)}, initial="a")
+    fault = f"weight {weight!r} at product state 'a' is not natural"
+    assert validate_product(prod) == [fault]
+    with pytest.raises(ModelError) as err:
+        solve_tropical(prod, mode, steps=3)
+    assert str(err.value) == fault
