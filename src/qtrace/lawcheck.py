@@ -22,6 +22,13 @@ Two families of checks are provided:
   pairing is excluded (its property only holds on iterates, which step
   equality covers).
 
+One table, ``LAWS``, keyed and ordered like ``products.PAIRING_TABLE``,
+holds one row per pairing: its seeded instance drawer and, for a pairing
+with a one-step diagram, the diagram's alphabet, a sampler of one system
+step, a sampler of one requirement row, the query and the fold.
+``random_instance``, ``DIAGRAM_PAIRINGS`` and ``check_diagram`` read the
+table, so no check tests a pairing's name.
+
 Composite checks (``check_cost_bounded``, ``check_cost_induced``,
 ``check_translation``) validate derived constructions end to end, and a
 small catalogue of mutants (``MUTATIONS``) demonstrates that step equality
@@ -37,8 +44,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import oracle, products, solvers
 from .domains import ONE, PROB, PROB_REWARD, ZERO, _value_over, value_str
@@ -65,10 +73,6 @@ from .products import PAIRING_TABLE, product_mc_dfa, product_ntmc_dfa
 from .solvers import integer_iterates, solve_reach_prob
 
 PAIRINGS = tuple(PAIRING_TABLE)
-
-#: Pairings with a full one-step commutation property; the never-terminating
-#: pairing satisfies only the iterate-level property.
-DIAGRAM_PAIRINGS = ("mc-dfa", "mrm-dfa", "mc-costdfa", "wts-nfa", "wts-wmm")
 
 
 class CheckResult(Record):
@@ -227,28 +231,56 @@ def _rand_value_dist(rng: random.Random, values: list) -> tuple[list, Fraction]:
     return entries, masses[-1]
 
 
-def _rand_dfa_row(rng: random.Random, alphabet, degenerate: bool) -> dict:
-    """One DFA row over sampled successor languages (empty when degenerate)."""
-    return {
-        a: ((set() if degenerate else _rand_lang(rng, alphabet)), rng.random() < 0.25)
-        for a in alphabet
-    }
-
-
-def _rand_wts_transitions(rng: random.Random, alphabet, degenerate: bool) -> list:
-    """Weighted transitions into sampled weight sets; ``None`` terminates."""
-    sets = [_rand_weight_set(rng, alphabet) for _ in range(3)]
-    transitions = []
-    if not degenerate:
-        for _ in range(rng.randint(0, 4)):
-            succ = None if rng.random() < 0.4 else rng.choice(sets)
-            transitions.append((succ, rng.choice(alphabet), rng.randint(0, 5)))
-    return transitions
-
-
 def _rand_edge_row(rng: random.Random, alphabet, degenerate: bool, draw: Callable) -> dict:
     """Up to two edges per symbol, each drawn by ``draw`` (none when degenerate)."""
     return {a: [] if degenerate else [draw() for _ in range(rng.randint(0, 2))] for a in alphabet}
+
+
+# One system step, sampled: (semantic step, the builders' moves, step
+# reward or None).  A chain's moves are its successors and then its halting
+# mass, on the sampled symbol; a reward chain draws its step reward last.
+
+def _chain_step(rng: random.Random, alphabet, degenerate: bool, reward: bool = False):
+    draw = _rand_trace_reward_dist if reward else _rand_trace_dist
+    dists = [draw(rng, alphabet) for _ in range(3)]
+    entries, halt = ([], ONE) if degenerate else _rand_value_dist(rng, dists)
+    symbol = rng.choice(alphabet)
+    moves = [(nu, symbol, p) for nu, p in entries] + [(None, symbol, halt)]
+    if not reward:
+        return oracle.mc_trace_step(entries, halt, symbol), moves, None
+    step_reward = rng.randint(0, 5)
+    return oracle.mrm_trace_step(entries, halt, step_reward, symbol), moves, step_reward
+
+
+def _wts_step(rng: random.Random, alphabet, degenerate: bool):
+    """Weighted transitions into sampled weight sets; ``None`` terminates."""
+    sets = [_rand_weight_set(rng, alphabet) for _ in range(3)]
+    transitions = [] if degenerate else [
+        (None if rng.random() < 0.4 else rng.choice(sets), rng.choice(alphabet), rng.randint(0, 5))
+        for _ in range(rng.randint(0, 4))
+    ]
+    return oracle.wts_trace_step(transitions), transitions, None
+
+
+# One requirement row, sampled: (semantic step, the builders' edges).  The
+# builders read a DFA or NFA row as unit edges, a Mealy row as it is.
+
+def _dfa_row_step(rng: random.Random, alphabet, degenerate: bool):
+    row = {a: (set() if degenerate else _rand_lang(rng, alphabet), rng.random() < 0.25) for a in alphabet}
+    return oracle.dfa_lang_step(row), products._unit_row(row, True)
+
+
+def _nfa_row_step(rng: random.Random, alphabet, degenerate: bool):
+    row = _rand_edge_row(rng, alphabet, degenerate, lambda: (_rand_lang(rng, alphabet), rng.random() < 0.25))
+    return oracle.nfa_lang_step(row), products._unit_row(row, False)
+
+
+def _wmm_row_step(rng: random.Random, alphabet, degenerate: bool):
+    row = _rand_edge_row(
+        rng, alphabet, degenerate,
+        lambda: (_rand_weight_set(rng, alphabet), rng.random() < 0.25, rng.randint(0, 5)),
+    )
+    return oracle.wmm_trace_step(row), row
 
 
 def _fold_prob_row(entries: list, query: Callable, reward: int | None = None):
@@ -273,11 +305,11 @@ def _fold_prob_row(entries: list, query: Callable, reward: int | None = None):
     return _value_over(PROB if reward is None else PROB_REWARD, n, den * scale)
 
 
-def _fold_cost_row(entries, query: Callable):
+def _fold_cost_row(entries, query: Callable, reward: None = None):
     """Fold one weighted product row, the crossing rule's output, through
     the shipped update: the row of a one-state product whose successor
     pairs (x, y) are named by position, each with its cost
-    ``query(x, y)``."""
+    ``query(x, y)``.  A weighted system has no step reward."""
     row, values = [], {}
     for i, (tgt, m) in enumerate(entries):
         if isinstance(tgt, tuple):
@@ -291,72 +323,37 @@ def _fold_cost_row(entries, query: Callable):
 def check_diagram(pairing: str, samples: int, seed: int) -> CheckResult:
     """Sampled one-step commutation check for a pairing's product rule.
 
-    Each sample draws finite semantic values, folds them through the two
-    composite paths and compares the results exactly; the product path
-    runs the builders' crossing rule and ends in :func:`_fold_prob_row` or
-    :func:`_fold_cost_row`.  Degenerate samples (pure halting mass, empty
-    requirement rows) are always included.
+    Each sample draws, from the pairing's row of :data:`LAWS`, one system
+    step and then one requirement row, and compares the two paths of the
+    diagram exactly: the query on the two semantic steps, and the row's
+    fold of the builders' crossing rule on their moves and edges.
+    Degenerate samples (pure halting mass, empty requirement rows) are
+    always included.
     """
-    if pairing == "ntmc-dfa":
+    law = _law(pairing)
+    if law.alphabet is None:
         raise ValueError(
-            "ntmc-dfa satisfies the weaker criterion only; its one-step diagram "
+            f"{pairing} satisfies the weaker criterion only; its one-step diagram "
             "is not checked -- use check_step_equality instead"
         )
-    if pairing not in DIAGRAM_PAIRINGS:
-        raise ValueError(f"unknown pairing {pairing!r}")
     rng = random.Random(seed)
-    alphabet = ("1", "2", "3") if pairing == "mc-costdfa" else ("a", "b", "c")
-    details = {"pairing": pairing, "samples": samples, "seed": seed}
-    name = f"diagram[{pairing}]"
-
+    query = getattr(oracle, law.query)
+    counterexample = None
     for i in range(samples):
         degenerate = i < 2  # first samples: halt-only mass / empty rows
-        if pairing in ("mc-dfa", "mc-costdfa", "mrm-dfa"):
-            reward = pairing == "mrm-dfa"
-            draw = _rand_trace_reward_dist if reward else _rand_trace_dist
-            dists = [draw(rng, alphabet) for _ in range(3)]
-            entries, halt = ([], ONE) if degenerate else _rand_value_dist(rng, dists)
-            symbol = rng.choice(alphabet)
-            step_reward = rng.randint(0, 5) if reward else None
-            row = _rand_dfa_row(rng, alphabet, degenerate)
-            if reward:
-                query = oracle.query_reward
-                system = oracle.mrm_trace_step(entries, halt, step_reward, symbol)
-            else:
-                query, system = oracle.query_prob, oracle.mc_trace_step(entries, halt, symbol)
-            lhs = query(system, oracle.dfa_lang_step(row))
-            # the builders' view: the halting mass is the last move, the
-            # DFA row one unit edge per symbol; a reward product carries
-            # the step reward in ``stepreward``
-            moves = [(nu, symbol, p) for nu, p in entries] + [(None, symbol, halt)]
-            edges = products._unit_row(row, True)
-            rhs = _fold_prob_row(products.mealy_row(moves, edges), query, step_reward)
-        else:  # wts-nfa, wts-wmm
-            transitions = _rand_wts_transitions(rng, alphabet, degenerate)
-            if pairing == "wts-nfa":
-                row = _rand_edge_row(
-                    rng, alphabet, degenerate,
-                    lambda: (_rand_lang(rng, alphabet), rng.random() < 0.25),
-                )
-                query, requirement = oracle.query_tropical, oracle.nfa_lang_step(row)
-                edges = products._unit_row(row, False)  # the builders' view: unit edges
-            else:
-                row = _rand_edge_row(
-                    rng, alphabet, degenerate,
-                    lambda: (_rand_weight_set(rng, alphabet), rng.random() < 0.25, rng.randint(0, 5)),
-                )
-                query, requirement, edges = oracle.query_wmm, oracle.wmm_trace_step(row), row
-            lhs = query(oracle.wts_trace_step(transitions), requirement)
-            rhs = _fold_cost_row(products.mealy_row(transitions, edges), query)
-
+        system, moves, reward = law.system(rng, law.alphabet, degenerate)
+        requirement, edges = law.requirement(rng, law.alphabet, degenerate)
+        lhs = query(system, requirement)
+        rhs = law.fold(products.mealy_row(moves, edges), query, reward)
         if lhs != rhs:
-            return CheckResult(
-                name=name,
-                passed=False,
-                counterexample={"sample": i, "lhs": value_str(lhs), "rhs": value_str(rhs)},
-                details=details,
-            )
-    return CheckResult(name=name, passed=True, counterexample=None, details=details)
+            counterexample = {"sample": i, "lhs": value_str(lhs), "rhs": value_str(rhs)}
+            break
+    return CheckResult(
+        name=f"diagram[{pairing}]",
+        passed=counterexample is None,
+        counterexample=counterexample,
+        details={"pairing": pairing, "samples": samples, "seed": seed},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +477,8 @@ MUTATIONS: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 # seeded random instances
 
-def _rand_row(rng: random.Random, targets: list[str], allow_halt: bool) -> dict[str, Fraction]:
-    pool = list(targets)
-    support = rng.sample(pool, min(len(pool), rng.randint(1, 2)))
+def _rand_row(rng: random.Random, targets: tuple[str, ...], allow_halt: bool) -> dict[str, Fraction]:
+    support = rng.sample(targets, min(len(targets), rng.randint(1, 2)))
     if allow_halt and (rng.random() < 0.5 or not support):
         support.append(TARGET)
     if len(support) == 1:
@@ -491,14 +487,20 @@ def _rand_row(rng: random.Random, targets: list[str], allow_halt: bool) -> dict[
     return {s: p for s, p in zip(support, probs)}
 
 
-def random_mc(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 6) -> LabeledMc:
+def _random_chain(rng: random.Random, alphabet, max_states: int, halts: bool):
+    """States s0, s1, ..., a label per state and a row per state, drawn in
+    that order; each row may halt when ``halts``."""
     n = rng.randint(2, max_states)
     states = tuple(f"s{i}" for i in range(n))
     label = {x: rng.choice(alphabet) for x in states}
-    trans = {x: _rand_row(rng, list(states), allow_halt=True) for x in states}
-    # make sure termination is reachable at all
-    trans[states[-1]] = {TARGET: ONE}
-    return LabeledMc(states, tuple(alphabet), label, trans, states[0])
+    trans = {x: _rand_row(rng, states, allow_halt=halts) for x in states}
+    return states, tuple(alphabet), label, trans
+
+
+def random_mc(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 6) -> LabeledMc:
+    states, alphabet, label, trans = _random_chain(rng, alphabet, max_states, halts=True)
+    trans[states[-1]] = {TARGET: ONE}  # make sure termination is reachable at all
+    return LabeledMc(states, alphabet, label, trans, states[0])
 
 
 def random_mrm(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 6) -> MarkovRewardModel:
@@ -508,11 +510,8 @@ def random_mrm(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 6
 
 
 def random_ntmc(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 6) -> NonTerminatingMc:
-    n = rng.randint(2, max_states)
-    states = tuple(f"s{i}" for i in range(n))
-    label = {x: rng.choice(alphabet) for x in states}
-    trans = {x: _rand_row(rng, list(states), allow_halt=False) for x in states}
-    return NonTerminatingMc(states, tuple(alphabet), label, trans, states[0])
+    states, alphabet, label, trans = _random_chain(rng, alphabet, max_states, halts=False)
+    return NonTerminatingMc(states, alphabet, label, trans, states[0])
 
 
 def random_dfa(rng: random.Random, alphabet=("a", "b", "c"), max_states: int = 4) -> Dfa:
@@ -582,23 +581,70 @@ def random_cost_mc(rng: random.Random, weight_bound: int = 3, max_states: int = 
     return random_mc(rng, alphabet, max_states)
 
 
+def _random_cost_instance(rng: random.Random):
+    weight_bound = rng.randint(1, 3)
+    budget = rng.randint(1, 3)
+    return random_cost_mc(rng, weight_bound), make_cost_bound_dfa(budget, weight_bound)
+
+
 def random_instance(pairing: str, rng: random.Random):
     """A (system, requirement) pair for the given pairing."""
-    if pairing == "mc-dfa":
-        return random_mc(rng), random_dfa(rng)
-    if pairing == "mrm-dfa":
-        return random_mrm(rng), random_dfa(rng)
-    if pairing == "mc-costdfa":
-        weight_bound = rng.randint(1, 3)
-        budget = rng.randint(1, 3)
-        return random_cost_mc(rng, weight_bound), make_cost_bound_dfa(budget, weight_bound)
-    if pairing == "ntmc-dfa":
-        return random_ntmc(rng), random_dfa(rng)
-    if pairing == "wts-nfa":
-        return random_wts(rng), random_nfa(rng)
-    if pairing == "wts-wmm":
-        return random_wts(rng), random_wmm(rng)
-    raise ValueError(f"unknown pairing {pairing!r}")
+    return _law(pairing).instance(rng)
+
+
+# ---------------------------------------------------------------------------
+# the laws: one row per pairing
+
+class Law(NamedTuple):
+    """What lawcheck draws and checks for one pairing.
+
+    ``instance(rng)`` draws a seeded (system, requirement) pair.  A pairing
+    with a one-step diagram also names the diagram's ``alphabet``;
+    ``system(rng, alphabet, degenerate)`` samples one system step as
+    (semantic step, the builders' moves, step reward or None),
+    ``requirement(rng, alphabet, degenerate)`` one requirement row as
+    (semantic step, the builders' edges), ``query`` names the query of
+    :mod:`qtrace.oracle` on the two, and ``fold(entries, query, reward)``
+    folds the crossing rule's output through the shipped update.  The
+    never-terminating pairing has no diagram, so its row holds the drawer
+    alone.  The rows call ``oracle``, ``products`` and ``solvers`` through
+    their modules, so a patched or traced function is the one run.
+    """
+
+    instance: Callable
+    alphabet: tuple[str, ...] | None = None
+    system: Callable | None = None
+    requirement: Callable | None = None
+    query: str | None = None
+    fold: Callable | None = None
+
+
+_ABC = ("a", "b", "c")
+
+#: One row per pairing, keyed and ordered like ``products.PAIRING_TABLE``.
+LAWS: dict[str, Law] = {
+    "mc-dfa": Law(lambda rng: (random_mc(rng), random_dfa(rng)),
+                  _ABC, _chain_step, _dfa_row_step, "query_prob", _fold_prob_row),
+    "mrm-dfa": Law(lambda rng: (random_mrm(rng), random_dfa(rng)),
+                   _ABC, partial(_chain_step, reward=True), _dfa_row_step, "query_reward", _fold_prob_row),
+    "mc-costdfa": Law(_random_cost_instance,
+                      ("1", "2", "3"), _chain_step, _dfa_row_step, "query_prob", _fold_prob_row),
+    "ntmc-dfa": Law(lambda rng: (random_ntmc(rng), random_dfa(rng))),
+    "wts-nfa": Law(lambda rng: (random_wts(rng), random_nfa(rng)),
+                   _ABC, _wts_step, _nfa_row_step, "query_tropical", _fold_cost_row),
+    "wts-wmm": Law(lambda rng: (random_wts(rng), random_wmm(rng)),
+                   _ABC, _wts_step, _wmm_row_step, "query_wmm", _fold_cost_row),
+}
+
+#: Pairings with a full one-step commutation property; the never-terminating
+#: pairing satisfies only the iterate-level property.
+DIAGRAM_PAIRINGS = tuple(p for p, law in LAWS.items() if law.alphabet is not None)
+
+
+def _law(pairing: str) -> Law:
+    if pairing not in LAWS:
+        raise ValueError(f"unknown pairing {pairing!r}")
+    return LAWS[pairing]
 
 
 def run_step_equality_batch(

@@ -22,8 +22,8 @@ pairing is the ``mc-dfa`` product carrying the system's reward per state
 in ``stepreward``.  ``ntmc_dfa_row`` pairs a never-terminating chain:
 there acceptance absorbs the whole unit mass, a different law.  The
 rules are independent of state identity, so the commutation checks
-(``lawcheck.check_diagram``) run the same functions on raw semantic
-values.
+(``lawcheck.check_diagram``, one per terminating pairing) run
+``mealy_row`` itself on raw semantic values.
 
 By default products are restricted to the states reachable from the pair
 of initial states; ``restrict=False`` builds the full cartesian space,

@@ -28,8 +28,9 @@ collects the tight edges proving the costs attained.  A failed check
 raises ``SolverError`` (never an ``assert``, so the check also runs under
 ``python -O``); a row that is missing, or names a state the product does
 not have, a step reward that is not a natural number and a weight that
-is not natural raise ``ModelError`` with the message of
-``validate_product``, from the passes that read each row.
+is not natural raise ``ModelError`` from the passes that read each row,
+worded as the first fault that ``validate_product`` reports; the
+validator runs only once a pass has met a fault.
 Every product class names its value domain (``DOMAIN``), and one solve
 path serves all of them: ``iterate`` (the k-th iterate of the update) is
 shared, and every other mode, ``epsilon`` included, returns the domain's
@@ -49,7 +50,7 @@ from typing import Iterator
 
 from .domains import INF, PROB, PROB_REWARD, TROPICAL, ZERO, _json_value, _value_over
 from .models import ModelError, Record
-from .products import ProductMc, ProductRewardMc, ProductWts, pair_states
+from .products import ProductMc, ProductRewardMc, ProductWts, pair_states, validate_product
 
 
 class SolverError(RuntimeError):
@@ -81,18 +82,11 @@ class SolveReport(Record):
 # ---------------------------------------------------------------------------
 # the one-step updates, the product rows and the iterates
 
-def _fault(s: str, *succ) -> ModelError:
-    """What ``validate_product`` reports for the row at pair state ``s``:
-    it has none, or it names ``succ``, which the product does not have."""
-    if succ:
-        return ModelError(f"unknown successor {succ[0]!r} at product state {s!r}")
-    return ModelError(f"no transition row at product state {s!r}")
-
-
-def _weight_fault(s: str, w) -> ModelError:
-    """What ``validate_product`` reports for a weight ``w`` at pair state
-    ``s`` that is not a natural number."""
-    return ModelError(f"weight {w!r} at product state {s!r} is not natural")
+def _invalid(m) -> ModelError:
+    """``validate_product``'s first fault of ``m``, as a ``ModelError``.
+    The row passes raise it only once they have met a fault that the
+    validator also reports, so a product they can read costs nothing."""
+    return ModelError(validate_product(m)[0])
 
 
 def _prob_rows(m) -> list:
@@ -103,8 +97,7 @@ def _prob_rows(m) -> list:
     sinks and the zero masses.  D, and the row read so far, grow only when
     a mass's denominator does not divide D.  A missing row, a successor
     that is neither a pair state nor a sink, or a step reward that is not
-    a natural number raises ``ModelError``, as ``validate_product`` words
-    it."""
+    a natural number raises :func:`_invalid`."""
     goal, sinks = m.GOAL, m.SINKS
     reward = m.stepreward if m.DOMAIN == PROB_REWARD else None
     states = pair_states(m)
@@ -113,7 +106,7 @@ def _prob_rows(m) -> list:
     for s in states:
         row = m.trans.get(s)
         if row is None:
-            raise _fault(s)
+            raise _invalid(m)
         g, den = row.get(goal, ZERO).as_integer_ratio()
         succ = []
         for t, p in row.items():
@@ -127,10 +120,10 @@ def _prob_rows(m) -> list:
                             succ = [(u, x * k) for u, x in succ]
                     succ.append((t, n * (den // d)))
             elif t not in sinks:
-                raise _fault(s, t)
+                raise _invalid(m)
         r = None if reward is None else reward.get(s)
         if reward is not None and (not isinstance(r, int) or r < 0):
-            raise ModelError(f"step reward at {s!r} is not a natural number")
+            raise _invalid(m)
         rows.append((s, den, g, r, succ))
     return rows
 
@@ -183,7 +176,7 @@ def _cost_update(m: ProductWts, states, values: dict, tight: list | None = None)
     With ``tight``, the same pass appends to it each edge (source, target)
     whose weight plus target cost equals the source's own finite cost in
     ``values``.  A missing row, a successor without a cost in ``values``,
-    or a weight that is not a natural number raises ``ModelError``."""
+    or a weight that is not a natural number raises :func:`_invalid`."""
     goal, sinks, trans = m.GOAL, m.SINKS, m.trans
     out = {}
     try:
@@ -194,7 +187,7 @@ def _cost_update(m: ProductWts, states, values: dict, tight: list | None = None)
                 # the class test is the fast path; ``isinstance`` also
                 # admits a bool, as ``validate_product`` does
                 if w.__class__ is not int and not isinstance(w, int) or w < 0:
-                    raise _weight_fault(s, w)
+                    raise _invalid(m)
                 if t != goal:
                     if t in sinks:
                         continue
@@ -205,7 +198,7 @@ def _cost_update(m: ProductWts, states, values: dict, tight: list | None = None)
                     tight.append((s, t))
             out[s] = best
     except KeyError:  # a missing row, or a successor without a cost
-        raise (_fault(s, t) if s in trans else _fault(s)) from None
+        raise _invalid(m) from None
     return out
 
 
@@ -598,7 +591,7 @@ def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
     reversed product graph: a goal edge seeds its source at its weight, and
     edges into the other sinks are ignored.  Settled costs are final only
     because weights are natural numbers, so any other weight raises
-    ``ModelError``."""
+    :func:`_invalid`."""
     from heapq import heapify, heappop, heappush  # not on ``import qtrace``
 
     states = pair_states(m)
@@ -609,13 +602,13 @@ def _dijkstra(m: ProductWts, domain: str) -> SolveReport:
         for i, s in enumerate(states):
             for t, w in m.trans[s]:
                 if w.__class__ is not int and not isinstance(w, int) or w < 0:  # as in _cost_update
-                    raise _weight_fault(s, w)
+                    raise _invalid(m)
                 if t == m.GOAL:
                     cost[i] = min(cost[i], w)
                 elif t not in m.SINKS:
                     preds[index[t]] += i, w
     except KeyError:  # a missing row, or a successor that is not a pair state
-        raise (_fault(s, t) if s in m.trans else _fault(s)) from None
+        raise _invalid(m) from None
     heap = [(c, i) for i, c in enumerate(cost) if c != INF]
     heapify(heap)
     while heap:
